@@ -13,12 +13,10 @@ Four commands expose the main pipeline:
   for built-in protocols (Sect. 8): correctness rates under crash,
   omission, and corruption scenarios;
 * ``exp run`` / ``exp report`` — the experiment orchestration subsystem:
-  declarative sweeps (many sizes x intensities x trials) executed across
-  a worker pool into a resumable JSONL store, then aggregated into
-  scaling tables with log-log exponent fits; ``--fleet`` /
-  ``--keep-warm`` route the sweep onto a persistent warm worker fleet
-  (:mod:`repro.exp.fleet`) with shared-memory result transport and a
-  content-addressed trial memo;
+  declarative sweeps (many sizes x intensities x trials) executed
+  in-process or on worker processes (:mod:`repro.exp.fleet`) into a
+  resumable JSONL store, then aggregated into scaling tables with
+  log-log exponent fits;
 * ``chaos run`` / ``chaos replay`` — monitor-instrumented campaigns over
   scheduler x fault-intensity grids; violations are shrunk to minimal
   JSON reproductions (``--shrink``) that replay bit-identically;
@@ -28,7 +26,7 @@ Four commands expose the main pipeline:
 * ``doctor`` — environment report: step-kernel backend availability
   (numpy / numba / python), relevant package versions, why an
   unavailable backend cannot run here, and worker-fleet eligibility
-  (start method, shared-memory transport, numba warm status).
+  (start method, numba warm status).
 
 ``exp run``, ``chaos run``, and ``bench`` accept ``--backend`` to
 select the step-kernel backend for the backend-capable engines
@@ -357,24 +355,13 @@ def cmd_exp_run(args: argparse.Namespace) -> int:
     from repro.exp.store import ResultStore
     from repro.exp.supervise import TrialExecutionError
 
-    keep_warm = getattr(args, "keep_warm", False)
-    fleet = None
     try:
         spec = _spec_from_args(args)
         spec.validate()
         store = ResultStore(args.store) if args.store else None
-        if getattr(args, "fleet", False) or keep_warm:
-            from repro.exp.fleet import WorkerFleet, get_fleet
-
-            # --keep-warm shares one process-wide fleet across every
-            # sweep of this interpreter; plain --fleet gets a private
-            # fleet torn down when the command finishes.
-            fleet = (get_fleet(args.workers) if keep_warm
-                     else WorkerFleet(args.workers))
         result = run_experiment(
             spec, store=store, workers=args.workers,
-            retry_quarantined=getattr(args, "retry_quarantined", False),
-            fleet=fleet)
+            retry_quarantined=getattr(args, "retry_quarantined", False))
     except TrialExecutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.store:
@@ -385,9 +372,6 @@ def cmd_exp_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
-    finally:
-        if fleet is not None and not keep_warm:
-            fleet.close()
     aggregates = aggregate(result.records, metric=args.metric)
     if args.json:
         payload = report_dict(aggregates, spec=spec, metric=args.metric,
@@ -396,20 +380,12 @@ def cmd_exp_run(args: argparse.Namespace) -> int:
         payload["skipped"] = result.skipped
         if result.supervision is not None:
             payload["supervision"] = result.supervision
-        if result.fleet is not None:
-            payload["fleet"] = result.fleet
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"plan     : {plan_size(spec)} trials "
           f"({result.executed} executed, {result.skipped} resumed)")
     if args.store:
         print(f"store    : {args.store}")
-    if result.fleet is not None:
-        info = result.fleet
-        print(f"fleet    : {info['workers']} warm workers, "
-              f"{info['memo_hits']} memo-served, "
-              f"{info['shm_results']} shm / {info['pipe_results']} pipe "
-              "results")
     print(format_report(aggregates, spec=spec, metric=args.metric))
     if result.failures or result.supervision:
         print(failure_summary(result.failures,
@@ -714,16 +690,8 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     if not any(r["name"] == "numba" and r["available"] for r in report):
         print("hint: pip install -e '.[perf]' enables the JIT-compiled "
               "numba backend")
-    shm = fleet["shared_memory"]
-    print("worker fleet (exp run --fleet / --keep-warm):")
+    print("worker fleet (exp run --workers N):")
     print(f"  start method   {fleet['start_method']}")
-    status = ("available" if shm["available"]
-              else f"unavailable ({shm['reason']})")
-    print(f"  shared memory  {status}")
-    if shm["available"]:
-        print(f"                 ring {fleet['ring_bytes'] // 1024} KiB per "
-              f"worker, pipe below "
-              f"{fleet['shm_threshold_bytes'] // 1024} KiB payloads")
     numba = fleet["numba"]
     if numba["available"]:
         warm = (", ".join("/".join(pair) for pair in numba["warm_kernels"])
@@ -941,21 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSONL result store (enables resume)")
     exp_run.add_argument("--workers", type=int, default=1,
                          help="worker processes (default 1 = in-process)")
-    exp_run.add_argument("--fleet", action="store_true",
-                         help="run on a persistent warm worker fleet "
-                              "(repro.exp.fleet): the spec is broadcast "
-                              "once, workers keep compiled tables and "
-                              "JIT kernels warm, large results ride a "
-                              "shared-memory ring, and repeated trials "
-                              "are served from the content-addressed "
-                              "memo. Records are byte-identical to the "
-                              "pool path; fleet size follows --workers")
-    exp_run.add_argument("--keep-warm", action="store_true",
-                         dest="keep_warm",
-                         help="like --fleet, but reuse one process-wide "
-                              "fleet across every sweep of this "
-                              "interpreter (for drivers that call the "
-                              "CLI in-process); shut down at exit")
     exp_run.add_argument("--metric", default="converged_at",
                          choices=("converged_at", "interactions"))
     _add_execution_flags(exp_run)

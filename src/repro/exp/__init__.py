@@ -7,17 +7,17 @@ them as data instead of bespoke loops:
 
 * :mod:`repro.exp.spec` — :class:`ExperimentSpec`, the declarative sweep
   description with a stable content hash;
-* :mod:`repro.exp.runner` — order-independent seeded execution, serial
-  or across a multiprocessing pool;
+* :mod:`repro.exp.runner` — order-independent seeded execution,
+  in-process or on a worker fleet;
 * :mod:`repro.exp.store` — append-only JSONL store making sweeps
   resumable at trial granularity;
-* :mod:`repro.exp.supervise` — the supervised worker pool: per-trial
+* :mod:`repro.exp.supervise` — the supervision policy helpers: per-trial
   timeouts, retry with backoff, crashed-worker respawn, and poison-trial
   quarantine (enabled by a non-default :class:`ExecutionPolicy`);
-* :mod:`repro.exp.fleet` — the persistent warm worker fleet: cross-sweep
-  process reuse, install-once spec broadcast, shared-memory result
-  transport, and content-addressed trial memoization
-  (``exp run --fleet`` / ``--keep-warm``);
+* :mod:`repro.exp.fleet` — the worker fleet, the one multi-process
+  executor: chunked trial dispatch, install-once spec broadcast, the
+  supervision loop, and warm workers reusable across sweeps
+  (``fleet=``);
 * :mod:`repro.exp.report` — per-point aggregates, scaling tables with
   log-log exponent fits, CSV export, failure summaries;
 * :mod:`repro.exp.bench` — engine kernel benchmarks and the
@@ -36,12 +36,7 @@ from repro.exp.bench import (
     speedup_summary,
     write_bench_file,
 )
-from repro.exp.fleet import (
-    WorkerFleet,
-    fleet_report,
-    get_fleet,
-    shutdown_fleet,
-)
+from repro.exp.fleet import WorkerFleet, fleet_report
 from repro.exp.report import (
     PointAggregate,
     aggregate,
@@ -74,7 +69,6 @@ from repro.exp.supervise import (
     SupervisionStats,
     TrialExecutionError,
     TrialTimeout,
-    run_supervised,
 )
 
 __all__ = [
@@ -96,7 +90,6 @@ __all__ = [
     "SupervisionStats",
     "TrialExecutionError",
     "TrialTimeout",
-    "run_supervised",
     "PointAggregate",
     "aggregate",
     "scaling",
@@ -106,8 +99,6 @@ __all__ = [
     "trials_csv",
     "summary_csv",
     "WorkerFleet",
-    "get_fleet",
-    "shutdown_fleet",
     "fleet_report",
     "run_kernel_benchmarks",
     "run_supervision_benchmark",

@@ -461,7 +461,8 @@ def run_supervision_benchmark(*, smoke: bool = False, seed: int = BENCH_SEED,
 def run_fleet_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
                          repeats: int = 2, backend: "str | None" = None,
                          workers: int = 2, progress=None) -> list[dict]:
-    """Cold-start pool vs persistent warm fleet, as baseline rows.
+    """Temporary fleet per sweep vs one reused warm fleet, as baseline
+    rows.
 
     Two workloads, each timed both ways:
 
@@ -471,18 +472,17 @@ def run_fleet_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
       rival the actual simulation work;
     * a minimal back-to-back sweep (``sweep-startup-cold`` vs
       ``sweep-startup-warm``, unit ``sweeps``) — pure sweep startup
-      latency, the number the ``--fleet``/``--keep-warm`` flags exist
-      to shrink.
+      latency, the number passing ``fleet=`` exists to shrink.
 
-    The cold rows pay the legacy pool path end to end, fresh processes
-    every repeat.  The warm rows reuse one :class:`WorkerFleet` whose
-    spawn + install + warm-up sweep happen before timing starts (the
-    standard discarded warm-up repeat).  Every repeat — cold and warm —
-    runs a spec with a distinct base seed, so the fleet's
-    content-addressed trial memo can never serve a timed repeat from
-    cache: the rows measure warm *processes*, not memoized results.
-    Best-of-``repeats`` like every other row; timing noise is
-    one-sided.
+    The cold rows (named ``pool`` for baseline continuity) run each
+    repeat on the temporary fleet ``run_experiment(workers=...)``
+    spawns, fresh processes every repeat.  The warm rows reuse one
+    :class:`WorkerFleet` whose spawn + install + warm-up sweep happen
+    before timing starts (the standard discarded warm-up repeat).  Every
+    repeat — cold and warm — runs a spec with a distinct base seed, so
+    every warm repeat installs a new spec, as back-to-back sweeps of a
+    campaign do.  Best-of-``repeats`` like every other row; timing noise
+    is one-sided.
 
     Unlike the kernel grid, the workload shape is identical in smoke
     and full runs (``smoke`` only trims the timed repeats), so a smoke
@@ -545,7 +545,7 @@ def run_fleet_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
 
     # Cold rows: the warm-up repeat only absorbs parent-process one-time
     # costs (imports, protocol registry); each timed repeat still pays
-    # the pool spawn, which is the point.
+    # the worker spawn, which is the point.
     cold_sweep(seed)  # warm-up repeat, discarded
     seconds = timed(cold_sweep, runs=repeats, seed_base=seed + 10)
     emit("sweep-cold-pool", steps=total_trials, unit="trials",

@@ -1,68 +1,50 @@
-"""Persistent warm worker fleet: cross-sweep process reuse.
+"""Worker fleet: the one multi-process sweep executor.
 
-The plain runner (:func:`repro.exp.runner.run_experiment`) and the
-supervision layer (:mod:`repro.exp.supervise`) both pay a fixed tax per
-*sweep*: a fresh ``multiprocessing`` pool is spawned, every worker
-re-parses the spec out of each task tuple, every worker re-compiles the
-protocol tables, and — on the numba kernel backend — every fresh
-process re-pays JIT compilation before its first trial.  For the dense
-Monte-Carlo campaigns the paper's predicates need (thousands of trials
-per point to pin finite-``n`` convergence laws), that tax dominates
-exactly the sweeps one wants to run back to back.
-
-:class:`WorkerFleet` removes it.  A fleet is spawned **once** and
-reused across :func:`~repro.exp.runner.run_experiment` calls and whole
-campaigns:
+:func:`~repro.exp.runner.run_experiment` runs a sweep in-process when
+its execution policy is the default and either ``workers == 1`` or there
+is at most one task.  Every other sweep runs on a :class:`WorkerFleet`:
+the caller's ``fleet=`` — reused across sweeps so its workers stay warm
+— or a temporary ``WorkerFleet(workers)`` closed when the sweep returns.
 
 * **Warm workers.**  Fleet workers are long-lived processes.  The keyed
   :func:`~repro.sim.compiled.compile_protocol` memo, the constructed
   step kernels (numba JIT paid once per fleet lifetime, not once per
-  sweep), and the protocol registry all persist across sweeps.
-* **Install broadcast.**  The spec is shipped to each worker exactly
-  once per sweep via an ``install`` message; task tuples then carry
-  only the spec *hash* plus point coordinates, instead of pickling the
-  whole spec dict into every task the way the pool path does.
-* **Shared-memory result transport.**  Each worker owns a
-  ``multiprocessing.shared_memory`` ring buffer; result payloads at or
-  above :data:`SHM_THRESHOLD_BYTES` move through it (the parent copies
-  them out on receipt), with plain pipe pickling as the fallback for
-  small records and for platforms without shared memory.
-* **Content-addressed trial memo.**  Trial ids are already SHA-256 over
-  ``(spec hash, point, trial)`` (:func:`repro.exp.runner.trial_id`) —
-  the same content-addressing the ResultStore resumes by — so the fleet
-  keeps a bounded parent-side memo of finished records and serves
-  byte-identical cached records for repeated or overlapping
-  submissions without executing anything.
+  sweep), and the protocol registry all persist across the sweeps of
+  one fleet.
+* **Install broadcast.**  The spec is shipped to every worker once per
+  sweep via an ``install`` message (sent to all workers before any
+  acknowledgement is awaited); task messages then carry only the spec
+  *hash* plus a sweep point and its trial indices.
+* **Dispatch.**  Under the default policy a trial task carries a chunk
+  of up to :func:`repro.exp.runner._chunk_size` trials of one point,
+  and a raising trial re-raises its original exception in the parent
+  (:class:`~repro.exp.supervise.TrialExecutionError` when the exception
+  does not pickle).  Under a non-default policy every task is one
+  trial, so timeouts, retries and quarantine stay per trial.  The point
+  engines (ensemble, fluid) dispatch one task per sweep point.
+* **Supervision.**  :meth:`WorkerFleet.execute` is the supervision loop
+  (see :mod:`repro.exp.supervise` for the policy semantics): per-trial
+  timeouts (worker alarm + parent deadline kill), deterministic-jitter
+  retry, quarantine, and crashed-worker replacement, where the
+  replacement gets the sweep's spec installed before it rejoins.  Under
+  the default policy a crashed worker aborts the sweep with a
+  ``WorkerCrashed`` :class:`~repro.exp.supervise.TrialExecutionError`.
 
-Contracts preserved exactly:
-
-* records are **byte-identical** to the pool path (and to ``workers=1``
-  in-process execution) — the workers run the very same
-  :func:`~repro.exp.runner.run_trial` /
-  :func:`~repro.exp.runner.run_ensemble_point` /
-  :func:`~repro.exp.runner.run_fluid_point` functions on the same
-  identity-derived seeds;
-* trial seeds stay execution-order-independent (the fleet never touches
-  seed derivation);
-* the PR 6 supervision semantics apply unchanged — per-trial timeouts
-  (worker alarm + parent deadline kill), deterministic-jitter retry,
-  quarantine, and crashed-worker respawn, where a respawned fleet
-  worker is **re-warmed** (every installed spec is replayed into it
-  before it rejoins the pool).
-
-This module is the performance core under the ROADMAP ``repro serve``
-item: the HTTP layer will schedule jobs onto exactly this fleet.
+Records are **byte-identical** to in-process (``workers=1``) execution:
+the workers run the very same :func:`~repro.exp.runner.run_trial` /
+:func:`~repro.exp.runner.run_ensemble_point` /
+:func:`~repro.exp.runner.run_fluid_point` functions on the same
+identity-derived seeds, and the fleet never touches seed derivation.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import pickle
 import signal
 import time
 import traceback
-import multiprocessing
+import multiprocessing.connection
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
@@ -77,22 +59,10 @@ from repro.exp.supervise import (
     failure_records,
 )
 
-#: Default shared-memory ring size per worker.  Payloads larger than the
-#: ring fall back to pipe transport, so this is a throughput knob, not a
-#: correctness bound.
-DEFAULT_RING_BYTES = 1 << 20
-
-#: Result payloads at least this large (pickled) travel through the
-#: ring; smaller ones take the pipe (one pickle either way, and a pipe
-#: write of a small record is cheaper than the shm round-trip).
-SHM_THRESHOLD_BYTES = 32 * 1024
-
-#: Installed specs kept per worker (and per fleet): one sweep needs one,
-#: interleaved campaigns a few; the cap only bounds memory.
+#: Installed specs kept per worker: one sweep needs one, interleaved
+#: campaigns a few; the cap only bounds memory.  Parent and worker evict
+#: the oldest install first, so their views of a worker stay in step.
 MAX_INSTALLED_SPECS = 8
-
-#: Parent-side trial-memo capacity, in records.
-MEMO_CAPACITY = 200_000
 
 #: Wall-clock budget for the best-effort cache warming (compile +
 #: kernel construction) inside an ``install`` message.  A protocol that
@@ -105,42 +75,20 @@ _INSTALL_WARM_BUDGET_S = 60.0
 _INSTALL_ACK_TIMEOUT_S = 300.0
 
 
-def shared_memory_reason() -> "str | None":
-    """Why ``multiprocessing.shared_memory`` cannot be used here, or None.
-
-    Probes by actually creating (and immediately destroying) a tiny
-    segment — importability alone does not prove ``/dev/shm`` works.
-    """
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=16)
-        segment.close()
-        segment.unlink()
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return None
-
-
 def fleet_report() -> dict:
-    """Fleet/shared-memory eligibility (the ``repro doctor`` payload).
+    """Fleet eligibility (the ``repro doctor`` payload).
 
-    Reports the process start method the fleet would use, whether the
-    shared-memory transport is usable, and the warm-kernel status (for
-    the numba backend, a warmed kernel means JIT has been paid in this
-    process; fleet workers pay it once per fleet lifetime).
+    Reports the process start method the fleet uses and the warm-kernel
+    status (for the numba backend, a warmed kernel means JIT has been
+    paid in this process; fleet workers pay it once per fleet lifetime).
     """
     from repro.sim.backends import backend_report, warmed_kernels
 
     methods = multiprocessing.get_all_start_methods()
-    reason = shared_memory_reason()
     numba_row = next((row for row in backend_report()
                       if row["name"] == "numba"), None)
     return {
         "start_method": "fork" if "fork" in methods else methods[0],
-        "shared_memory": {"available": reason is None, "reason": reason},
-        "ring_bytes": DEFAULT_RING_BYTES,
-        "shm_threshold_bytes": SHM_THRESHOLD_BYTES,
         "numba": {
             "available": bool(numba_row and numba_row["available"]),
             "warm_kernels": [list(pair) for pair in warmed_kernels()],
@@ -149,55 +97,6 @@ def fleet_report() -> dict:
 
 
 # -- Worker side ---------------------------------------------------------------
-
-
-class _RingWriter:
-    """Worker-side cursor over the parent-owned shared-memory ring.
-
-    One task is in flight per worker at a time and the parent copies the
-    payload out of the ring as soon as the reply arrives, so a plain
-    wrapping cursor needs no further synchronization.
-    """
-
-    def __init__(self, name: str, size: int, untrack: bool):
-        from multiprocessing import shared_memory
-
-        try:
-            # 3.13+: attach without registering with the resource
-            # tracker — the parent owns the segment's lifetime.
-            self.shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:
-            self.shm = shared_memory.SharedMemory(name=name)
-            # Pre-3.13 registers *attached* segments too.  Under spawn
-            # each process has its own tracker, so the stray
-            # registration would unlink the parent's ring when this
-            # worker exits — undo it.  Under fork the tracker is
-            # *shared* with the parent, and unregistering here would
-            # cancel the parent's own registration instead, so the
-            # duplicate register is the harmless no-op we keep.
-            if untrack:
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(self.shm._name,
-                                                "shared_memory")
-                except Exception:
-                    pass
-        self.size = size
-        self.cursor = 0
-
-    def write(self, data: bytes) -> "tuple[int, int] | None":
-        """Place ``data`` in the ring; returns ``(offset, nbytes)`` or
-        None when the payload exceeds the ring size (pipe fallback)."""
-        nbytes = len(data)
-        if nbytes > self.size:
-            return None
-        if self.cursor + nbytes > self.size:
-            self.cursor = 0
-        offset = self.cursor
-        self.shm.buf[offset:offset + nbytes] = data
-        self.cursor = offset + nbytes
-        return offset, nbytes
 
 
 def _warm_spec(spec) -> None:
@@ -209,7 +108,7 @@ def _warm_spec(spec) -> None:
     (which *is* the JIT compile on the numba backend).  The agent
     engine compiles nothing, so nothing is warmed for it — that keeps
     protocols whose compilation itself misbehaves (the supervision test
-    protocols) on exactly the legacy failure path.
+    protocols) failing per trial, where supervision can see them.
     """
     if spec.engine == "agent":
         return
@@ -236,25 +135,25 @@ def _warm_spec(spec) -> None:
         select_kernels(requested, family)
 
 
-def _execute_coords(spec, kind: str, coords: tuple,
-                    spec_hash: str) -> list:
-    """Run one fleet task from its point coordinates."""
-    from repro.exp.runner import (
-        SweepPoint,
-        run_ensemble_point,
-        run_fluid_point,
-        run_trial,
-    )
+def _run_task(spec, kind: str, point, trials, spec_hash: str) -> list:
+    """Run one fleet task: a trial chunk or a point batch."""
+    from repro.exp import runner
 
-    n, intensity, scheduler, trial_or_trials = coords
-    point = SweepPoint(n, intensity, scheduler)
-    if kind == "ensemble":
-        return run_ensemble_point(spec, point, list(trial_or_trials),
-                                  spec_hash=spec_hash)
-    if kind == "fluid":
-        return run_fluid_point(spec, point, list(trial_or_trials),
-                               spec_hash=spec_hash)
-    return [run_trial(spec, point, trial_or_trials, spec_hash=spec_hash)]
+    if kind == "trial":
+        return [runner.run_trial(spec, point, trial, spec_hash=spec_hash)
+                for trial in trials]
+    return runner._POINT_FUNCS[kind](spec, point, trials,
+                                     spec_hash=spec_hash)
+
+
+def _error_detail(exc: BaseException) -> tuple:
+    """``(type name, message, traceback, pickled exception or None)``;
+    call from inside the ``except`` block."""
+    try:
+        blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        blob = None
+    return type(exc).__name__, str(exc), traceback.format_exc(), blob
 
 
 def _worker_stats_payload(installed: "OrderedDict") -> dict:
@@ -269,8 +168,7 @@ def _worker_stats_payload(installed: "OrderedDict") -> dict:
     }
 
 
-def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
-                       shm_threshold: int, untrack_ring: bool) -> None:
+def _fleet_worker_main(conn) -> None:
     """Long-lived worker loop.
 
     Messages (parent -> worker), all tagged tuples:
@@ -278,12 +176,11 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
     * ``("install", seq, spec_dict, spec_hash)`` — parse + validate the
       spec once, warm the compile/kernel caches (bounded by the install
       alarm), remember it by hash; ack ``(seq, "installed", hash, s)``.
-    * ``("task", seq, kind, spec_hash, coords, timeout_s)`` — execute
-      one trial or point batch against the installed spec; reply
-      ``(seq, "ok", records, s)`` over the pipe, or
-      ``(seq, "ok-shm", (offset, nbytes), s)`` with the pickled records
-      parked in the shared-memory ring, or ``timeout`` / ``error``
-      exactly like the supervised pool workers.
+    * ``("task", seq, kind, spec_hash, point, trials, timeout_s)`` —
+      execute one trial chunk or point batch against the installed
+      spec; reply ``(seq, "ok", records, s)``, ``(seq, "timeout",
+      message, s)`` or ``(seq, "error", detail, s)`` with ``detail``
+      from :func:`_error_detail`.
     * ``("stats", seq)`` — cache observability for tests and doctor.
     * ``None`` — exit.
 
@@ -297,12 +194,6 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
             raise TrialTimeout("wall-clock budget exceeded "
                                "(worker-side alarm)")
         signal.signal(signal.SIGALRM, _on_alarm)
-    writer = None
-    if ring_name is not None:
-        try:
-            writer = _RingWriter(ring_name, ring_size, untrack_ring)
-        except Exception:
-            writer = None  # pipe-only transport still works
     installed: "OrderedDict[str, ExperimentSpec]" = OrderedDict()
 
     def arm(seconds: "float | None") -> None:
@@ -339,19 +230,15 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
                     installed[spec_hash] = spec
                     while len(installed) > MAX_INSTALLED_SPECS:
                         installed.popitem(last=False)
-                else:
-                    installed.move_to_end(spec_hash)
                 reply = (seq, "installed", spec_hash,
                          time.perf_counter() - start)
             except BaseException as exc:
-                reply = (seq, "error",
-                         (type(exc).__name__, str(exc),
-                          traceback.format_exc()),
+                reply = (seq, "error", _error_detail(exc),
                          time.perf_counter() - start)
         elif tag == "stats":
             reply = (seq, "stats", _worker_stats_payload(installed), 0.0)
         elif tag == "task":
-            _, _, kind, spec_hash, coords, timeout_s = message
+            _, _, kind, spec_hash, point, trials, timeout_s = message
             try:
                 spec = installed.get(spec_hash)
                 if spec is None:
@@ -360,29 +247,20 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
                         "fleet worker (install broadcast missed?)")
                 arm(timeout_s)
                 try:
-                    records = _execute_coords(spec, kind, coords, spec_hash)
+                    records = _run_task(spec, kind, point, trials, spec_hash)
                 finally:
                     disarm()
-                elapsed = time.perf_counter() - start
-                reply = (seq, "ok", records, elapsed)
-                if writer is not None:
-                    data = pickle.dumps(records,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    if len(data) >= shm_threshold:
-                        slot = writer.write(data)
-                        if slot is not None:
-                            reply = (seq, "ok-shm", slot, elapsed)
+                reply = (seq, "ok", records, time.perf_counter() - start)
             except TrialTimeout as exc:
                 reply = (seq, "timeout", str(exc),
                          time.perf_counter() - start)
             except BaseException as exc:
-                reply = (seq, "error",
-                         (type(exc).__name__, str(exc),
-                          traceback.format_exc()),
+                reply = (seq, "error", _error_detail(exc),
                          time.perf_counter() - start)
         else:
             reply = (seq, "error",
-                     ("ProtocolError", f"unknown fleet message {tag!r}", ""),
+                     ("ProtocolError", f"unknown fleet message {tag!r}", "",
+                      None),
                      0.0)
         try:
             conn.send(reply)
@@ -394,55 +272,29 @@ def _fleet_worker_main(conn, ring_name: "str | None", ring_size: int,
 
 
 class _FleetWorker:
-    """One persistent fleet worker with a private pipe and shm ring."""
+    """One persistent fleet worker with a private duplex pipe."""
 
-    def __init__(self, ctx, ring_bytes: int, shm_threshold: int,
-                 use_shm: bool):
-        self.ring = None
-        ring_name = None
-        if use_shm and ring_bytes > 0:
-            from multiprocessing import shared_memory
-
-            try:
-                self.ring = shared_memory.SharedMemory(create=True,
-                                                       size=ring_bytes)
-                ring_name = self.ring.name
-            except Exception:
-                self.ring = None
-        self.ring_bytes = ring_bytes
+    def __init__(self, ctx):
         self.conn, child_conn = ctx.Pipe()
-        untrack_ring = ctx.get_start_method() != "fork"
-        self.process = ctx.Process(
-            target=_fleet_worker_main,
-            args=(child_conn, ring_name, ring_bytes, shm_threshold,
-                  untrack_ring),
-            daemon=True)
+        self.process = ctx.Process(target=_fleet_worker_main,
+                                   args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()
         self.seq = 0
-        #: Spec hashes acknowledged as installed on this worker.
-        self.installed: set = set()
+        #: Spec hashes installed on this worker, oldest first.
+        self.installed: "OrderedDict[str, None]" = OrderedDict()
 
-    def next_seq(self) -> int:
+    def send(self, tag: str, *body) -> int:
+        """Send one tagged message; returns its sequence number."""
         self.seq += 1
+        self.conn.send((tag, self.seq) + body)
         return self.seq
-
-    def dispatch_task(self, task: SupervisedTask,
-                      timeout_s: "float | None") -> int:
-        seq = self.next_seq()
-        spec_hash, coords = task.payload
-        self.conn.send(("task", seq, task.kind, spec_hash, coords,
-                        timeout_s))
-        return seq
-
-    def read_ring(self, offset: int, nbytes: int) -> bytes:
-        return bytes(self.ring.buf[offset:offset + nbytes])
 
     def alive(self) -> bool:
         return self.process.is_alive()
 
     def destroy(self) -> None:
-        """Hard-stop and release everything the worker owns."""
+        """Hard-stop: SIGKILL (when available), reap, close the pipe."""
         try:
             if self.process.is_alive():
                 if hasattr(self.process, "kill"):
@@ -456,7 +308,6 @@ class _FleetWorker:
             self.conn.close()
         except OSError:
             pass
-        self._release_ring()
 
     def shutdown(self) -> None:
         """Soft-stop: sentinel, short join, then escalate."""
@@ -472,88 +323,39 @@ class _FleetWorker:
                 self.conn.close()
             except OSError:
                 pass
-            self._release_ring()
-
-    def _release_ring(self) -> None:
-        if self.ring is None:
-            return
-        try:
-            self.ring.close()
-            self.ring.unlink()
-        except Exception:
-            pass
-        self.ring = None
 
 
 @dataclass
 class FleetStats:
     """Lifetime counters for one fleet (see also per-run info dicts)."""
 
-    sweeps: int = 0
     installs: int = 0
-    tasks: int = 0
-    memo_hits: int = 0
-    shm_results: int = 0
-    pipe_results: int = 0
-    shm_bytes: int = 0
     respawns: int = 0
 
-    def to_dict(self) -> dict:
-        return {"sweeps": self.sweeps, "installs": self.installs,
-                "tasks": self.tasks, "memo_hits": self.memo_hits,
-                "shm_results": self.shm_results,
-                "pipe_results": self.pipe_results,
-                "shm_bytes": self.shm_bytes, "respawns": self.respawns}
 
+def _build_tasks(spec, pending, chunk: int) -> list:
+    """Fleet tasks for the pending ``(point, trial)`` pairs.
 
-def _build_fleet_tasks(spec, pending, spec_hash: str) -> list:
-    """Fleet task list for the pending ``(point, trial)`` pairs.
-
-    Shapes match the supervision builders exactly (one task per trial,
-    or one per point batch for the point engines) but payloads carry
-    only ``(spec_hash, coords)`` — the spec itself was installed once.
+    Point engines get one task per sweep point; otherwise consecutive
+    trials of one point share a task, up to ``chunk`` of them.
     """
-    from repro.exp.runner import (
-        POINT_ENGINES,
-        group_pending_by_point,
-        trial_id,
-        trial_seeds,
-    )
+    from repro.exp.runner import POINT_ENGINES, group_pending_by_point
 
-    tasks = []
     if spec.engine in POINT_ENGINES:
-        kind = "fluid" if spec.engine == "fluid" else "ensemble"
-        for point, trial_list in group_pending_by_point(pending):
-            trials = []
-            for trial in trial_list:
-                engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-                trials.append({"id": trial_id(spec_hash, point, trial),
-                               "n": point.n, "intensity": point.intensity,
-                               "scheduler": point.scheduler, "trial": trial,
-                               "engine_seed": engine_seed,
-                               "fault_seed": fault_seed})
-            tasks.append(SupervisedTask(
-                key=point.key, kind=kind,
-                payload=(spec_hash, (point.n, point.intensity,
-                                     point.scheduler, tuple(trial_list))),
-                trials=trials))
-        return tasks
+        return [SupervisedTask(spec.engine, point, trials)
+                for point, trials in group_pending_by_point(pending)]
+    tasks: list = []
     for point, trial in pending:
-        tid = trial_id(spec_hash, point, trial)
-        engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-        tasks.append(SupervisedTask(
-            key=tid, kind="trial",
-            payload=(spec_hash, (point.n, point.intensity,
-                                 point.scheduler, trial)),
-            trials=[{"id": tid, "n": point.n, "intensity": point.intensity,
-                     "scheduler": point.scheduler, "trial": trial,
-                     "engine_seed": engine_seed,
-                     "fault_seed": fault_seed}]))
+        if tasks and tasks[-1].point is point \
+                and len(tasks[-1].trials) < chunk:
+            tasks[-1].trials.append(trial)
+        else:
+            tasks.append(SupervisedTask("trial", point, [trial]))
     return tasks
 
 
 class WorkerFleet:
-    """A persistent pool of warm worker processes (see module docstring).
+    """A pool of warm worker processes (see module docstring).
 
     Spawn once, run many sweeps::
 
@@ -563,34 +365,21 @@ class WorkerFleet:
                                                   # no recompiles
 
     Workers are forked at construction time (where fork is available),
-    so — like the supervised pool — they inherit in-process protocol
-    registrations.  The fleet is not thread-safe: one sweep runs at a
-    time (the ``repro serve`` layer will own the queueing).
+    so they inherit in-process protocol registrations.  The fleet is not
+    thread-safe: one sweep runs at a time.
     """
 
-    def __init__(self, workers: "int | None" = None, *,
-                 ring_bytes: int = DEFAULT_RING_BYTES,
-                 shm_threshold: int = SHM_THRESHOLD_BYTES,
-                 memo_capacity: int = MEMO_CAPACITY):
+    def __init__(self, workers: "int | None" = None):
         self.size = max(1, workers or os.cpu_count() or 1)
-        self.ring_bytes = ring_bytes
-        self.shm_threshold = shm_threshold
-        self.memo_capacity = memo_capacity
-        self.shm_reason = (shared_memory_reason() if ring_bytes > 0
-                           else "disabled (ring_bytes=0)")
         self._ctx = _mp_context()
-        self._workers = [self._spawn() for _ in range(self.size)]
-        #: spec_hash -> spec_dict, in install order (replayed on respawn).
-        self._installed: "OrderedDict[str, dict]" = OrderedDict()
-        self._memo: "OrderedDict[str, dict]" = OrderedDict()
+        self._workers = [_FleetWorker(self._ctx) for _ in range(self.size)]
+        #: spec_hash -> spec_dict of recent installs, so a replacement
+        #: worker can be given the running sweep's spec.
+        self._specs: "OrderedDict[str, dict]" = OrderedDict()
         self.stats = FleetStats()
         self.closed = False
 
     # -- Lifecycle -------------------------------------------------------------
-
-    def _spawn(self) -> _FleetWorker:
-        return _FleetWorker(self._ctx, self.ring_bytes, self.shm_threshold,
-                            use_shm=self.shm_reason is None)
 
     def __enter__(self) -> "WorkerFleet":
         return self
@@ -599,7 +388,7 @@ class WorkerFleet:
         self.close()
 
     def close(self) -> None:
-        """Shut every worker down and release the shared-memory rings."""
+        """Shut every worker down."""
         if self.closed:
             return
         self.closed = True
@@ -610,6 +399,24 @@ class WorkerFleet:
     def _check_open(self) -> None:
         if self.closed:
             raise RuntimeError("this WorkerFleet has been closed")
+
+    def _replace(self, worker: _FleetWorker,
+                 spec_hash: "str | None" = None) -> _FleetWorker:
+        """Replace a dead, wedged or abandoned worker with a fresh one.
+
+        With ``spec_hash`` the running sweep's spec is installed on the
+        replacement before it rejoins, so a respawn mid-sweep pays the
+        cold start once.  Other specs are installed again on demand by
+        :meth:`install`.
+        """
+        index = self._workers.index(worker)
+        worker.destroy()
+        fresh = _FleetWorker(self._ctx)
+        self._workers[index] = fresh
+        self.stats.respawns += 1
+        if spec_hash is not None:
+            self._install_on([fresh], spec_hash)
+        return fresh
 
     # -- Install broadcast -----------------------------------------------------
 
@@ -633,148 +440,93 @@ class WorkerFleet:
                 continue  # stale reply from an abandoned dispatch
             return reply
 
-    def _install_on(self, worker: _FleetWorker, spec_hash: str,
-                    spec_dict: dict) -> None:
-        seq = worker.next_seq()
-        worker.conn.send(("install", seq, spec_dict, spec_hash))
-        reply = self._ack(worker, seq)
-        _, status, detail, _ = reply
-        if status != "installed":
-            error_type, message, trace = detail
-            raise RuntimeError(
-                f"fleet install failed in worker: [{error_type}] {message}")
-        worker.installed.add(spec_hash)
-        self.stats.installs += 1
+    def _install_on(self, workers: list, spec_hash: str) -> None:
+        """Install one spec on ``workers``: send to all, then await each.
+
+        A worker that dies during the handshake is replaced once (the
+        replacement is installed synchronously); any other failure
+        raises.
+        """
+        spec_dict = self._specs[spec_hash]
+        sent = [(worker, worker.send("install", spec_dict, spec_hash))
+                for worker in workers]
+        for worker, seq in sent:
+            try:
+                _, status, detail, _ = self._ack(worker, seq)
+            except RuntimeError:
+                if worker.alive():
+                    raise
+                self._replace(worker, spec_hash)
+                continue
+            if status != "installed":
+                raise RuntimeError(f"fleet install failed in worker: "
+                                   f"[{detail[0]}] {detail[1]}")
+            worker.installed[spec_hash] = None
+            while len(worker.installed) > MAX_INSTALLED_SPECS:
+                worker.installed.popitem(last=False)
+            self.stats.installs += 1
 
     def install(self, spec, spec_hash: "str | None" = None) -> str:
         """Broadcast ``spec`` to every worker that lacks it (idempotent).
 
         Returns the spec's content hash.  After this, task messages for
-        the sweep carry only the hash — the one-per-sweep broadcast is
-        what replaces the per-task spec pickling of the pool path.
+        the sweep carry only the hash.
         """
         self._check_open()
         spec_hash = spec_hash or spec.content_hash()
-        spec_dict = spec.to_dict()
-        self._installed[spec_hash] = spec_dict
-        self._installed.move_to_end(spec_hash)
-        while len(self._installed) > MAX_INSTALLED_SPECS:
-            self._installed.popitem(last=False)
-        for index, worker in enumerate(self._workers):
-            if spec_hash in worker.installed:
-                continue
-            try:
-                self._install_on(worker, spec_hash, spec_dict)
-            except RuntimeError:
-                if not worker.alive():
-                    # Died mid-handshake: one warm respawn retry.
-                    self._workers[index] = self._respawn(worker)
-                else:
-                    raise
+        if spec_hash not in self._specs:
+            self._specs[spec_hash] = spec.to_dict()
+        self._specs.move_to_end(spec_hash)
+        while len(self._specs) > MAX_INSTALLED_SPECS:
+            self._specs.popitem(last=False)
+        self._install_on([worker for worker in self._workers
+                          if spec_hash not in worker.installed], spec_hash)
         return spec_hash
-
-    def _respawn(self, worker: _FleetWorker) -> _FleetWorker:
-        """Replace a dead/wedged worker with a freshly *warmed* one.
-
-        The replacement gets every installed spec replayed before it
-        rejoins the pool, so a respawn after a crash never reintroduces
-        cold-start costs into the sweep.
-        """
-        index = self._workers.index(worker)
-        worker.destroy()
-        fresh = self._spawn()
-        self._workers[index] = fresh
-        self.stats.respawns += 1
-        for spec_hash, spec_dict in self._installed.items():
-            self._install_on(fresh, spec_hash, spec_dict)
-        return fresh
-
-    # -- Trial memo ------------------------------------------------------------
-
-    def cached(self, trial_id: str) -> "dict | None":
-        """The memoized record for a content-addressed trial id, or None."""
-        record = self._memo.get(trial_id)
-        if record is None:
-            return None
-        self._memo.move_to_end(trial_id)
-        self.stats.memo_hits += 1
-        return dict(record)
-
-    def memoize(self, record: dict) -> None:
-        """Remember one finished record (bounded LRU by trial id)."""
-        tid = record.get("id")
-        if tid is None:
-            return
-        self._memo[tid] = dict(record)
-        self._memo.move_to_end(tid)
-        while len(self._memo) > self.memo_capacity:
-            self._memo.popitem(last=False)
-
-    def memoize_records(self, records) -> None:
-        """Bulk-seed the memo, e.g. from a ResultStore's records."""
-        for record in records:
-            self.memoize(record)
-
-    def memo_size(self) -> int:
-        return len(self._memo)
 
     # -- Execution -------------------------------------------------------------
 
     def run_pending(self, spec, pending, spec_hash: str, *,
                     on_record, on_failure) -> tuple:
-        """Execute a sweep's pending trials; the runner's entry point.
+        """Execute a sweep's pending ``(point, trial)`` pairs; the
+        runner's entry point.
 
-        Serves memoized records first (byte-identical, zero execution),
-        then dispatches the rest across the warm workers under
-        ``spec.execution`` — the same supervision policy semantics as
-        :func:`repro.exp.supervise.run_supervised`.  Returns
-        ``(SupervisionStats, per-run info dict)``.
+        Installs the spec, builds the tasks (chunked under the default
+        policy, one trial each otherwise) and runs them under
+        ``spec.execution``.  Returns ``(SupervisionStats, per-run info
+        dict)``.
         """
-        from repro.exp.runner import trial_id
+        from repro.exp import runner
 
         self._check_open()
-        self.install(spec, spec_hash)
-        before = self.stats.to_dict()
-        served = 0
-        remaining = []
-        for point, trial in pending:
-            record = self.cached(trial_id(spec_hash, point, trial))
-            if record is not None:
-                on_record(record)
-                served += 1
-            else:
-                remaining.append((point, trial))
-        tasks = _build_fleet_tasks(spec, remaining, spec_hash)
-
-        def collect(records) -> None:
-            for record in records:
-                self.memoize(record)
-                on_record(record)
+        chunk = (runner._chunk_size(len(pending), self.size)
+                 if spec.execution.is_default() else 1)
+        tasks = _build_tasks(spec, pending, chunk)
+        respawns = self.stats.respawns
+        if tasks:
+            self.install(spec, spec_hash)
 
         stats = self.execute(tasks, policy=spec.execution,
-                             spec_hash=spec_hash, on_records=collect,
+                             spec_hash=spec_hash, on_record=on_record,
                              on_failure=on_failure)
-        self.stats.sweeps += 1
-        after = self.stats.to_dict()
-        info = {
-            "workers": self.size,
-            "memo_hits": served,
-            "shm_results": after["shm_results"] - before["shm_results"],
-            "pipe_results": after["pipe_results"] - before["pipe_results"],
-            "shm_bytes": after["shm_bytes"] - before["shm_bytes"],
-            "respawns": after["respawns"] - before["respawns"],
-        }
-        return stats, info
+        # memo_hits is always 0 (there is no trial memo); the key stays
+        # until tests/exp/test_fleet.py stops asserting it.
+        return stats, {"workers": self.size, "memo_hits": 0,
+                       "respawns": self.stats.respawns - respawns}
 
-    def execute(self, tasks, *, policy, spec_hash: str, on_records=None,
+    def execute(self, tasks, *, policy, spec_hash: str, on_record=None,
                 on_failure=None, poll_s: float = 0.05) -> SupervisionStats:
-        """Supervised dispatch of ``tasks`` across the persistent workers.
+        """The supervision loop: run ``tasks`` across the workers.
 
-        Semantics mirror :func:`repro.exp.supervise.run_supervised` —
-        worker-side alarm timeouts, parent-side deadline kills,
-        deterministic-jitter retry, quarantine/skip/raise disposition —
-        with two fleet twists: workers survive the call, and a killed
-        worker is respawned *warm* (installs replayed).
+        The spec ``spec_hash`` must already be installed (as
+        :meth:`run_pending` does).  Worker-side alarm timeouts,
+        parent-side deadline kills, deterministic-jitter retry and the
+        raise/skip/quarantine disposition follow ``policy`` (see
+        :mod:`repro.exp.supervise`).  Freed workers are re-dispatched
+        before ``on_record`` runs, so they never idle while the caller
+        stores results.  Under the default policy a raising trial
+        re-raises its original exception; otherwise an exhausted task
+        under ``on_error="raise"`` raises :class:`TrialExecutionError`
+        naming the task's first trial.
         """
         self._check_open()
         stats = SupervisionStats(tasks=len(tasks))
@@ -783,9 +535,22 @@ class WorkerFleet:
         ready: deque = deque(tasks)
         waiting: list = []  # backoff-delayed tasks, any order
         busy: dict = {}  # worker -> (task, seq, started, deadline | None)
+        original_errors = policy.is_default()
 
-        def finalize_failure(task: SupervisedTask) -> None:
+        def finalize_failure(task: SupervisedTask, blob) -> None:
             if policy.on_error == "raise":
+                original = None
+                if original_errors and blob is not None:
+                    try:
+                        original = pickle.loads(blob)
+                    except Exception:
+                        pass  # not rebuildable here: report the record
+                if isinstance(original, BaseException):
+                    from multiprocessing.pool import RemoteTraceback
+
+                    trace = task.attempts[-1]["traceback"]
+                    raise original from RemoteTraceback(
+                        f'\n"""\n{trace}"""')
                 raise TrialExecutionError(
                     failure_records(task, spec_hash)[0])
             if policy.on_error == "skip":
@@ -796,43 +561,56 @@ class WorkerFleet:
                 for record in failure_records(task, spec_hash):
                     on_failure(record)
 
-        def note_failed_attempt(task: SupervisedTask, outcome: dict) -> None:
+        def note_failed_attempt(task: SupervisedTask, outcome: dict,
+                                blob=None) -> None:
             task.attempts.append(outcome)
             stats.attempts += 1
             if len(task.attempts) >= policy.max_attempts:
-                finalize_failure(task)
+                finalize_failure(task, blob)
                 return
             stats.retries += 1
             task.not_before = (time.monotonic()
-                               + backoff_delay(policy, task.key,
+                               + backoff_delay(policy, task.key(spec_hash),
                                                len(task.attempts)))
             waiting.append(task)
 
+        def crashed(worker: _FleetWorker, started: float, now: float):
+            exitcode = worker.process.exitcode
+            self._replace(worker, spec_hash)
+            stats.crashes += 1
+            return {"outcome": "crashed",
+                    "error_type": "WorkerCrashed",
+                    "message": f"fleet worker died (exitcode {exitcode})",
+                    "elapsed_s": round(now - started, 3)}
+
+        def dispatch_idle() -> None:
+            now = time.monotonic()
+            still_waiting = [t for t in waiting if t.not_before > now]
+            for task in waiting:
+                if task.not_before <= now:
+                    ready.append(task)
+            waiting[:] = still_waiting
+            for worker in self._workers:
+                if not ready:
+                    break
+                if worker in busy:
+                    continue
+                task = ready.popleft()
+                deadline = None
+                if policy.timeout_s:
+                    deadline = now + policy.timeout_s + _grace_s(
+                        policy.timeout_s)
+                seq = worker.send("task", task.kind, spec_hash, task.point,
+                                  task.trials, policy.timeout_s)
+                busy[worker] = (task, seq, now, deadline)
+
         try:
             while ready or waiting or busy:
-                now = time.monotonic()
-                still_waiting = [t for t in waiting if t.not_before > now]
-                for task in waiting:
-                    if task.not_before <= now:
-                        ready.append(task)
-                waiting[:] = still_waiting
-
-                for worker in self._workers:
-                    if not ready:
-                        break
-                    if worker in busy:
-                        continue
-                    task = ready.popleft()
-                    deadline = None
-                    if policy.timeout_s:
-                        deadline = now + policy.timeout_s + _grace_s(
-                            policy.timeout_s)
-                    seq = worker.dispatch_task(task, policy.timeout_s)
-                    busy[worker] = (task, seq, now, deadline)
-
+                dispatch_idle()
                 if not busy:
                     if waiting:
-                        pause = min(t.not_before for t in waiting) - now
+                        pause = (min(t.not_before for t in waiting)
+                                 - time.monotonic())
                         if pause > 0:
                             time.sleep(min(pause, poll_s * 4))
                     continue
@@ -841,6 +619,8 @@ class WorkerFleet:
                 readable = multiprocessing.connection.wait(
                     list(conns), timeout=poll_s)
 
+                finished: list = []
+                failed: list = []  # (task, outcome, pickled exception)
                 for conn in readable:
                     worker = conns[conn]
                     task, seq, started, _ = busy[worker]
@@ -848,18 +628,8 @@ class WorkerFleet:
                         reply = conn.recv()
                     except (EOFError, OSError):
                         del busy[worker]
-                        exitcode = worker.process.exitcode
-                        self._respawn(worker)
-                        stats.crashes += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
-                            "outcome": "crashed",
-                            "error_type": "WorkerCrashed",
-                            "message": (f"fleet worker died "
-                                        f"(exitcode {exitcode})"),
-                            "elapsed_s": round(time.monotonic() - started,
-                                               3),
-                        })
+                        failed.append((task, crashed(
+                            worker, started, time.monotonic()), None))
                         continue
                     reply_seq, status, detail, elapsed = reply
                     if reply_seq != seq:
@@ -867,76 +637,64 @@ class WorkerFleet:
                         # current task is still in flight — keep waiting.
                         continue
                     del busy[worker]
-                    if status in ("ok", "ok-shm"):
+                    if status == "ok":
                         stats.attempts += 1
-                        self.stats.tasks += 1
-                        if status == "ok-shm":
-                            offset, nbytes = detail
-                            records = pickle.loads(
-                                worker.read_ring(offset, nbytes))
-                            self.stats.shm_results += 1
-                            self.stats.shm_bytes += nbytes
-                        else:
-                            records = detail
-                            self.stats.pipe_results += 1
-                        if on_records is not None:
-                            on_records(records)
+                        finished.append(detail)
                     elif status == "timeout":
                         stats.timeouts += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
+                        failed.append((task, {
                             "outcome": "timeout",
                             "error_type": "TrialTimeout",
                             "message": detail,
                             "elapsed_s": round(elapsed, 3),
-                        })
+                        }, None))
                     else:
-                        error_type, message, trace = detail
+                        error_type, message, trace, blob = detail
                         stats.errors += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
+                        failed.append((task, {
                             "outcome": "error",
                             "error_type": error_type,
                             "message": message,
                             "traceback": trace,
                             "elapsed_s": round(elapsed, 3),
-                        })
+                        }, blob))
 
                 now = time.monotonic()
                 for worker in list(busy):
                     task, seq, started, deadline = busy[worker]
                     if deadline is not None and now > deadline:
                         del busy[worker]
-                        self._respawn(worker)
+                        self._replace(worker, spec_hash)
                         stats.timeouts += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
+                        failed.append((task, {
                             "outcome": "timeout",
                             "error_type": "TrialTimeout",
                             "message": ("wall-clock budget exceeded; fleet "
                                         "worker killed by supervisor "
                                         "deadline and respawned warm"),
                             "elapsed_s": round(now - started, 3),
-                        })
+                        }, None))
                     elif not worker.alive():
                         del busy[worker]
-                        exitcode = worker.process.exitcode
-                        self._respawn(worker)
-                        stats.crashes += 1
-                        note_failed_attempt(task, {
-                            "attempt": len(task.attempts) + 1,
-                            "outcome": "crashed",
-                            "error_type": "WorkerCrashed",
-                            "message": f"fleet worker died "
-                                       f"(exitcode {exitcode})",
-                            "elapsed_s": round(now - started, 3),
-                        })
+                        failed.append((task, crashed(worker, started, now),
+                                       None))
+
+                if finished:
+                    dispatch_idle()
+                    if on_record is not None:
+                        for records in finished:
+                            for record in records:
+                                on_record(record)
+                for task, outcome, blob in failed:
+                    outcome = {"attempt": len(task.attempts) + 1, **outcome}
+                    note_failed_attempt(task, outcome, blob)
         except BaseException:
             # Abandon in-flight work cleanly: a worker with an
             # unconsumed reply must never rejoin the pool, or a later
-            # sweep would read a stale result.  Respawn (warm) instead.
+            # sweep would read a stale result.  Its replacement gets
+            # specs installed on demand by the next install().
             for worker in list(busy):
-                self._respawn(worker)
+                self._replace(worker)
             raise
         return stats
 
@@ -950,9 +708,8 @@ class WorkerFleet:
         self._check_open()
         payloads = []
         for worker in self._workers:
-            seq = worker.next_seq()
             try:
-                worker.conn.send(("stats", seq))
+                seq = worker.send("stats")
                 _, status, payload, _ = self._ack(worker, seq,
                                                   timeout_s=30.0)
             except (RuntimeError, OSError, EOFError):
@@ -960,38 +717,3 @@ class WorkerFleet:
                 continue
             payloads.append(payload if status == "stats" else None)
         return payloads
-
-
-# -- Module-level keep-warm fleet ----------------------------------------------
-
-_shared_fleet: "WorkerFleet | None" = None
-
-
-def get_fleet(workers: "int | None" = None, **kwargs) -> WorkerFleet:
-    """The process-wide keep-warm fleet, created (or grown) on demand.
-
-    Repeated calls return the same fleet while it satisfies the
-    requested size; a larger request replaces it.  The shared fleet is
-    shut down at interpreter exit (or explicitly via
-    :func:`shutdown_fleet`).
-    """
-    global _shared_fleet
-    wanted = max(1, workers or os.cpu_count() or 1)
-    fleet = _shared_fleet
-    if fleet is not None and not fleet.closed and fleet.size >= wanted:
-        return fleet
-    if fleet is not None:
-        fleet.close()
-    _shared_fleet = WorkerFleet(wanted, **kwargs)
-    return _shared_fleet
-
-
-def shutdown_fleet() -> None:
-    """Close the shared keep-warm fleet, if any."""
-    global _shared_fleet
-    if _shared_fleet is not None:
-        _shared_fleet.close()
-        _shared_fleet = None
-
-
-atexit.register(shutdown_fleet)

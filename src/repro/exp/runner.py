@@ -4,10 +4,10 @@ The runner turns an :class:`~repro.exp.spec.ExperimentSpec` into its
 point grid (``ns`` x fault intensities), derives every trial's seeds
 purely from ``(spec content hash, point, trial index)`` via
 :func:`repro.util.rng.derive_seed`, and executes the trials either
-in-process or across a ``multiprocessing`` pool.  Because no seed
-depends on execution order, the set of records produced is bit-identical
-whether the sweep ran on one worker or sixteen, forwards or backwards —
-the determinism invariant the test suite pins down.
+in-process or on a :class:`~repro.exp.fleet.WorkerFleet`.  Because no
+seed depends on execution order, the set of records produced is
+bit-identical whether the sweep ran on one worker or sixteen, forwards
+or backwards — the determinism invariant the test suite pins down.
 
 With a :class:`~repro.exp.store.ResultStore` attached, each record is
 appended as it completes and already-stored trials are skipped up front,
@@ -25,19 +25,17 @@ from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ResultStore
 from repro.util.rng import derive_seed
 
-#: Pool workers are recycled after this many task chunks so a long sweep
-#: cannot accumulate per-process memory (caches, fragmentation) forever.
-_MAX_TASKS_PER_CHILD = 128
-
-#: Upper bound on the pool dispatch chunk size.  The load-balancing
-#: formula (tasks / workers / 4) makes very large chunks on huge sweeps,
-#: and one slow trial then head-of-line-blocks its whole chunk; the cap
-#: keeps the longest possible stall bounded regardless of sweep size.
+#: Upper bound on the fleet's trial chunk size (default policy).  The
+#: load-balancing formula (tasks / workers / 4) makes very large chunks
+#: on huge sweeps, and one slow trial then head-of-line-blocks its whole
+#: chunk; the cap keeps the longest possible stall bounded regardless of
+#: sweep size.
 _CHUNK_CAP = 64
 
 
 def _chunk_size(n_tasks: int, workers: int) -> int:
-    """Pool dispatch chunk size: load-balanced, capped at ``_CHUNK_CAP``."""
+    """Trials per fleet task under the default policy: load-balanced,
+    capped at ``_CHUNK_CAP``."""
     return max(1, min(_CHUNK_CAP, n_tasks // (workers * 4)))
 
 
@@ -476,45 +474,6 @@ def run_fluid_point(spec: ExperimentSpec, point: SweepPoint,
     return records
 
 
-#: Per-process memo of the last spec a pool worker deserialized: every
-#: task of one sweep carries the identical spec dict, so re-parsing (and
-#: re-validating) it per trial is pure per-task overhead.
-_SPEC_MEMO: dict = {}
-
-
-def _memoized_spec(spec_dict: dict, spec_hash: str) -> ExperimentSpec:
-    spec = _SPEC_MEMO.get(spec_hash)
-    if spec is None:
-        _SPEC_MEMO.clear()  # one sweep at a time; don't accumulate
-        spec = ExperimentSpec.from_dict(spec_dict)
-        _SPEC_MEMO[spec_hash] = spec
-    return spec
-
-
-def _pool_task(task) -> dict:
-    """Top-level worker entry point (must pickle across processes)."""
-    spec_dict, spec_hash, n, intensity, scheduler, trial = task
-    spec = _memoized_spec(spec_dict, spec_hash)
-    return run_trial(spec, SweepPoint(n, intensity, scheduler), trial,
-                     spec_hash=spec_hash)
-
-
-def _ensemble_pool_task(task) -> list[dict]:
-    """Worker entry point for one sweep point's lockstep batch."""
-    spec_dict, spec_hash, n, intensity, scheduler, trials = task
-    spec = _memoized_spec(spec_dict, spec_hash)
-    return run_ensemble_point(spec, SweepPoint(n, intensity, scheduler),
-                              list(trials), spec_hash=spec_hash)
-
-
-def _fluid_pool_task(task) -> list[dict]:
-    """Worker entry point for one sweep point's fluid integration."""
-    spec_dict, spec_hash, n, intensity, scheduler, trials = task
-    spec = _memoized_spec(spec_dict, spec_hash)
-    return run_fluid_point(spec, SweepPoint(n, intensity, scheduler),
-                           list(trials), spec_hash=spec_hash)
-
-
 #: Engines that execute a whole sweep point per task (one batch covers
 #: all of the point's trials) rather than one trial per task.
 POINT_ENGINES = ("ensemble", "fluid")
@@ -523,9 +482,9 @@ POINT_ENGINES = ("ensemble", "fluid")
 def group_pending_by_point(pending) -> list:
     """Pending ``(point, trial)`` pairs grouped into point batches.
 
-    Canonical order (by ``n`` then intensity) shared by every dispatch
-    path — in-process, pool, supervised, and the fleet — so point-batch
-    construction is identical regardless of how the sweep executes.
+    Canonical order (by ``n`` then intensity) shared by in-process and
+    fleet dispatch, so point-batch construction is identical regardless
+    of how the sweep executes.
     """
     by_point: dict = {}
     for point, trial in pending:
@@ -533,9 +492,8 @@ def group_pending_by_point(pending) -> list:
     return sorted(by_point.items(),
                   key=lambda kv: (kv[0].n, kv[0].intensity or 0.0))
 
+
 _POINT_FUNCS = {"ensemble": run_ensemble_point, "fluid": run_fluid_point}
-_POINT_POOL_TASKS = {"ensemble": _ensemble_pool_task,
-                     "fluid": _fluid_pool_task}
 
 
 def record_sort_key(record: dict):
@@ -562,11 +520,10 @@ class ExperimentResult:
     #: store plus any quarantined by this call, canonically sorted.
     failures: list = dataclass_field(default_factory=list)
     #: Supervision counters (:meth:`SupervisionStats.to_dict`), or None
-    #: when the sweep ran on the unsupervised fast path.
+    #: for a default-policy sweep on no caller-supplied fleet.
     supervision: "dict | None" = None
-    #: Per-run fleet info (workers, memo hits, transport counters), or
-    #: None when the sweep did not run on a :class:`repro.exp.fleet.
-    #: WorkerFleet`.
+    #: Per-run fleet info (workers, respawns), or None unless the sweep
+    #: ran on a caller-supplied :class:`repro.exp.fleet.WorkerFleet`.
     fleet: "dict | None" = None
 
     @property
@@ -585,31 +542,29 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute every trial of ``spec`` that the store does not already hold.
 
-    ``workers > 1`` fans the pending trials out over a multiprocessing
-    pool; records are appended to the store as they complete (in
+    The sweep runs in-process when the policy is default and either
+    ``workers == 1`` or there is at most one task (a trial, or a point
+    batch for the point engines) — so a resume with nothing pending
+    spawns no process.  Every other sweep runs on ``fleet`` — a
+    :class:`repro.exp.fleet.WorkerFleet`, whose size then replaces
+    ``workers`` — or on a temporary ``WorkerFleet(workers)`` closed on
+    return.  Records are appended to the store as they complete (in
     completion order — the store is an unordered set keyed by trial id)
     and the returned :class:`ExperimentResult` is canonically sorted, so
-    aggregated output is identical for any worker count.  ``progress`` is
-    called with each freshly executed record.
+    aggregated output is identical for any worker count.  ``progress``
+    is called with each freshly executed record.  Under the default
+    policy a raising trial re-raises its original exception.
 
-    With a non-default ``spec.execution`` policy the sweep runs through
-    the supervision layer (:mod:`repro.exp.supervise`): per-trial
-    timeouts, retry with backoff, crashed-worker recovery, and failure
-    quarantine.  Quarantined trials resume as *failures* — they are not
-    re-executed unless ``retry_quarantined`` is set (a later success
-    then supersedes the stored failure record).
+    With a non-default ``spec.execution`` policy the fleet supervises
+    every trial (:mod:`repro.exp.supervise`): per-trial timeouts, retry
+    with backoff, crashed-worker recovery, and failure quarantine.
+    Quarantined trials resume as *failures* — they are not re-executed
+    unless ``retry_quarantined`` is set (a later success then supersedes
+    the stored failure record).
 
-    ``fleet`` — a :class:`repro.exp.fleet.WorkerFleet` — routes the
-    sweep onto persistent warm workers instead of a per-call pool: the
-    spec is installed once, the fleet's content-addressed memo serves
-    repeated trials without execution, and ``spec.execution`` applies
-    with identical supervision semantics.  ``workers`` is ignored in
-    favor of the fleet's own size, and records stay byte-identical to
-    every other path.  One caveat on the default policy: an erroring
-    trial surfaces as :class:`~repro.exp.supervise.TrialExecutionError`
-    (carrying the structured failure record) rather than the raw
-    exception, because fleet workers always report errors through the
-    supervision channel.
+    Pass ``fleet`` to reuse warm workers across sweeps: the spec is
+    installed once per sweep, and compiled tables and kernels persist
+    in the workers between sweeps.
     """
     spec.validate()
     if workers < 1:
@@ -650,98 +605,48 @@ def run_experiment(
             store.append_failure(record)
         fresh_failures.append(record)
 
+    groups = None
+    n_tasks = len(pending)
+    if spec.engine in POINT_ENGINES:
+        groups = group_pending_by_point(pending)
+        n_tasks = len(groups)
+    supervision = info = None
     if fleet is not None:
         stats, info = fleet.run_pending(spec, pending, spec_hash,
                                         on_record=collect,
                                         on_failure=collect_failure)
-        records = sorted(done_records + fresh, key=record_sort_key)
-        failures = sorted(done_failures + fresh_failures,
-                          key=record_sort_key)
-        return ExperimentResult(
-            spec=spec, spec_hash=spec_hash, records=records,
-            executed=len(fresh), skipped=len(done_records),
-            failures=failures, supervision=stats.to_dict(), fleet=info)
-
-    supervision = None
-    if not spec.execution.is_default():
-        from repro.exp.supervise import (
-            build_ensemble_tasks,
-            build_trial_tasks,
-            run_supervised,
-        )
-
-        if spec.engine in POINT_ENGINES:
-            tasks = build_ensemble_tasks(
-                spec, group_pending_by_point(pending), spec_hash)
-        else:
-            tasks = build_trial_tasks(spec, pending, spec_hash)
-        stats = run_supervised(
-            tasks, policy=spec.execution, spec_hash=spec_hash,
-            workers=workers,
-            on_records=lambda records: [collect(r) for r in records],
-            on_failure=collect_failure)
         supervision = stats.to_dict()
-        records = sorted(done_records + fresh, key=record_sort_key)
-        failures = sorted(done_failures + fresh_failures,
-                          key=record_sort_key)
-        return ExperimentResult(
-            spec=spec, spec_hash=spec_hash, records=records,
-            executed=len(fresh), skipped=len(done_records),
-            failures=failures, supervision=supervision)
-
-    if spec.engine in POINT_ENGINES:
-        # Point batches: one ensemble (or fluid integration) per sweep
-        # point covers all of the point's pending trials; workers (if
-        # any) fan out points.
-        point_func = _POINT_FUNCS[spec.engine]
-        groups = group_pending_by_point(pending)
-        if workers == 1 or len(groups) <= 1:
+    elif spec.execution.is_default() and (workers == 1 or n_tasks <= 1):
+        if groups is not None:
+            # Point batches: one ensemble (or fluid integration) per
+            # sweep point covers all of the point's pending trials.
+            point_func = _POINT_FUNCS[spec.engine]
             for point, trial_list in groups:
                 for record in point_func(spec, point, trial_list,
                                          spec_hash=spec_hash):
                     collect(record)
         else:
-            import multiprocessing
-
-            spec_dict = spec.to_dict()
-            tasks = [(spec_dict, spec_hash, point.n, point.intensity,
-                      point.scheduler, tuple(trial_list))
-                     for point, trial_list in groups]
-            pool_task = _POINT_POOL_TASKS[spec.engine]
-            with multiprocessing.Pool(min(workers, len(tasks)),
-                                      maxtasksperchild=_MAX_TASKS_PER_CHILD
-                                      ) as pool:
-                for batch in pool.imap_unordered(pool_task, tasks):
-                    for record in batch:
-                        collect(record)
-    elif workers == 1 or len(pending) <= 1:
-        for point, trial in pending:
-            collect(run_trial(spec, point, trial, spec_hash=spec_hash))
+            for point, trial in pending:
+                collect(run_trial(spec, point, trial, spec_hash=spec_hash))
     else:
-        import multiprocessing
+        from repro.exp.fleet import WorkerFleet
+        from repro.exp.supervise import SupervisionStats
 
-        spec_dict = spec.to_dict()
-        tasks = [(spec_dict, spec_hash, point.n, point.intensity,
-                  point.scheduler, trial)
-                 for point, trial in pending]
-        workers_eff = min(workers, len(tasks))
-        # Chunked dispatch: the default chunksize of 1 pays one IPC
-        # round-trip per trial; results are re-sorted afterwards, so
-        # ordering is unaffected.  maxtasksperchild recycles workers to
-        # bound memory growth across long sweeps.
-        chunksize = _chunk_size(len(tasks), workers_eff)
-        with multiprocessing.Pool(workers_eff,
-                                  maxtasksperchild=_MAX_TASKS_PER_CHILD
-                                  ) as pool:
-            for record in pool.imap_unordered(_pool_task, tasks,
-                                              chunksize=chunksize):
-                collect(record)
+        stats = SupervisionStats()
+        if pending:
+            with WorkerFleet(min(workers, n_tasks)) as temporary:
+                stats, _ = temporary.run_pending(
+                    spec, pending, spec_hash, on_record=collect,
+                    on_failure=collect_failure)
+        if not spec.execution.is_default():
+            supervision = stats.to_dict()
 
     records = sorted(done_records + fresh, key=record_sort_key)
+    failures = sorted(done_failures + fresh_failures, key=record_sort_key)
     return ExperimentResult(spec=spec, spec_hash=spec_hash, records=records,
                             executed=len(fresh), skipped=len(done_records),
-                            failures=sorted(done_failures,
-                                            key=record_sort_key))
+                            failures=failures, supervision=supervision,
+                            fleet=info)
 
 
 def plan_size(spec: ExperimentSpec) -> int:

@@ -100,10 +100,9 @@ class ResultStore:
         """The stored record for one trial id, or None.
 
         Trial ids are content-addressed — SHA-256 over ``(spec hash,
-        point, trial)`` — so this lookup is the store-side half of the
-        fleet's trial memo (:mod:`repro.exp.fleet`): any record found
-        here is byte-identical to what re-executing the trial would
-        produce.
+        point, trial)`` — the key :func:`~repro.exp.runner.run_experiment`
+        resumes by: any record found here is byte-identical to what
+        re-executing the trial would produce.
         """
         record = self._by_id.get(trial_id)
         return dict(record) if record is not None else None

@@ -1,61 +1,48 @@
-"""Supervised sweep execution: timeouts, retries, crash recovery.
+"""Supervision policy for sweep execution: timeouts, retries, quarantine.
 
-The plain runner (:func:`repro.exp.runner.run_experiment`) fans trials
-over a ``multiprocessing.Pool`` — fast, but fragile the way the paper's
-*environment* is not: a worker wedged in C code stalls the whole sweep
-forever, a SIGKILLed (or OOM-killed) worker poisons the pool, and a
-raising trial aborts the run with nothing in the ResultStore but lost
-stderr.  This module is the supervision layer underneath any long-lived
-experiment service: it owns its worker processes directly and makes the
-failure modes first-class, *recorded* events.
+Every multi-process sweep runs on a :class:`repro.exp.fleet.WorkerFleet`,
+whose dispatch loop is the one supervision loop in the package.  This
+module holds what that loop is parameterized by and reports through;
+it spawns no processes itself.
 
-Mechanisms, in the order they engage:
+Mechanisms, in the order they engage under a non-default
+:class:`~repro.exp.spec.ExecutionPolicy`:
 
 1. **Per-trial wall-clock timeout** (``ExecutionPolicy.timeout_s``),
    enforced twice.  A worker-side ``SIGALRM`` interrupts pure-Python
    hangs exactly at the budget; because a signal cannot interrupt a
    long-running C/numpy call, the parent additionally tracks a deadline
-   (budget plus a grace period) and SIGKILLs + respawns any worker that
-   blows through it.
+   (budget plus :func:`_grace_s`) and SIGKILLs + respawns any worker
+   that blows through it.
 2. **Retry with exponential backoff + jitter** — attempt ``k`` of a
    failed trial waits ``backoff * 2**(k-1)`` seconds scaled by a jitter
    factor in ``[0.5, 1.5)`` derived deterministically from the trial id
-   (no wall-clock entropy enters any record).  Retried trials reuse
-   their identity-derived seeds, so a success after a crash is
-   byte-identical to a first-try success.
+   (:func:`backoff_delay`; no wall-clock entropy enters any record).
+   Retried trials reuse their identity-derived seeds, so a success
+   after a crash is byte-identical to a first-try success.
 3. **Crashed-worker recovery** — each worker has its own pipe, so a
    dying worker is detected by EOF (or a liveness poll), its single
    in-flight task is resubmitted under the retry policy, and a fresh
-   worker takes its slot.  The sweep never hangs on a dead pool.
+   worker takes its slot.  The sweep never hangs on a dead worker.
 4. **Poison-trial quarantine** — a trial that exhausts
    ``max_attempts`` is disposed of per ``on_error``: ``raise`` aborts
    the sweep with a :class:`TrialExecutionError` carrying the remote
    traceback, ``skip`` drops it, ``quarantine`` emits a structured
-   ``trial-failure`` record (exception type, message, traceback, full
-   attempt history, seeds, spec hash) that the runner fsyncs into the
-   ResultStore — failures are resumable data, not lost output.
+   ``trial-failure`` record (:func:`failure_records`: exception type,
+   message, traceback, full attempt history, seeds, spec hash) that the
+   runner fsyncs into the ResultStore — failures are resumable data,
+   not lost output.
 
 Determinism: supervision never touches seed derivation — every trial's
 seeds remain a pure function of ``(spec hash, point, trial)`` — so the
 set of *successful* records is byte-identical to an unfailed,
 unsupervised run, whatever crashed, hung, or retried along the way.
-
-The persistent worker fleet (:mod:`repro.exp.fleet`) builds on exactly
-these pieces — :class:`SupervisedTask`, :class:`SupervisionStats`,
-:func:`backoff_delay`, :func:`failure_records`, the worker alarm pattern
-and the dispatch-loop shape — swapping the per-sweep worker pool for
-long-lived warm processes.  A policy behaves identically under both.
 """
 
 from __future__ import annotations
 
-import os
-import random
-import signal
-import time
-import traceback
 import multiprocessing
-from collections import deque
+import random
 from dataclasses import dataclass, field
 
 from repro.util.rng import derive_seed
@@ -119,84 +106,29 @@ class SupervisionStats:
 
 @dataclass
 class SupervisedTask:
-    """One unit of supervised work: a trial, or a point batch (one
-    ensemble stepped in lockstep / one fluid integration per point).
+    """One unit of fleet work: a chunk of trials at one sweep point, or a
+    point batch (one ensemble stepped in lockstep / one fluid
+    integration covering all of ``trials``).
 
-    ``trials`` holds one identity dict per covered trial (``id``, ``n``,
-    ``intensity``, ``scheduler``, ``trial``, ``engine_seed``,
-    ``fault_seed``) — the coordinates a quarantine record needs.
+    Only coordinates travel; trial ids and seeds are derived from them
+    when a record (or a failure record) is built.
     """
 
-    key: str
     kind: str  # "trial" | "ensemble" | "fluid"
-    payload: tuple
+    point: object  # repro.exp.runner.SweepPoint
     trials: list
     attempts: list = field(default_factory=list)
     #: Monotonic time before which the task may not be (re)dispatched.
     not_before: float = 0.0
 
+    def key(self, spec_hash: str) -> str:
+        """Retry-jitter identity: the trial id of a one-trial task,
+        otherwise the point label."""
+        from repro.exp.runner import trial_id
 
-# -- Worker side ---------------------------------------------------------------
-
-
-def _run_payload(kind: str, payload: tuple) -> list:
-    from repro.exp.runner import (
-        _ensemble_pool_task,
-        _fluid_pool_task,
-        _pool_task,
-    )
-
-    if kind == "ensemble":
-        return _ensemble_pool_task(payload)
-    if kind == "fluid":
-        return _fluid_pool_task(payload)
-    return [_pool_task(payload)]
-
-
-def _worker_main(conn) -> None:
-    """Loop: receive ``(seq, kind, payload, timeout_s)``, reply with
-    ``(seq, status, detail, elapsed_s)`` where status is ``ok`` /
-    ``timeout`` / ``error``.
-
-    The alarm is armed per task and always disarmed before replying, so
-    a late signal can never leak into the next task.
-    """
-    if hasattr(signal, "SIGALRM"):
-        def _on_alarm(signum, frame):
-            raise TrialTimeout("wall-clock budget exceeded "
-                               "(worker-side alarm)")
-        signal.signal(signal.SIGALRM, _on_alarm)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message is None:
-            return
-        seq, kind, payload, timeout_s = message
-        start = time.perf_counter()
-        try:
-            if timeout_s and hasattr(signal, "setitimer"):
-                signal.setitimer(signal.ITIMER_REAL, timeout_s)
-            try:
-                records = _run_payload(kind, payload)
-            finally:
-                if hasattr(signal, "setitimer"):
-                    signal.setitimer(signal.ITIMER_REAL, 0.0)
-            reply = (seq, "ok", records, time.perf_counter() - start)
-        except TrialTimeout as exc:
-            reply = (seq, "timeout", str(exc), time.perf_counter() - start)
-        except BaseException as exc:
-            reply = (seq, "error",
-                     (type(exc).__name__, str(exc), traceback.format_exc()),
-                     time.perf_counter() - start)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return
-
-
-# -- Parent side ---------------------------------------------------------------
+        if self.kind == "trial" and len(self.trials) == 1:
+            return trial_id(spec_hash, self.point, self.trials[0])
+        return self.point.key
 
 
 def _mp_context():
@@ -206,57 +138,6 @@ def _mp_context():
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-class _Worker:
-    """One supervised worker process with a private duplex pipe."""
-
-    def __init__(self, ctx):
-        self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(target=_worker_main, args=(child_conn,),
-                                   daemon=True)
-        self.process.start()
-        child_conn.close()
-        self.seq = 0
-
-    def dispatch(self, task: SupervisedTask, timeout_s: "float | None") -> int:
-        self.seq += 1
-        self.conn.send((self.seq, task.kind, task.payload, timeout_s))
-        return self.seq
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        """Hard-stop: SIGKILL (when available), reap, close the pipe."""
-        try:
-            if self.process.is_alive():
-                if hasattr(self.process, "kill"):
-                    self.process.kill()
-                else:
-                    self.process.terminate()
-        except (OSError, ValueError):
-            pass
-        self.process.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def shutdown(self) -> None:
-        """Soft-stop: sentinel, short join, then escalate to kill."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=1.0)
-        if self.process.is_alive():
-            self.kill()
-        else:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
 
 
 def _jitter(task_key: str, attempt: int) -> float:
@@ -280,17 +161,21 @@ def failure_records(task: SupervisedTask, spec_hash: str) -> list[dict]:
     One record per covered trial (an ensemble batch quarantines every
     trial of its point), each carrying the shared attempt history.
     """
+    from repro.exp.runner import trial_id, trial_seeds
+
+    point = task.point
     last = task.attempts[-1] if task.attempts else {}
     records = []
-    for identity in task.trials:
+    for trial in task.trials:
+        engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
         record = {
             "kind": "trial-failure",
-            "id": identity["id"],
-            "n": identity["n"],
-            "intensity": identity.get("intensity"),
-            "trial": identity["trial"],
-            "engine_seed": identity["engine_seed"],
-            "fault_seed": identity["fault_seed"],
+            "id": trial_id(spec_hash, point, trial),
+            "n": point.n,
+            "intensity": point.intensity,
+            "trial": trial,
+            "engine_seed": engine_seed,
+            "fault_seed": fault_seed,
             "spec_hash": spec_hash,
             "error_type": last.get("error_type"),
             "message": last.get("message"),
@@ -299,222 +184,7 @@ def failure_records(task: SupervisedTask, spec_hash: str) -> list[dict]:
                 {k: v for k, v in attempt.items() if k != "traceback"}
                 for attempt in task.attempts],
         }
-        if identity.get("scheduler") is not None:
-            record["scheduler"] = identity["scheduler"]
+        if point.scheduler is not None:
+            record["scheduler"] = point.scheduler
         records.append(record)
     return records
-
-
-def run_supervised(tasks, *, policy, spec_hash: str, workers: int = 1,
-                   on_records=None, on_failure=None,
-                   poll_s: float = 0.05) -> SupervisionStats:
-    """Execute ``tasks`` under ``policy`` across supervised workers.
-
-    ``on_records(list_of_records)`` fires once per successful task;
-    ``on_failure(record)`` fires once per quarantined trial.  Returns
-    the supervision counters.  Raises :class:`TrialExecutionError` on
-    the first exhausted task when ``policy.on_error == "raise"``.
-    """
-    stats = SupervisionStats(tasks=len(tasks))
-    if not tasks:
-        return stats
-    ctx = _mp_context()
-    ready: deque = deque(tasks)
-    waiting: list = []  # backoff-delayed tasks, any order
-    pool = [_Worker(ctx) for _ in range(max(1, min(workers, len(tasks))))]
-    busy: dict = {}  # worker -> (task, seq, started, deadline | None)
-
-    def finalize_failure(task: SupervisedTask) -> None:
-        if policy.on_error == "raise":
-            raise TrialExecutionError(failure_records(task, spec_hash)[0])
-        if policy.on_error == "skip":
-            stats.skipped += len(task.trials)
-            return
-        stats.quarantined += len(task.trials)
-        if on_failure is not None:
-            for record in failure_records(task, spec_hash):
-                on_failure(record)
-
-    def note_failed_attempt(task: SupervisedTask, outcome: dict) -> None:
-        task.attempts.append(outcome)
-        stats.attempts += 1
-        if len(task.attempts) >= policy.max_attempts:
-            finalize_failure(task)
-            return
-        stats.retries += 1
-        task.not_before = (time.monotonic()
-                           + backoff_delay(policy, task.key,
-                                           len(task.attempts)))
-        waiting.append(task)
-
-    def respawn(worker: _Worker) -> _Worker:
-        index = pool.index(worker)
-        worker.kill()
-        fresh = _Worker(ctx)
-        pool[index] = fresh
-        return fresh
-
-    try:
-        while ready or waiting or busy:
-            now = time.monotonic()
-            # Promote backoff-expired tasks into the ready queue.
-            still_waiting = [t for t in waiting if t.not_before > now]
-            for task in waiting:
-                if task.not_before <= now:
-                    ready.append(task)
-            waiting[:] = still_waiting
-
-            # Dispatch to idle workers.
-            for worker in pool:
-                if not ready:
-                    break
-                if worker in busy:
-                    continue
-                task = ready.popleft()
-                deadline = None
-                if policy.timeout_s:
-                    deadline = now + policy.timeout_s + _grace_s(
-                        policy.timeout_s)
-                seq = worker.dispatch(task, policy.timeout_s)
-                busy[worker] = (task, seq, now, deadline)
-
-            if not busy:
-                if waiting:
-                    pause = min(t.not_before for t in waiting) - now
-                    if pause > 0:
-                        time.sleep(min(pause, poll_s * 4))
-                continue
-
-            # Wait for any result, bounded so deadlines stay responsive.
-            conns = {worker.conn: worker for worker in busy}
-            readable = multiprocessing.connection.wait(
-                list(conns), timeout=poll_s)
-
-            for conn in readable:
-                worker = conns[conn]
-                task, seq, started, _ = busy[worker]
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    # Worker died mid-task (SIGKILL, OOM, hard crash).
-                    del busy[worker]
-                    respawn(worker)
-                    stats.crashes += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "crashed",
-                        "error_type": "WorkerCrashed",
-                        "message": (f"worker process died "
-                                    f"(exitcode {worker.process.exitcode})"),
-                        "elapsed_s": round(time.monotonic() - started, 3),
-                    })
-                    continue
-                del busy[worker]
-                reply_seq, status, detail, elapsed = reply
-                if reply_seq != seq:
-                    # A reply from a task we already gave up on; the
-                    # task was resubmitted elsewhere — drop it.
-                    continue
-                if status == "ok":
-                    stats.attempts += 1
-                    if on_records is not None:
-                        on_records(detail)
-                elif status == "timeout":
-                    stats.timeouts += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "timeout",
-                        "error_type": "TrialTimeout",
-                        "message": detail,
-                        "elapsed_s": round(elapsed, 3),
-                    })
-                else:
-                    error_type, message, trace = detail
-                    stats.errors += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "error",
-                        "error_type": error_type,
-                        "message": message,
-                        "traceback": trace,
-                        "elapsed_s": round(elapsed, 3),
-                    })
-
-            # Deadline and liveness sweep over the remaining busy workers.
-            now = time.monotonic()
-            for worker in list(busy):
-                task, seq, started, deadline = busy[worker]
-                if deadline is not None and now > deadline:
-                    del busy[worker]
-                    respawn(worker)
-                    stats.timeouts += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "timeout",
-                        "error_type": "TrialTimeout",
-                        "message": ("wall-clock budget exceeded; worker "
-                                    "killed by supervisor deadline"),
-                        "elapsed_s": round(now - started, 3),
-                    })
-                elif not worker.alive():
-                    del busy[worker]
-                    exitcode = worker.process.exitcode
-                    respawn(worker)
-                    stats.crashes += 1
-                    note_failed_attempt(task, {
-                        "attempt": len(task.attempts) + 1,
-                        "outcome": "crashed",
-                        "error_type": "WorkerCrashed",
-                        "message": f"worker process died "
-                                   f"(exitcode {exitcode})",
-                        "elapsed_s": round(now - started, 3),
-                    })
-    finally:
-        for worker in pool:
-            worker.shutdown()
-    return stats
-
-
-def build_trial_tasks(spec, pending, spec_hash: str) -> list[SupervisedTask]:
-    """One :class:`SupervisedTask` per pending ``(point, trial)`` pair."""
-    from repro.exp.runner import trial_id, trial_seeds
-
-    spec_dict = spec.to_dict()
-    tasks = []
-    for point, trial in pending:
-        tid = trial_id(spec_hash, point, trial)
-        engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-        tasks.append(SupervisedTask(
-            key=tid, kind="trial",
-            payload=(spec_dict, spec_hash, point.n, point.intensity,
-                     point.scheduler, trial),
-            trials=[{"id": tid, "n": point.n, "intensity": point.intensity,
-                     "scheduler": point.scheduler, "trial": trial,
-                     "engine_seed": engine_seed,
-                     "fault_seed": fault_seed}]))
-    return tasks
-
-
-def build_ensemble_tasks(spec, groups, spec_hash: str) -> list[SupervisedTask]:
-    """One :class:`SupervisedTask` per sweep point's batch (an ensemble
-    lockstep run, or a fluid integration when ``spec.engine == "fluid"``)."""
-    from repro.exp.runner import trial_id, trial_seeds
-
-    kind = "fluid" if spec.engine == "fluid" else "ensemble"
-    spec_dict = spec.to_dict()
-    tasks = []
-    for point, trial_list in groups:
-        trials = []
-        for trial in trial_list:
-            engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-            trials.append({"id": trial_id(spec_hash, point, trial),
-                           "n": point.n, "intensity": point.intensity,
-                           "scheduler": point.scheduler, "trial": trial,
-                           "engine_seed": engine_seed,
-                           "fault_seed": fault_seed})
-        tasks.append(SupervisedTask(
-            key=point.key, kind=kind,
-            payload=(spec_dict, spec_hash, point.n, point.intensity,
-                     point.scheduler, tuple(trial_list)),
-            trials=trials))
-    return tasks

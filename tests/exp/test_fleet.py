@@ -1,20 +1,18 @@
-"""Persistent warm worker fleet: reuse, transport, memoization.
+"""Worker fleet: byte identity, warm reuse, supervision, lifecycle.
 
-The headline contracts, each asserted byte-for-byte against the legacy
-paths:
+The headline contracts, each asserted byte-for-byte:
 
 * fleet records are identical to the in-process (``workers=1``) run and
-  to the cold worker-pool run — the fleet changes *where* trials
-  execute, never *what* they produce;
-* a second submission of the same ``(spec, point, trial)`` is served
-  from the content-addressed memo without dispatching a task, and the
-  served record is byte-identical to the executed one;
-* results ride the shared-memory ring when eligible and fall back to
-  the pipe when the ring is disabled or too small — transport is
-  invisible in the records;
-* the full PR 6 supervision contract (timeouts, retries, crash
-  recovery, quarantine) holds when trials run on fleet workers, with
-  warm respawn replaying installed specs.
+  to the temporary fleet ``run_experiment(workers=2)`` spawns — the
+  fleet changes *where* trials execute, never *what* they produce;
+* a fleet passed as ``fleet=`` keeps its processes and compile caches
+  warm across sweeps;
+* the full supervision contract (timeouts, retries, crash recovery,
+  quarantine) holds when trials run on fleet workers, with a respawned
+  worker given the running sweep's spec; under the default policy a
+  raising trial re-raises its original exception, and a killed worker
+  aborts the sweep instead of hanging it;
+* a sweep with nothing to run in parallel spawns no process at all.
 
 Failure modes are injected exactly as in ``test_supervise.py``: poison
 input symbols of :mod:`repro.protocols.faulty` mapped per population
@@ -23,16 +21,17 @@ size.  This file is also the CI fleet smoke job (see
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.exp.fleet import (
-    WorkerFleet,
-    fleet_report,
-    get_fleet,
-    shared_memory_reason,
-    shutdown_fleet,
-)
+import repro
+import repro.exp.fleet as fleet_module
+from repro.exp.fleet import WorkerFleet, fleet_report
 from repro.exp.runner import run_experiment
 from repro.exp.spec import (
     ExecutionPolicy,
@@ -175,6 +174,18 @@ class TestWarmReuse:
         assert any(w["compile_cache"]["hits"] > 0 for w in stats)
         assert all(len(w["installed"]) == 2 for w in stats)
 
+    def test_evicted_spec_is_installed_again(self):
+        """Installing more specs than a worker keeps evicts the oldest on
+        both sides, so a later sweep of it installs it again."""
+        specs = [make_spec(seed=100 + i)
+                 for i in range(fleet_module.MAX_INSTALLED_SPECS + 1)]
+        serial = run_experiment(specs[0], workers=1)
+        with WorkerFleet(1) as fleet:
+            for spec in specs:
+                fleet.install(spec)
+            result = run_experiment(specs[0], fleet=fleet)
+        assert dumps(result.records) == dumps(serial.records)
+
     def test_install_is_idempotent(self):
         spec = make_spec()
         with WorkerFleet(1) as fleet:
@@ -182,61 +193,6 @@ class TestWarmReuse:
             installs = fleet.stats.installs
             assert fleet.install(spec) == first
             assert fleet.stats.installs == installs
-
-
-class TestMemoization:
-    def test_repeat_sweep_served_from_memo(self):
-        spec = make_spec()
-        with WorkerFleet(2) as fleet:
-            first = run_experiment(spec, fleet=fleet)
-            tasks_after_first = fleet.stats.tasks
-            second = run_experiment(spec, fleet=fleet)
-            assert fleet.stats.tasks == tasks_after_first
-        assert second.fleet["memo_hits"] == len(first.records)
-        assert dumps(second.records) == dumps(first.records)
-
-    def test_memo_keys_on_spec_hash(self):
-        with WorkerFleet(1) as fleet:
-            run_experiment(make_spec(), fleet=fleet)
-            other = run_experiment(make_spec(seed=8), fleet=fleet)
-        assert other.fleet["memo_hits"] == 0
-
-    def test_served_records_are_copies(self):
-        spec = make_spec(ns=(6,), trials=1)
-        with WorkerFleet(1) as fleet:
-            first = run_experiment(spec, fleet=fleet)
-            first.records[0]["mutated"] = True
-            second = run_experiment(spec, fleet=fleet)
-        assert "mutated" not in second.records[0]
-
-
-class TestTransport:
-    def test_forced_shm_results_identical(self):
-        spec = make_spec()
-        serial = run_experiment(spec, workers=1)
-        with WorkerFleet(2, shm_threshold=1) as fleet:
-            result = run_experiment(spec, fleet=fleet)
-        assert result.fleet["shm_results"] > 0
-        assert result.fleet["shm_bytes"] > 0
-        assert dumps(result.records) == dumps(serial.records)
-
-    def test_ring_wraps_under_sustained_load(self):
-        spec = make_spec(trials=6)
-        serial = run_experiment(spec, workers=1)
-        with WorkerFleet(1, ring_bytes=2048, shm_threshold=1) as fleet:
-            result = run_experiment(spec, fleet=fleet)
-        assert result.fleet["shm_results"] > 0
-        assert dumps(result.records) == dumps(serial.records)
-
-    def test_ring_disabled_falls_back_to_pipe(self):
-        spec = make_spec()
-        serial = run_experiment(spec, workers=1)
-        with WorkerFleet(2, ring_bytes=0, shm_threshold=1) as fleet:
-            assert fleet.shm_reason is not None
-            result = run_experiment(spec, fleet=fleet)
-        assert result.fleet["shm_results"] == 0
-        assert result.fleet["pipe_results"] > 0
-        assert dumps(result.records) == dumps(serial.records)
 
 
 class TestSupervisionThroughFleet:
@@ -302,43 +258,117 @@ class TestSupervisionThroughFleet:
         from repro.exp.supervise import TrialExecutionError
 
         with WorkerFleet(1) as fleet:
-            with pytest.raises(TrialExecutionError):
+            with pytest.raises(RuntimeError, match="boom") as raised:
                 run_experiment(spec, fleet=fleet)
+        assert not isinstance(raised.value, TrialExecutionError)
+
+    def test_default_policy_parallel_sweep_raises_original(self):
+        spec = poison_spec({**HEALTHY, **poison("boom")},
+                           policy=ExecutionPolicy(), trials=3)
+        with pytest.raises(RuntimeError, match="boom") as raised:
+            run_experiment(spec, workers=2)
+        assert "boom" in str(raised.value.__cause__)
+
+    def test_default_policy_unpicklable_error_raises_trial_error(
+            self, monkeypatch):
+        import repro.exp.runner as runner_mod
+        from repro.exp.supervise import TrialExecutionError
+
+        def explode(*args, **kwargs):
+            error = RuntimeError("unpicklable")
+            error.hook = lambda: None  # no pickle can carry this
+            raise error
+
+        # Patched before the fleet forks, so its workers run `explode`.
+        monkeypatch.setattr(runner_mod, "run_trial", explode)
+        with WorkerFleet(1) as fleet:
+            with pytest.raises(TrialExecutionError,
+                               match="unpicklable") as raised:
+                run_experiment(make_spec(), fleet=fleet)
+        assert raised.value.failure["error_type"] == "RuntimeError"
+
+
+#: Runs a default-policy ``workers=2`` sweep whose ``die`` trial
+#: SIGKILLs its worker, then prints the outcome as one JSON line.
+_KILLED_WORKER_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from repro.exp.runner import run_experiment
+    from repro.exp.spec import (
+        ExecutionPolicy, ExperimentSpec, InputGrid, StopRule)
+    from repro.exp.supervise import TrialExecutionError
+    from repro.protocols import faulty
+
+    faulty.install()
+    spec = ExperimentSpec(
+        protocol="misbehaving-epidemic", ns=(8, 9), trials=2,
+        params={"poison": faulty.ALL_POISON},
+        inputs=InputGrid.explicit({8: {1: 1, 0: 7},
+                                   9: {1: 1, 0: 7, "die": 1}}),
+        stop=StopRule(patience=200, max_steps=5_000),
+        execution=ExecutionPolicy(), seed=3)
+    try:
+        run_experiment(spec, workers=2)
+    except TrialExecutionError as exc:
+        print(json.dumps({"raised": type(exc).__name__,
+                          "error_type": exc.failure["error_type"]}))
+    else:
+        print(json.dumps({"raised": None}))
+""")
+
+
+class TestKilledWorker:
+    def test_default_policy_killed_worker_raises_not_hangs(self, marker_dir):
+        """A SIGKILLed worker under the default policy aborts the sweep.
+
+        The sweep runs in a subprocess with a deadline, so a regression
+        to hanging fails this test instead of wedging the suite.
+        """
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        completed = subprocess.run(
+            [sys.executable, "-c", _KILLED_WORKER_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        outcome = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert outcome == {"raised": "TrialExecutionError",
+                           "error_type": "WorkerCrashed"}
+
+
+class TestNoSpawnWhenNothingRuns:
+    @pytest.fixture
+    def no_fleet(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker fleet was spawned")
+
+        monkeypatch.setattr(fleet_module, "WorkerFleet", refuse)
+
+    def test_resume_of_completed_store(self, tmp_path, no_fleet):
+        spec = make_spec()
+        path = tmp_path / "results.jsonl"
+        run_experiment(spec, store=ResultStore(path), workers=1)
+        again = run_experiment(spec, store=ResultStore(path), workers=2)
+        assert again.executed == 0
+        assert again.skipped == len(again.records) == 6
+
+    def test_one_point_ensemble_sweep(self, no_fleet):
+        spec = make_spec(engine="ensemble", ns=(16,), trials=4)
+        result = run_experiment(spec, workers=2)
+        assert result.executed == 4
 
 
 class TestFleetReport:
     def test_payload_shape(self):
         report = fleet_report()
         assert report["start_method"] in ("fork", "forkserver", "spawn")
-        assert isinstance(report["shared_memory"]["available"], bool)
-        if report["shared_memory"]["available"]:
-            assert report["shared_memory"]["reason"] is None
-            assert shared_memory_reason() is None
-        assert report["ring_bytes"] > 0
-        assert report["shm_threshold_bytes"] > 0
+        assert set(report) == {"start_method", "numba"}
         assert isinstance(report["numba"]["available"], bool)
         assert isinstance(report["numba"]["warm_kernels"], list)
 
 
 class TestSharedFleet:
-    def test_get_fleet_reuses_and_grows(self):
-        try:
-            fleet = get_fleet(1)
-            assert get_fleet(1) is fleet
-            bigger = get_fleet(2)
-            assert bigger is not fleet
-            assert bigger.size == 2
-            # A smaller request keeps the larger warm fleet.
-            assert get_fleet(1) is bigger
-        finally:
-            shutdown_fleet()
-
-    def test_shutdown_closes(self):
-        fleet = get_fleet(1)
-        shutdown_fleet()
-        assert fleet.closed
-        with pytest.raises(RuntimeError):
-            fleet.install(make_spec())
+    """A fleet shared across sweeps is closed explicitly; afterwards it
+    refuses work."""
 
     def test_closed_fleet_rejects_runs(self):
         fleet = WorkerFleet(1)

@@ -34,7 +34,6 @@ from repro.exp.supervise import (
     MAX_BACKOFF_S,
     TrialExecutionError,
     backoff_delay,
-    build_trial_tasks,
 )
 from repro.protocols import faulty
 

@@ -87,6 +87,9 @@ FAULT_OVERHEAD_PAIRS = (
     ("batched-agent", "batched-agent-faulted"),
 )
 
+#: Timed-repeat floor for workloads holding a gated twin.
+_GATED_REPEATS = 5
+
 #: The full grid (committed-baseline sizes; a couple of minutes total).
 #: Ensemble workloads carry ``trials``/``trial_steps``: the ensemble row
 #: executes ``trials * trial_steps`` interactions (the 256-trial
@@ -271,7 +274,7 @@ def run_kernel_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
     warm-up repeat — absorbing one-time costs like JIT compilation on
     the numba backend — and then reports the best of ``repeats`` timed
     runs (best-of, not mean: scheduling noise only ever slows a run
-    down).  ``backend`` selects the step-kernel backend for the
+    down), taken round-robin across the workload's engines.  ``backend`` selects the step-kernel backend for the
     backend-capable engines; each row records the effective backend.
     """
     grid = SMOKE_GRID if smoke else FULL_GRID + SMOKE_GRID
@@ -280,32 +283,42 @@ def run_kernel_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
         protocol = _build_protocol(workload["protocol"])
         counts = _input_counts(workload["protocol"], workload["n"])
         steps = workload["steps"]
-        for engine in workload["engines"]:
+        engines = workload["engines"]
+        # Workloads feeding the tight same-run faulted-overhead gate get
+        # a repeats floor: best-of-1 on a tens-of-ms workload can read
+        # 20%+ of pure scheduling jitter as "overhead".
+        gated = any(engine in pair for pair in FAULT_OVERHEAD_PAIRS
+                    for engine in engines)
+        runs = max(1, repeats, _GATED_REPEATS if gated else 0)
+
+        def timed(engine):
+            return _time_engine(engine, protocol, counts, steps, seed,
+                                trials=workload.get("trials"),
+                                trial_steps=workload.get("trial_steps"),
+                                backend=backend)
+
+        # Warm-up repeat per engine, discarded; then the timed repeats
+        # round-robin over the workload's engines, so a stretch of
+        # machine load slows every engine of the workload alike instead
+        # of landing on one row and faking a ratio between them.
+        backends = {engine: timed(engine)[1] for engine in engines}
+        best = dict.fromkeys(engines, float("inf"))
+        for _ in range(runs):
+            for engine in engines:
+                best[engine] = min(best[engine], timed(engine)[0])
+        for engine in engines:
             if engine.startswith("ensemble-multiset"):
                 # The row reports the interactions actually executed
                 # (trials x trial_steps), so ips stays steps/seconds.
                 row_steps = workload["trials"] * workload["trial_steps"]
             else:
                 row_steps = steps
-            # Rows feeding the tight same-run faulted-overhead gate get
-            # a repeats floor: best-of-1 on a tens-of-ms workload can
-            # read 20%+ of pure scheduling jitter as "overhead".
-            gated = any(engine in pair for pair in FAULT_OVERHEAD_PAIRS)
-            runs = max(1, repeats, 3 if gated else 0)
-
-            def timed():
-                return _time_engine(engine, protocol, counts, steps, seed,
-                                    trials=workload.get("trials"),
-                                    trial_steps=workload.get("trial_steps"),
-                                    backend=backend)
-
-            _, effective_backend = timed()  # warm-up repeat, discarded
-            seconds = min(timed()[0] for _ in range(runs))
+            seconds = best[engine]
             row = {
                 "protocol": workload["protocol"],
                 "n": workload["n"],
                 "engine": engine,
-                "backend": effective_backend,
+                "backend": backends[engine],
                 "steps": row_steps,
                 "unit": _unit(engine),
                 "seconds": round(seconds, 6),

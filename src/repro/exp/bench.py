@@ -82,7 +82,8 @@ ENGINE_PAIRS = (
 #: bounds (``repro bench --max-fault-overhead``, default 1.10).  Only
 #: the batched pair is gated: its fault path is the vectorized one with
 #: a hard <= 10% contract; the ensemble faulted row is informational
-#: (its lockstep fault path trades throughput for per-trial sampling).
+#: (its omission faults thin the windowed first-hit draws, but the
+#: reactive-dense rounds still step in the faulted lockstep mode).
 FAULT_OVERHEAD_PAIRS = (
     ("batched-agent", "batched-agent-faulted"),
 )
@@ -190,8 +191,9 @@ def _time_engine(engine: str, protocol, counts, steps: int,
         from repro.sim.ensemble import (EnsembleFaults,
                                         EnsembleMultisetSimulation)
 
-        # A rate fault keeps every chunk on the lockstep faulted path —
-        # the representative shape for resilience-curve sweeps.
+        # An omission rate — the representative shape for
+        # resilience-curve sweeps — thins the windowed first-hit draws,
+        # with reactive-dense rounds on the lockstep faulted path.
         start = time.perf_counter()
         sim = EnsembleMultisetSimulation(
             protocol, counts, trials=trials, seed=seed, track_outputs=False,

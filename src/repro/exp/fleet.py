@@ -508,9 +508,7 @@ class WorkerFleet:
         stats = self.execute(tasks, policy=spec.execution,
                              spec_hash=spec_hash, on_record=on_record,
                              on_failure=on_failure)
-        # memo_hits is always 0 (there is no trial memo); the key stays
-        # until tests/exp/test_fleet.py stops asserting it.
-        return stats, {"workers": self.size, "memo_hits": 0,
+        return stats, {"workers": self.size,
                        "respawns": self.stats.respawns - respawns}
 
     def execute(self, tasks, *, policy, spec_hash: str, on_record=None,

@@ -58,13 +58,17 @@ stochastic faults (crash-rate / corruption-rate / omission-rate /
 crash-at — exactly the kinds :class:`repro.exp.spec.FaultAxis` can
 express), sampled round by round from a dedicated fault stream keyed by
 per-trial ``fault_seeds``; the engine's pair-draw stream is untouched,
-mirroring the scalar engines' ``FaultPlan.rng`` split.  While fault
-events remain possible — or any trial holds crashed agents, which the
-fault-free index search cannot represent — the controller stays in a
-fault-aware lockstep mode
-(:meth:`EnsembleMultisetSimulation._faulted_chunk`); a spent schedule
-skips all fault sampling there, leaving only the dead-sentinel
-clamping as residual overhead.  The scalar-twin replay contract extends to
+mirroring the scalar engines' ``FaultPlan.rng`` split.  Omission only
+ever turns an encounter into a no-op, so omission-rate runs keep the
+windowed first-hit path: each window's draws are thinned by fault-stream
+uniforms before the first-hit search, and only the reactive-dense regime
+steps in the fault-aware lockstep mode
+(:meth:`EnsembleMultisetSimulation._faulted_chunk`).  For the other
+kinds, while fault events remain possible — or any trial holds crashed
+agents, which the fault-free index search cannot represent — the
+controller stays in that lockstep mode; a spent schedule skips all fault
+sampling there, leaving only the dead-sentinel clamping as residual
+overhead.  The scalar-twin replay contract extends to
 faults: :meth:`EnsembleMultisetSimulation.scalar_twin` rebuilds trial
 ``t`` with the equivalent scalar ``FaultPlan`` seeded by
 ``fault_seeds[t]``, so a faulted trial replays *deterministically* on
@@ -379,6 +383,10 @@ class EnsembleMultisetSimulation:
         if faults is None and fault_seeds is not None:
             raise ValueError("fault_seeds= is only meaningful with faults=")
         self._faults = faults
+        #: Omission probability the windowed path thins its draws with
+        #: (0.0 unless omission-rate faults are attached).
+        self._omission = (faults.intensity if faults is not None
+                          and faults.kind == "omission-rate" else 0.0)
         #: Per-trial crashed-agent counts.  Dead sensors still burn clock
         #: ticks (the paper's global clock) but hold no live mass: the
         #: count rows track live agents only.
@@ -611,10 +619,14 @@ class EnsembleMultisetSimulation:
         step one interaction per round in lockstep (the backend's
         ``lockstep_chunk`` kernel), sparse regimes scan no-op windows and
         jump to each trial's first reactive event
-        (:meth:`_advance_once`).  While attached faults can still fire,
-        the fault-aware lockstep mode (:meth:`_faulted_chunk`) overrides
-        both — every step boundary must be offered to the fault sampler —
-        and attached monitors sweep the fleet after every chunk.
+        (:meth:`_advance_once`).  Omission faults ride the same
+        controller: they only ever turn an encounter into a no-op, so the
+        windowed mode thins its reactive draws with them, and the
+        fault-aware lockstep mode (:meth:`_faulted_chunk`) stands in for
+        the backend kernel in the reactive-dense regime.  While any other
+        attached fault can still fire, :meth:`_faulted_chunk` overrides
+        both modes — every step boundary must be offered to the fault
+        sampler.  Attached monitors sweep the fleet after every chunk.
         """
         targets = np.asarray(targets, dtype=np.int64)
         faulted = self._faults is not None
@@ -624,10 +636,12 @@ class EnsembleMultisetSimulation:
             if idx.size == 0:
                 return
             caps = targets[idx] - self.interactions[idx]
-            if faulted and self._faults_pending():
+            lockstep = self._gap < _GAP_LOCKSTEP
+            if (faulted and self._faults_pending()
+                    and (lockstep or not self._omission)):
                 self._faulted_chunk(
                     idx, min(int(caps.min()), _LOCKSTEP_CHUNK))
-            elif self._gap < _GAP_LOCKSTEP:
+            elif lockstep:
                 self._kernels.lockstep_chunk(
                     self, idx, min(int(caps.min()), _LOCKSTEP_CHUNK))
             else:
@@ -641,9 +655,10 @@ class EnsembleMultisetSimulation:
         That is whenever a fault event can still fire, and also for as
         long as any active trial holds crashed agents: the fault-free
         fast paths resolve agent indices against live mass only and
-        cannot represent the dead sentinel bin.  In practice only a
-        zero-crash history (pure corruption/omission schedules never
-        reach here) hands back to the fast paths.
+        cannot represent the dead sentinel bin.  Rate faults are always
+        pending; :meth:`run_to` still sends omission-rate runs through the
+        windowed path in the sparse regime, because that path thins its
+        draws with the omission faults itself.
         """
         if self._faults.kind == "crash-at":
             act = self.active
@@ -671,7 +686,11 @@ class EnsembleMultisetSimulation:
 
         The faulted twin of the fault-free lockstep kernel
         (:func:`repro.sim.backends.numpy_backend.ensemble_lockstep_chunk`);
-        it always runs here, backend-independent.  Each round mirrors
+        it always runs here, backend-independent, and feeds the same
+        no-op-gap estimate.  Crash and corruption runs take every round
+        here; omission runs only while the gap estimate says the regime
+        is reactive-dense (sparse rounds go to :meth:`_advance_once`).
+        Each round mirrors
         the scalar engines' faulted step order exactly: step-boundary
         faults first (crash / corruption), then the scheduled pair —
         drawn over all ``n`` sensors, dead ones included, so the global
@@ -722,6 +741,7 @@ class EnsembleMultisetSimulation:
         out = self._out_ids
         if fd.kind == "crash-at":
             fired = self._crashat_fired[idx].copy()
+        hits = 0
         for r in range(rounds):
             # -- Step-boundary faults (the scalar pre_step hook). --
             if fd.kind == "crash-rate":
@@ -774,8 +794,10 @@ class EnsembleMultisetSimulation:
                 drop = livepair & (frng.random(A) < fd.intensity)
                 self.omissions[idx[drop]] += 1
                 re &= ~drop
-            if not re.any():
+            nre = int(re.sum())
+            if nre == 0:
                 continue
+            hits += nre
             # Suppressed and dead-party encounters scatter as clamped
             # identities, so the unconditional arithmetic stays exact.
             p2 = np.where(re, tinit2d[ps, qs], ps)
@@ -808,6 +830,13 @@ class EnsembleMultisetSimulation:
             self.output_hist[idx] = hist
             so = lo_off >= 0
             self.last_output_change[idx[so]] = base[so] + lo_off[so]
+        # The gap EMA counts applied transitions, as the fault-free
+        # lockstep kernel does, so omission runs leave lockstep once the
+        # tail turns sparse.
+        if hits:
+            self._gap = 0.7 * self._gap + 0.3 * (rounds * A / hits)
+        else:
+            self._gap = min(self._gap * 2.0 + 1.0, _GAP_CAP)
 
     def _advance_once(self, idx: np.ndarray, caps: np.ndarray) -> None:
         """One windowed round: each trial in ``idx`` advances by at most
@@ -818,6 +847,13 @@ class EnsembleMultisetSimulation:
         trial's draws past its first reactive event (or past its cap) are
         discarded, which is sound because draws are i.i.d. — the next
         window simply draws fresh ones.
+
+        Under omission faults every draw of the window is thinned: a
+        fault-stream uniform drops it with the omission probability
+        before the first-hit search, so a trial's first hit is its first
+        reactive *and* surviving encounter.  Each round a trial consumes
+        is a live encounter, so the drops among those rounds are exactly
+        its omissions (the scalar ``OmissionRate`` counter).
         """
         A = idx.size
         k = self._compiled.size
@@ -835,10 +871,16 @@ class EnsembleMultisetSimulation:
         q = (j[..., None] >= cum[None]).sum(axis=2)
         flat = p * k + q
         reactive = self._reactive[flat]
+        if self._omission:
+            drop = self._fault_rng.random((window, A)) < self._omission
+            reactive &= ~drop
         first = reactive.argmax(axis=0)
         hit = reactive.any(axis=0) & (first < caps)
         steps = np.where(hit, first + 1, np.minimum(window, caps))
         self.interactions[idx] += steps
+        if self._omission:
+            consumed = np.arange(window)[:, None] < steps
+            self.omissions[idx] += (drop & consumed).sum(axis=0)
 
         hits = int(hit.sum())
         if hits:

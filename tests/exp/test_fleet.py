@@ -101,7 +101,6 @@ class TestByteIdentity:
             result = run_experiment(spec, fleet=fleet)
         assert dumps(result.records) == dumps(serial.records)
         assert result.fleet["workers"] == 2
-        assert result.fleet["memo_hits"] == 0
 
     def test_fleet_matches_cold_pool(self):
         spec = make_spec(trials=4)
@@ -167,7 +166,6 @@ class TestWarmReuse:
                                     fleet=fleet)
             stats = [w for w in fleet.worker_stats() if w]
         assert first.failures == [] and second.failures == []
-        assert second.fleet["memo_hits"] == 0
         assert [w["pid"] for w in stats] == pids
         # Install compiles once per spec; trials then hit the keyed
         # compile memo in every worker that executed one.

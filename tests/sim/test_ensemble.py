@@ -386,6 +386,20 @@ class TestEnsembleFaults:
         assert (a.corruptions == b.corruptions).all()
         assert (a.dead == b.dead).all()
 
+    def test_omission_deterministic_under_seeds_and_fault_seeds(self):
+        # Omission thins the windowed draws with the fault stream, so
+        # replay must hold across both advancement modes.
+        kwargs = dict(trials=6, seeds=list(range(10, 16)),
+                      fault_seeds=list(range(90, 96)),
+                      faults=EnsembleFaults("omission-rate", 0.3))
+        a = EnsembleMultisetSimulation(LeaderElection(), {1: 24}, **kwargs)
+        b = EnsembleMultisetSimulation(LeaderElection(), {1: 24}, **kwargs)
+        a.run(4_000)
+        b.run(4_000)
+        assert (a.counts == b.counts).all()
+        assert (a.omissions == b.omissions).all()
+        assert a.omissions.sum() > 0
+
     def test_scalar_twin_carries_the_plan(self, seed):
         ens = EnsembleMultisetSimulation(
             LeaderElection(), {1: 32}, trials=4, seed=seed,
@@ -478,3 +492,52 @@ class TestFaultedStatisticalEquivalence:
 
     def test_corruption_election_times(self):
         self._ks_case(EnsembleFaults("corruption-rate", 0.005))
+
+
+class TestOmissionOracle:
+    """Omission faults against the Sect. 6 closed form, not another engine.
+
+    Each encounter is dropped independently with probability ``p``, so
+    leader election's expected ``(n-1)^2`` interactions stretch to
+    exactly ``(n-1)^2 / (1-p)``, and the dropped share of all
+    interactions is ``p``.  Four standard errors keep a correct engine's
+    false-failure rate below 1e-4 per case at these fixed seeds.
+    """
+
+    @pytest.mark.parametrize("n, p, seed", [(32, 0.3, 20040725),
+                                            (64, 0.5, 20040726)])
+    def test_election_time_matches_closed_form(self, n, p, seed):
+        trials = 2_000
+        ens = EnsembleMultisetSimulation(
+            LeaderElection(), {1: n}, trials=trials, seed=seed,
+            track_outputs=False, faults=EnsembleFaults("omission-rate", p))
+        results = run_ensemble_until_silent(ens, max_steps=10_000_000)
+        assert all(r.stopped for r in results)
+        times = np.array([r.converged_at for r in results], dtype=float)
+        stderr = times.std(ddof=1) / np.sqrt(trials)
+        assert abs(times.mean() - (n - 1) ** 2 / (1 - p)) < 4 * stderr
+        share = ens.omissions.sum() / ens.interactions.sum()
+        assert abs(share - p) < 0.01
+
+    def test_sparse_tail_skips_lockstep(self, monkeypatch):
+        # Leader election's tail is sparse: after the first few merges
+        # most encounters are no-ops, so nearly all interactions must go
+        # through the windowed path.  A controller that never leaves the
+        # faulted lockstep mode would push all of them through here.
+        stepped = []
+        faulted_chunk = EnsembleMultisetSimulation._faulted_chunk
+
+        def counting(self, idx, rounds):
+            stepped.append(idx.size * rounds)
+            return faulted_chunk(self, idx, rounds)
+
+        monkeypatch.setattr(EnsembleMultisetSimulation, "_faulted_chunk",
+                            counting)
+        ens = EnsembleMultisetSimulation(
+            LeaderElection(), {1: 32}, trials=64, seed=7,
+            track_outputs=False,
+            faults=EnsembleFaults("omission-rate", 0.05))
+        results = run_ensemble_until_silent(ens, max_steps=10_000_000)
+        assert all(r.stopped for r in results)
+        assert stepped, "the reactive-dense start runs in lockstep"
+        assert sum(stepped) < 0.5 * ens.interactions.sum()

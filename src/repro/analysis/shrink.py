@@ -34,16 +34,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.exp.spec import StopRule, _coerce_symbol, _counts_to_dict
 from repro.sim.engine import SimulationHalted
-from repro.sim.faults import (
-    CorruptAt,
-    CorruptionRate,
-    CrashAt,
-    CrashRate,
-    FaultPlan,
-    OmissionRate,
-    OmitAt,
-)
-from repro.sim.monitors import MonitorViolation, OutputFlickerMonitor, build_monitors
+from repro.sim.faults import CorruptAt, CrashAt, FaultPlan, OmitAt, fault_model
+from repro.sim.monitors import MonitorViolation, build_monitors
 from repro.sim.schedulers import _parse_scheduler_spec, scheduler_from_spec
 
 __all__ = [
@@ -108,6 +100,22 @@ class ChaosCase:
         }
 
     @classmethod
+    def for_point(cls, spec, point, counts: Mapping, engine_seed: int,
+                  fault_seed: int) -> "ChaosCase":
+        """The case of one trial of an experiment spec at one sweep
+        point (a :class:`repro.exp.runner.SweepPoint`)."""
+        fault = None
+        if spec.faults is not None and point.intensity:
+            fault = {"kind": spec.faults.kind, "intensity": point.intensity}
+            if spec.faults.kind == "crash-at":
+                fault["at_step"] = spec.faults.at_step
+        return cls(protocol=spec.protocol, params=spec.params, counts=counts,
+                   scheduler=point.scheduler or spec.scheduler, fault=fault,
+                   engine_seed=engine_seed, fault_seed=fault_seed,
+                   monitors=tuple(spec.monitors), stop=spec.stop,
+                   confirm=spec.confirm)
+
+    @classmethod
     def from_dict(cls, data: Mapping) -> "ChaosCase":
         fault = data.get("fault")
         return cls(
@@ -147,18 +155,8 @@ class ChaosCase:
             if omit_steps:
                 models.append(OmitAt(omit_steps))
             return plan_cls(models, seed=self.fault_seed)
-        kind = fault["kind"]
-        intensity = fault["intensity"]
-        if kind == "crash-rate":
-            model = CrashRate(intensity)
-        elif kind == "corruption-rate":
-            model = CorruptionRate(intensity)
-        elif kind == "omission-rate":
-            model = OmissionRate(intensity)
-        elif kind == "crash-at":
-            model = CrashAt(int(fault.get("at_step", 0)), int(intensity))
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
+        model = fault_model(fault["kind"], fault["intensity"],
+                            fault.get("at_step", 0))
         return plan_cls(model, seed=self.fault_seed)
 
 
@@ -222,12 +220,9 @@ def run_case(case: ChaosCase, *, trace: bool = False) -> CaseOutcome:
     for its crash schedule) are captured in ``error`` rather than raised:
     the shrinker treats them as "candidate does not fail" and moves on.
     """
+    from repro.exp.runner import run_to_stop
     from repro.protocols import registry
-    from repro.sim.convergence import (
-        run_until_correct_stable,
-        run_until_quiescent,
-        run_until_silent,
-    )
+    from repro.sim import convergence
     from repro.sim.engine import simulate_counts
 
     plan = None
@@ -249,34 +244,18 @@ def run_case(case: ChaosCase, *, trace: bool = False) -> CaseOutcome:
                            events=_plan_events(plan), error=str(exc))
     sim.monitor_context = case.to_dict()
 
-    stop = case.stop
     violation = None
     result = None
     error = None
     try:
-        if stop.rule == "quiescent":
-            result = run_until_quiescent(sim, patience=stop.patience,
-                                         max_steps=stop.max_steps)
-        elif stop.rule == "silent":
-            result = run_until_silent(sim, max_steps=stop.max_steps,
-                                      check_every=stop.check_every)
-        elif stop.rule == "correct-stable":
-            if entry.truth is None:
-                raise ValueError(
-                    f"stopping rule 'correct-stable' needs a predicate "
-                    f"protocol; {case.protocol!r} has no ground truth")
+        expected = None
+        if case.stop.rule == "correct-stable" and entry.truth is not None:
             expected = int(entry.evaluate_truth(case.counts, **params))
-            result = run_until_correct_stable(sim, expected,
-                                              max_steps=stop.max_steps)
-        else:
-            raise ValueError(f"unknown stopping rule {stop.rule!r}")
-        if result.stopped and case.confirm:
-            for monitor in monitors:
-                if isinstance(monitor, OutputFlickerMonitor):
-                    monitor.arm(sim)
-            sim.run(case.confirm)
-    except MonitorViolation as tripped:
-        violation = tripped
+        result, violation = run_to_stop(
+            sim, case.stop, expected,
+            (convergence.run_until_quiescent, convergence.run_until_silent,
+             convergence.run_until_correct_stable),
+            case.protocol, case.confirm, monitors)
     except (SimulationHalted, RuntimeError, ValueError) as exc:
         error = str(exc)
     return CaseOutcome(violation=violation, result=result,

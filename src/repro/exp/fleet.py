@@ -15,9 +15,10 @@ the caller's ``fleet=`` — reused across sweeps so its workers stay warm
   sweep via an ``install`` message (sent to all workers before any
   acknowledgement is awaited); task messages then carry only the spec
   *hash* plus a sweep point and its trial indices.
-* **Dispatch.**  Under the default policy a trial task carries a chunk
-  of up to :func:`repro.exp.runner._chunk_size` trials of one point,
-  and a raising trial re-raises its original exception in the parent
+* **Dispatch.**  Tasks come from :func:`repro.exp.runner.build_tasks`.
+  Under the default policy a task carries a chunk of up to
+  :func:`repro.exp.runner._chunk_size` trials of one point, and a
+  raising trial re-raises its original exception in the parent
   (:class:`~repro.exp.supervise.TrialExecutionError` when the exception
   does not pickle).  Under a non-default policy every task is one
   trial, so timeouts, retries and quarantine stay per trial.  The point
@@ -31,10 +32,12 @@ the caller's ``fleet=`` — reused across sweeps so its workers stay warm
   ``WorkerCrashed`` :class:`~repro.exp.supervise.TrialExecutionError`.
 
 Records are **byte-identical** to in-process (``workers=1``) execution:
-the workers run the very same :func:`~repro.exp.runner.run_trial` /
-:func:`~repro.exp.runner.run_ensemble_point` /
-:func:`~repro.exp.runner.run_fluid_point` functions on the same
-identity-derived seeds, and the fleet never touches seed derivation.
+a worker runs each task through :func:`~repro.exp.runner.run_task`, the
+one entry in-process execution uses too, on the same identity-derived
+seeds, and the fleet never touches seed derivation.  Every engine's
+trials then share one pipeline in :mod:`repro.exp.runner`: one point
+setup, one stop-rule dispatch (:func:`~repro.exp.runner.run_to_stop`)
+and one record builder.
 """
 
 from __future__ import annotations
@@ -103,27 +106,21 @@ def _warm_spec(spec) -> None:
     """Best-effort cache warming for one installed spec.
 
     Mirrors exactly what the trial functions will do: the compiled
-    engines (batched / ensemble / fluid) compile the protocol under the
-    registry key, and the backend engines construct their step kernels
-    (which *is* the JIT compile on the numba backend).  The agent
-    engine compiles nothing, so nothing is warmed for it — that keeps
-    protocols whose compilation itself misbehaves (the supervision test
-    protocols) failing per trial, where supervision can see them.
+    engines (batched / ensemble / fluid) compile the protocol through
+    :func:`repro.exp.runner.compile_for`, and the backend engines
+    construct their step kernels (which *is* the JIT compile on the
+    numba backend).  The agent engine compiles nothing, so nothing is
+    warmed for it — that keeps protocols whose compilation itself
+    misbehaves (the supervision test protocols) failing per trial, where
+    supervision can see them.
     """
     if spec.engine == "agent":
         return
+    from repro.exp.runner import compile_for
     from repro.protocols import registry
     from repro.sim.backends import select_kernels
-    from repro.sim.compiled import compile_protocol
 
-    params = dict(spec.params)
-    protocol = registry.get(spec.protocol).build(**params)
-    try:
-        key = ("registry", spec.protocol, tuple(sorted(params.items())))
-        hash(key)
-    except TypeError:
-        key = None
-    compile_protocol(protocol, key=key)
+    compile_for(spec, registry.get(spec.protocol).build(**spec.params))
     if spec.engine == "batched":
         families = ("batched-agent", "batched-multiset")
     elif spec.engine == "ensemble":
@@ -133,17 +130,6 @@ def _warm_spec(spec) -> None:
     requested = None if spec.backend == "numpy" else spec.backend
     for family in families:
         select_kernels(requested, family)
-
-
-def _run_task(spec, kind: str, point, trials, spec_hash: str) -> list:
-    """Run one fleet task: a trial chunk or a point batch."""
-    from repro.exp import runner
-
-    if kind == "trial":
-        return [runner.run_trial(spec, point, trial, spec_hash=spec_hash)
-                for trial in trials]
-    return runner._POINT_FUNCS[kind](spec, point, trials,
-                                     spec_hash=spec_hash)
 
 
 def _error_detail(exc: BaseException) -> tuple:
@@ -176,9 +162,9 @@ def _fleet_worker_main(conn) -> None:
     * ``("install", seq, spec_dict, spec_hash)`` — parse + validate the
       spec once, warm the compile/kernel caches (bounded by the install
       alarm), remember it by hash; ack ``(seq, "installed", hash, s)``.
-    * ``("task", seq, kind, spec_hash, point, trials, timeout_s)`` —
-      execute one trial chunk or point batch against the installed
-      spec; reply ``(seq, "ok", records, s)``, ``(seq, "timeout",
+    * ``("task", seq, spec_hash, point, trials, timeout_s)`` — run one
+      task through :func:`repro.exp.runner.run_task` against the
+      installed spec; reply ``(seq, "ok", records, s)``, ``(seq, "timeout",
       message, s)`` or ``(seq, "error", detail, s)`` with ``detail``
       from :func:`_error_detail`.
     * ``("stats", seq)`` — cache observability for tests and doctor.
@@ -187,6 +173,7 @@ def _fleet_worker_main(conn) -> None:
     The alarm is armed per task and always disarmed before replying, so
     a late signal can never leak into the next task.
     """
+    from repro.exp import runner
     from repro.exp.spec import ExperimentSpec
 
     if hasattr(signal, "SIGALRM"):
@@ -238,7 +225,7 @@ def _fleet_worker_main(conn) -> None:
         elif tag == "stats":
             reply = (seq, "stats", _worker_stats_payload(installed), 0.0)
         elif tag == "task":
-            _, _, kind, spec_hash, point, trials, timeout_s = message
+            _, _, spec_hash, point, trials, timeout_s = message
             try:
                 spec = installed.get(spec_hash)
                 if spec is None:
@@ -247,7 +234,8 @@ def _fleet_worker_main(conn) -> None:
                         "fleet worker (install broadcast missed?)")
                 arm(timeout_s)
                 try:
-                    records = _run_task(spec, kind, point, trials, spec_hash)
+                    records = list(runner.run_task(spec, point, trials,
+                                                   spec_hash))
                 finally:
                     disarm()
                 reply = (seq, "ok", records, time.perf_counter() - start)
@@ -331,27 +319,6 @@ class FleetStats:
 
     installs: int = 0
     respawns: int = 0
-
-
-def _build_tasks(spec, pending, chunk: int) -> list:
-    """Fleet tasks for the pending ``(point, trial)`` pairs.
-
-    Point engines get one task per sweep point; otherwise consecutive
-    trials of one point share a task, up to ``chunk`` of them.
-    """
-    from repro.exp.runner import POINT_ENGINES, group_pending_by_point
-
-    if spec.engine in POINT_ENGINES:
-        return [SupervisedTask(spec.engine, point, trials)
-                for point, trials in group_pending_by_point(pending)]
-    tasks: list = []
-    for point, trial in pending:
-        if tasks and tasks[-1].point is point \
-                and len(tasks[-1].trials) < chunk:
-            tasks[-1].trials.append(trial)
-        else:
-            tasks.append(SupervisedTask("trial", point, [trial]))
-    return tasks
 
 
 class WorkerFleet:
@@ -485,22 +452,16 @@ class WorkerFleet:
 
     # -- Execution -------------------------------------------------------------
 
-    def run_pending(self, spec, pending, spec_hash: str, *,
-                    on_record, on_failure) -> tuple:
-        """Execute a sweep's pending ``(point, trial)`` pairs; the
-        runner's entry point.
+    def run_tasks(self, spec, tasks, spec_hash: str, *,
+                  on_record, on_failure) -> tuple:
+        """Execute a sweep's ``(point, trials)`` tasks (from
+        :func:`repro.exp.runner.build_tasks`); the runner's entry point.
 
-        Installs the spec, builds the tasks (chunked under the default
-        policy, one trial each otherwise) and runs them under
-        ``spec.execution``.  Returns ``(SupervisionStats, per-run info
-        dict)``.
+        Installs the spec and runs the tasks under ``spec.execution``.
+        Returns ``(SupervisionStats, per-run info dict)``.
         """
-        from repro.exp import runner
-
         self._check_open()
-        chunk = (runner._chunk_size(len(pending), self.size)
-                 if spec.execution.is_default() else 1)
-        tasks = _build_tasks(spec, pending, chunk)
+        tasks = [SupervisedTask(point, trials) for point, trials in tasks]
         respawns = self.stats.respawns
         if tasks:
             self.install(spec, spec_hash)
@@ -516,7 +477,7 @@ class WorkerFleet:
         """The supervision loop: run ``tasks`` across the workers.
 
         The spec ``spec_hash`` must already be installed (as
-        :meth:`run_pending` does).  Worker-side alarm timeouts,
+        :meth:`run_tasks` does).  Worker-side alarm timeouts,
         parent-side deadline kills, deterministic-jitter retry and the
         raise/skip/quarantine disposition follow ``policy`` (see
         :mod:`repro.exp.supervise`).  Freed workers are re-dispatched
@@ -598,8 +559,8 @@ class WorkerFleet:
                 if policy.timeout_s:
                     deadline = now + policy.timeout_s + _grace_s(
                         policy.timeout_s)
-                seq = worker.send("task", task.kind, spec_hash, task.point,
-                                  task.trials, policy.timeout_s)
+                seq = worker.send("task", spec_hash, task.point, task.trials,
+                                  policy.timeout_s)
                 busy[worker] = (task, seq, now, deadline)
 
         try:

@@ -102,163 +102,200 @@ def _jsonable(value):
     return repr(value)
 
 
-def _fault_descriptor(spec: ExperimentSpec, point: SweepPoint) -> "dict | None":
-    """JSON description of the point's fault plan (chaos-case format)."""
-    if spec.faults is None or not point.intensity:
-        return None
-    desc = {"kind": spec.faults.kind, "intensity": point.intensity}
-    if spec.faults.kind == "crash-at":
-        desc["at_step"] = spec.faults.at_step
-    return desc
+def compile_for(spec: ExperimentSpec, protocol):
+    """``spec``'s protocol compiled under its registry memo key.
+
+    The key names the protocol identity, so every trial of a sweep (and
+    of any sweep over the same protocol) shares one table set per
+    process; unhashable params compile unmemoized.
+    """
+    from repro.sim.compiled import compile_protocol
+
+    try:
+        key = ("registry", spec.protocol, tuple(sorted(spec.params.items())))
+        hash(key)
+    except TypeError:
+        key = None
+    return compile_protocol(protocol, key=key)
+
+
+def run_to_stop(sim, stop, expected, runners, protocol: str,
+                confirm: int = 0, monitors=()) -> tuple:
+    """Run ``sim`` until ``stop`` holds, then ``confirm`` more
+    interactions with any flicker monitors armed.
+
+    ``runners`` is the engine family's ``(until_quiescent, until_silent,
+    until_correct_stable)`` drivers; ``expected`` is the ground truth
+    (None for a protocol without one).  Returns ``(result, violation)``:
+    a tripped :class:`~repro.sim.monitors.MonitorViolation` ends the run
+    and is returned, with ``result`` None when it tripped before the
+    stopping rule fired.
+    """
+    from repro.sim.monitors import MonitorViolation, OutputFlickerMonitor
+
+    until_quiescent, until_silent, until_correct_stable = runners
+    result = None
+    try:
+        if stop.rule == "quiescent":
+            result = until_quiescent(sim, patience=stop.patience,
+                                     max_steps=stop.max_steps)
+        elif stop.rule == "silent":
+            result = until_silent(sim, max_steps=stop.max_steps,
+                                  check_every=stop.check_every)
+        elif stop.rule == "correct-stable":
+            if expected is None:
+                raise ValueError(
+                    f"stopping rule 'correct-stable' needs a predicate "
+                    f"protocol; {protocol!r} has no ground truth")
+            result = until_correct_stable(sim, expected,
+                                          max_steps=stop.max_steps)
+        else:
+            raise ValueError(f"unknown stopping rule {stop.rule!r}")
+        if confirm and result.stopped:
+            for monitor in monitors:
+                if isinstance(monitor, OutputFlickerMonitor):
+                    monitor.arm(sim)
+            sim.run(confirm)
+    except MonitorViolation as tripped:
+        return result, tripped
+    return result, None
+
+
+@dataclass
+class _PointSetup:
+    """What every engine needs to run some trials of one sweep point."""
+
+    spec: ExperimentSpec
+    spec_hash: str
+    point: SweepPoint
+    trials: Sequence[int]
+    #: ``(engine_seed, fault_seed)`` per trial.
+    seeds: list
+    protocol: object
+    counts: dict
+    #: Ground-truth output, or None for a protocol without a predicate.
+    expected: "int | None"
+
+    def context(self, engine_seed: int = 0, fault_seed: int = 0) -> dict:
+        """The reproduction context of one trial (a chaos-case dict)."""
+        from repro.analysis.shrink import ChaosCase
+
+        case = ChaosCase.for_point(self.spec, self.point, self.counts,
+                                   engine_seed, fault_seed)
+        return case.to_dict()
+
+    def record(self, slot: int, result, interactions: int,
+               faults: tuple = (0, 0, 0), backend: str = "numpy",
+               violation=None) -> dict:
+        """The JSON-ready record of trial ``self.trials[slot]``.
+
+        ``result`` is None when a monitor tripped before the stopping
+        rule fired; ``faults`` counts ``(crashes, corruptions,
+        omissions)``; ``backend`` is the effective kernel backend.
+        """
+        spec, point, trial = self.spec, self.point, self.trials[slot]
+        engine_seed, fault_seed = self.seeds[slot]
+        crashes, corruptions, omissions = faults
+        record = {
+            "kind": "trial",
+            "id": trial_id(self.spec_hash, point, trial),
+            "n": point.n,
+            "intensity": point.intensity,
+            "trial": trial,
+            "engine_seed": engine_seed,
+            "fault_seed": fault_seed,
+            "interactions": interactions,
+            "converged_at": result.converged_at if result else None,
+            "output": _jsonable(result.output) if result else None,
+            "correct": (None if self.expected is None or result is None
+                        else result.output == self.expected),
+            "stopped": result.stopped if result else False,
+            "crashes": crashes,
+            "corruptions": corruptions,
+            "omissions": omissions,
+        }
+        # Optional keys appear only when non-default, so records written
+        # before each one existed keep their exact shape.
+        if point.scheduler is not None or spec.scheduler != "uniform":
+            record["scheduler"] = point.scheduler or spec.scheduler
+        if spec.engine != "agent":
+            record["engine"] = spec.engine
+        if backend != "numpy":
+            record["backend"] = backend
+        if spec.monitors:
+            record["violation"] = (None if violation is None
+                                   else violation.to_dict())
+        return record
+
+
+def _setup(spec: ExperimentSpec, point: SweepPoint, trials: Sequence[int],
+           spec_hash: "str | None") -> _PointSetup:
+    """Build the protocol, input counts, ground truth and trial seeds."""
+    from repro.protocols import registry
+
+    spec_hash = spec_hash or spec.content_hash()
+    entry = registry.get(spec.protocol)
+    params = dict(spec.params)
+    protocol = entry.build(**params)
+    counts = spec.inputs.counts_for(point.n)
+    expected = None
+    if entry.truth is not None:
+        expected = int(entry.evaluate_truth(counts, **params))
+    return _PointSetup(
+        spec=spec, spec_hash=spec_hash, point=point, trials=trials,
+        seeds=[trial_seeds(spec_hash, point, trial) for trial in trials],
+        protocol=protocol, counts=counts, expected=expected)
 
 
 def run_trial(spec: ExperimentSpec, point: SweepPoint, trial: int,
               *, spec_hash: "str | None" = None) -> dict:
-    """Execute one trial and return its JSON-ready record.
+    """Execute one agent- or batched-engine trial and return its record.
 
     With ``spec.monitors`` set the simulation is monitor-instrumented and
     carries a reproduction context (the chaos-case dict consumed by
     :mod:`repro.analysis.shrink`); a tripped monitor ends the trial and
     lands in the record's ``violation`` field instead of propagating.
+    Fault plans run through the batched engine's bit-identical per-step
+    path, so the fingerprint contract with the agent engine holds
+    faulted and fault-free alike.
     """
-    from repro.exp.spec import _counts_to_dict
-    from repro.protocols import registry
-    from repro.sim.convergence import (
-        run_until_correct_stable,
-        run_until_quiescent,
-        run_until_silent,
-    )
-    from repro.sim.engine import simulate_counts
-    from repro.sim.monitors import (
-        MonitorViolation,
-        OutputFlickerMonitor,
-        build_monitors,
-    )
-    from repro.sim.schedulers import scheduler_from_spec
+    from repro.sim import convergence
+    from repro.sim.monitors import build_monitors
 
-    spec_hash = spec_hash or spec.content_hash()
-    engine_seed, fault_seed = trial_seeds(spec_hash, point, trial)
-
-    entry = registry.get(spec.protocol)
-    params = dict(spec.params)
-    protocol = entry.build(**params)
-    counts = spec.inputs.counts_for(point.n)
+    setup = _setup(spec, point, [trial], spec_hash)
+    engine_seed, fault_seed = setup.seeds[0]
     plan = None
     if spec.faults is not None:
         plan = spec.faults.build_plan(point.intensity, fault_seed)
-    sched_text = point.scheduler or spec.scheduler
     monitors = build_monitors(spec.monitors)
     if spec.engine == "batched":
-        # Spec validation guarantees the batched engine only ever sees
-        # the uniform scheduler and monitor kinds it vectorizes; fault
-        # plans run through its bit-identical per-step path, so the
-        # fingerprint contract with the reference engine holds faulted
-        # and fault-free alike.
         from repro.sim.batched import batched_simulate_counts
-        from repro.sim.compiled import compile_protocol
 
-        # One compilation per worker process, not one per trial: the key
-        # names the protocol identity, so every trial of the sweep (and
-        # of any sweep over the same protocol) shares the tables.
-        try:
-            key = ("registry", spec.protocol,
-                   tuple(sorted(params.items())))
-            hash(key)
-        except TypeError:
-            key = None
-        compiled = compile_protocol(protocol, key=key)
-        sim = batched_simulate_counts(protocol, counts, seed=engine_seed,
-                                      compiled=compiled, faults=plan,
-                                      monitors=monitors,
-                                      backend=spec.backend)
+        sim = batched_simulate_counts(
+            setup.protocol, setup.counts, seed=engine_seed,
+            compiled=compile_for(spec, setup.protocol), faults=plan,
+            monitors=monitors, backend=spec.backend)
     else:
-        scheduler = scheduler_from_spec(sched_text, n=point.n,
-                                        protocol=protocol)
-        sim = simulate_counts(protocol, counts, seed=engine_seed,
+        from repro.sim.engine import simulate_counts
+        from repro.sim.schedulers import scheduler_from_spec
+
+        scheduler = scheduler_from_spec(point.scheduler or spec.scheduler,
+                                        n=point.n, protocol=setup.protocol)
+        sim = simulate_counts(setup.protocol, setup.counts, seed=engine_seed,
                               faults=plan, scheduler=scheduler,
                               monitors=monitors)
     if monitors:
-        sim.monitor_context = {
-            "protocol": spec.protocol,
-            "params": {str(k): params[k] for k in sorted(params)},
-            "counts": _counts_to_dict(counts),
-            "scheduler": sched_text,
-            "fault": _fault_descriptor(spec, point),
-            "engine_seed": engine_seed,
-            "fault_seed": fault_seed,
-            "monitors": list(spec.monitors),
-            "stop": spec.stop.to_dict(),
-            "confirm": spec.confirm,
-        }
-
-    expected = None
-    if entry.truth is not None:
-        expected = int(entry.evaluate_truth(counts, **params))
-
-    stop = spec.stop
-    violation = None
-    result = None
-    try:
-        if stop.rule == "quiescent":
-            result = run_until_quiescent(sim, patience=stop.patience,
-                                         max_steps=stop.max_steps)
-        elif stop.rule == "silent":
-            result = run_until_silent(sim, max_steps=stop.max_steps,
-                                      check_every=stop.check_every)
-        elif stop.rule == "correct-stable":
-            if expected is None:
-                raise ValueError(
-                    f"stopping rule 'correct-stable' needs a predicate "
-                    f"protocol; {spec.protocol!r} has no ground truth")
-            result = run_until_correct_stable(sim, expected,
-                                              max_steps=stop.max_steps)
-        else:
-            raise ValueError(f"unknown stopping rule {stop.rule!r}")
-    except MonitorViolation as tripped:
-        violation = tripped
-    if violation is None and result.stopped and spec.confirm:
-        for monitor in monitors:
-            if isinstance(monitor, OutputFlickerMonitor):
-                monitor.arm(sim)
-        try:
-            sim.run(spec.confirm)
-        except MonitorViolation as tripped:
-            violation = tripped
-
-    record = {
-        "kind": "trial",
-        "id": trial_id(spec_hash, point, trial),
-        "n": point.n,
-        "intensity": point.intensity,
-        "trial": trial,
-        "engine_seed": engine_seed,
-        "fault_seed": fault_seed,
-        "interactions": sim.interactions,
-        "converged_at": result.converged_at if result else None,
-        "output": _jsonable(result.output) if result else None,
-        "correct": (None if expected is None or result is None
-                    else result.output == expected),
-        "stopped": result.stopped if result else False,
-        "crashes": plan.crashes if plan else 0,
-        "corruptions": plan.corruptions if plan else 0,
-        "omissions": plan.omissions if plan else 0,
-    }
-    # Chaos-only keys stay out of plain-sweep records so pre-existing
-    # stores and their fixtures keep their exact shape.
-    if point.scheduler is not None or spec.scheduler != "uniform":
-        record["scheduler"] = sched_text
-    if spec.engine != "agent":
-        record["engine"] = spec.engine
-    # Backend provenance: the *effective* backend after any fallback,
-    # recorded only when non-default so pre-backend records keep their
-    # exact shape.
-    effective_backend = getattr(sim, "backend", "numpy")
-    if effective_backend != "numpy":
-        record["backend"] = effective_backend
-    if monitors:
-        record["violation"] = (None if violation is None
-                               else violation.to_dict())
-    return record
+        sim.monitor_context = setup.context(engine_seed, fault_seed)
+    result, violation = run_to_stop(
+        sim, spec.stop, setup.expected,
+        (convergence.run_until_quiescent, convergence.run_until_silent,
+         convergence.run_until_correct_stable),
+        spec.protocol, spec.confirm, monitors)
+    faults = (0, 0, 0)
+    if plan is not None:
+        faults = (plan.crashes, plan.corruptions, plan.omissions)
+    return setup.record(0, result, sim.interactions, faults,
+                        getattr(sim, "backend", "numpy"), violation)
 
 
 def run_ensemble_point(spec: ExperimentSpec, point: SweepPoint,
@@ -280,107 +317,43 @@ def run_ensemble_point(spec: ExperimentSpec, point: SweepPoint,
     monitor specs attach as vectorized fleet checks and a tripped trial
     records its violation exactly like :func:`run_trial`.
     """
-    from repro.exp.spec import _counts_to_dict
-    from repro.protocols import registry
-    from repro.sim.compiled import compile_protocol
-    from repro.sim.ensemble import (
-        EnsembleFaults,
-        EnsembleMultisetSimulation,
-        run_ensemble_until_correct_stable,
-        run_ensemble_until_quiescent,
-        run_ensemble_until_silent,
-    )
+    from repro.sim import ensemble
     from repro.sim.monitors import build_monitors
 
-    spec_hash = spec_hash or spec.content_hash()
-    entry = registry.get(spec.protocol)
-    params = dict(spec.params)
-    protocol = entry.build(**params)
-    counts = spec.inputs.counts_for(point.n)
-    try:
-        key = ("registry", spec.protocol, tuple(sorted(params.items())))
-        hash(key)
-    except TypeError:
-        key = None
-    compiled = compile_protocol(protocol, key=key)
-    seed_pairs = [trial_seeds(spec_hash, point, t) for t in trials]
-
-    expected = None
-    if entry.truth is not None:
-        expected = int(entry.evaluate_truth(counts, **params))
-
+    setup = _setup(spec, point, trials, spec_hash)
     faults = None
     if spec.faults is not None:
-        faults = EnsembleFaults.from_axis(spec.faults, point.intensity)
+        faults = ensemble.EnsembleFaults.from_axis(spec.faults,
+                                                   point.intensity)
     monitors = build_monitors(spec.monitors)
-    stop = spec.stop
-    ens = EnsembleMultisetSimulation(
-        protocol, counts, trials=len(trials),
-        seeds=[engine_seed for engine_seed, _ in seed_pairs],
-        compiled=compiled,
+    ens = ensemble.EnsembleMultisetSimulation(
+        setup.protocol, setup.counts, trials=len(trials),
+        seeds=[engine_seed for engine_seed, _ in setup.seeds],
+        compiled=compile_for(spec, setup.protocol),
         faults=faults,
-        fault_seeds=([fault_seed for _, fault_seed in seed_pairs]
+        fault_seeds=([fault_seed for _, fault_seed in setup.seeds]
                      if faults is not None else None),
         monitors=monitors,
-        track_outputs=stop.rule != "silent",
+        track_outputs=spec.stop.rule != "silent",
         backend=spec.backend)
     if monitors:
-        ens.monitor_context = {
-            "protocol": spec.protocol,
-            "params": {str(k): params[k] for k in sorted(params)},
-            "counts": _counts_to_dict(counts),
-            "scheduler": "uniform",
-            "fault": _fault_descriptor(spec, point),
-            "monitors": list(spec.monitors),
-            "stop": spec.stop.to_dict(),
-            "engine": "ensemble",
-        }
-    if stop.rule == "quiescent":
-        results = run_ensemble_until_quiescent(
-            ens, patience=stop.patience, max_steps=stop.max_steps)
-    elif stop.rule == "silent":
-        results = run_ensemble_until_silent(
-            ens, max_steps=stop.max_steps, check_every=stop.check_every)
-    elif stop.rule == "correct-stable":
-        if expected is None:
-            raise ValueError(
-                f"stopping rule 'correct-stable' needs a predicate "
-                f"protocol; {spec.protocol!r} has no ground truth")
-        results = run_ensemble_until_correct_stable(
-            ens, expected, max_steps=stop.max_steps)
-    else:
-        raise ValueError(f"unknown stopping rule {stop.rule!r}")
-
-    records = []
-    for slot, ((engine_seed, fault_seed), trial, result) in enumerate(
-            zip(seed_pairs, trials, results)):
-        record = {
-            "kind": "trial",
-            "id": trial_id(spec_hash, point, trial),
-            "n": point.n,
-            "intensity": point.intensity,
-            "trial": trial,
-            "engine_seed": engine_seed,
-            "fault_seed": fault_seed,
-            "interactions": result.interactions,
-            "converged_at": result.converged_at,
-            "output": _jsonable(result.output),
-            "correct": (None if expected is None
-                        else result.output == expected),
-            "stopped": result.stopped,
-            "crashes": int(ens.crashes[slot]),
-            "corruptions": int(ens.corruptions[slot]),
-            "omissions": int(ens.omissions[slot]),
-            "engine": "ensemble",
-        }
-        if ens.backend != "numpy":
-            record["backend"] = ens.backend
-        if monitors:
-            violation = ens.violations.get(slot)
-            record["violation"] = (None if violation is None
-                                   else violation.to_dict())
-        records.append(record)
-    return records
+        # One context serves every trial of the ensemble, so it carries
+        # no per-trial seeds (and the ensemble runs no confirm phase).
+        context = setup.context()
+        for key in ("engine_seed", "fault_seed", "confirm"):
+            del context[key]
+        ens.monitor_context = {**context, "engine": "ensemble"}
+    results, _ = run_to_stop(
+        ens, spec.stop, setup.expected,
+        (ensemble.run_ensemble_until_quiescent,
+         ensemble.run_ensemble_until_silent,
+         ensemble.run_ensemble_until_correct_stable),
+        spec.protocol)
+    return [setup.record(slot, result, result.interactions,
+                         (int(ens.crashes[slot]), int(ens.corruptions[slot]),
+                          int(ens.omissions[slot])),
+                         ens.backend, ens.violations.get(slot))
+            for slot, result in enumerate(results)]
 
 
 def run_fluid_point(spec: ExperimentSpec, point: SweepPoint,
@@ -401,77 +374,23 @@ def run_fluid_point(spec: ExperimentSpec, point: SweepPoint,
     validation already guarantees for the fluid engine — so the fault
     counters stay zero (the fluid limit has flows, not events).
     """
-    from repro.protocols import registry
-    from repro.sim.compiled import compile_protocol
+    from repro.sim import fluid
     from repro.sim.ensemble import EnsembleFaults
-    from repro.sim.fluid import (
-        FluidSimulation,
-        run_fluid_until_correct_stable,
-        run_fluid_until_quiescent,
-        run_fluid_until_silent,
-    )
 
-    spec_hash = spec_hash or spec.content_hash()
-    entry = registry.get(spec.protocol)
-    params = dict(spec.params)
-    protocol = entry.build(**params)
-    counts = spec.inputs.counts_for(point.n)
-    try:
-        key = ("registry", spec.protocol, tuple(sorted(params.items())))
-        hash(key)
-    except TypeError:
-        key = None
-    compiled = compile_protocol(protocol, key=key)
-    seed_pairs = [trial_seeds(spec_hash, point, t) for t in trials]
-
-    expected = None
-    if entry.truth is not None:
-        expected = int(entry.evaluate_truth(counts, **params))
-
+    setup = _setup(spec, point, trials, spec_hash)
     faults = None
     if spec.faults is not None:
         faults = EnsembleFaults.from_axis(spec.faults, point.intensity)
-    stop = spec.stop
-    fl = FluidSimulation(protocol, counts, compiled=compiled, record=False,
-                         faults=faults)
-    if stop.rule == "quiescent":
-        result = run_fluid_until_quiescent(
-            fl, patience=stop.patience, max_steps=stop.max_steps)
-    elif stop.rule == "silent":
-        result = run_fluid_until_silent(
-            fl, max_steps=stop.max_steps, check_every=stop.check_every)
-    elif stop.rule == "correct-stable":
-        if expected is None:
-            raise ValueError(
-                f"stopping rule 'correct-stable' needs a predicate "
-                f"protocol; {spec.protocol!r} has no ground truth")
-        result = run_fluid_until_correct_stable(
-            fl, expected, max_steps=stop.max_steps)
-    else:
-        raise ValueError(f"unknown stopping rule {stop.rule!r}")
-
-    records = []
-    for (engine_seed, fault_seed), trial in zip(seed_pairs, trials):
-        records.append({
-            "kind": "trial",
-            "id": trial_id(spec_hash, point, trial),
-            "n": point.n,
-            "intensity": point.intensity,
-            "trial": trial,
-            "engine_seed": engine_seed,
-            "fault_seed": fault_seed,
-            "interactions": result.interactions,
-            "converged_at": result.converged_at,
-            "output": _jsonable(result.output),
-            "correct": (None if expected is None
-                        else result.output == expected),
-            "stopped": result.stopped,
-            "crashes": 0,
-            "corruptions": 0,
-            "omissions": 0,
-            "engine": "fluid",
-        })
-    return records
+    fl = fluid.FluidSimulation(setup.protocol, setup.counts,
+                               compiled=compile_for(spec, setup.protocol),
+                               record=False, faults=faults)
+    result, _ = run_to_stop(
+        fl, spec.stop, setup.expected,
+        (fluid.run_fluid_until_quiescent, fluid.run_fluid_until_silent,
+         fluid.run_fluid_until_correct_stable),
+        spec.protocol)
+    return [setup.record(slot, result, result.interactions)
+            for slot in range(len(trials))]
 
 
 #: Engines that execute a whole sweep point per task (one batch covers
@@ -479,21 +398,41 @@ def run_fluid_point(spec: ExperimentSpec, point: SweepPoint,
 POINT_ENGINES = ("ensemble", "fluid")
 
 
-def group_pending_by_point(pending) -> list:
-    """Pending ``(point, trial)`` pairs grouped into point batches.
+def build_tasks(spec: ExperimentSpec, pending, chunk: int) -> list:
+    """The pending ``(point, trial)`` pairs as ``(point, trials)`` tasks.
 
-    Canonical order (by ``n`` then intensity) shared by in-process and
-    fleet dispatch, so point-batch construction is identical regardless
-    of how the sweep executes.
+    A point engine gets one task per sweep point, in canonical order (by
+    ``n`` then intensity); otherwise consecutive trials of one point
+    share a task, up to ``chunk`` of them.  In-process and fleet
+    execution both run these tasks through :func:`run_task`.
     """
-    by_point: dict = {}
+    if spec.engine in POINT_ENGINES:
+        by_point: dict = {}
+        for point, trial in pending:
+            by_point.setdefault(point, []).append(trial)
+        return sorted(by_point.items(),
+                      key=lambda kv: (kv[0].n, kv[0].intensity or 0.0))
+    tasks: list = []
     for point, trial in pending:
-        by_point.setdefault(point, []).append(trial)
-    return sorted(by_point.items(),
-                  key=lambda kv: (kv[0].n, kv[0].intensity or 0.0))
+        if tasks and tasks[-1][0] is point and len(tasks[-1][1]) < chunk:
+            tasks[-1][1].append(trial)
+        else:
+            tasks.append((point, [trial]))
+    return tasks
 
 
-_POINT_FUNCS = {"ensemble": run_ensemble_point, "fluid": run_fluid_point}
+def run_task(spec: ExperimentSpec, point: SweepPoint, trials: Sequence[int],
+             spec_hash: str):
+    """Yield the records of one task: the point's ensemble or fluid
+    batch, or each trial through :func:`run_trial` as it completes."""
+    if spec.engine == "ensemble":
+        yield from run_ensemble_point(spec, point, trials,
+                                      spec_hash=spec_hash)
+    elif spec.engine == "fluid":
+        yield from run_fluid_point(spec, point, trials, spec_hash=spec_hash)
+    else:
+        for trial in trials:
+            yield run_trial(spec, point, trial, spec_hash=spec_hash)
 
 
 def record_sort_key(record: dict):
@@ -605,38 +544,32 @@ def run_experiment(
             store.append_failure(record)
         fresh_failures.append(record)
 
-    groups = None
-    n_tasks = len(pending)
-    if spec.engine in POINT_ENGINES:
-        groups = group_pending_by_point(pending)
-        n_tasks = len(groups)
+    # Default-policy tasks carry a chunk of one point's trials; a
+    # supervised task is one trial, so timeouts and retries stay per trial.
+    chunk = 1
+    if spec.execution.is_default():
+        size = workers if fleet is None else fleet.size
+        chunk = _chunk_size(len(pending), size)
+    tasks = build_tasks(spec, pending, chunk)
     supervision = info = None
     if fleet is not None:
-        stats, info = fleet.run_pending(spec, pending, spec_hash,
-                                        on_record=collect,
-                                        on_failure=collect_failure)
+        stats, info = fleet.run_tasks(spec, tasks, spec_hash,
+                                      on_record=collect,
+                                      on_failure=collect_failure)
         supervision = stats.to_dict()
-    elif spec.execution.is_default() and (workers == 1 or n_tasks <= 1):
-        if groups is not None:
-            # Point batches: one ensemble (or fluid integration) per
-            # sweep point covers all of the point's pending trials.
-            point_func = _POINT_FUNCS[spec.engine]
-            for point, trial_list in groups:
-                for record in point_func(spec, point, trial_list,
-                                         spec_hash=spec_hash):
-                    collect(record)
-        else:
-            for point, trial in pending:
-                collect(run_trial(spec, point, trial, spec_hash=spec_hash))
+    elif spec.execution.is_default() and (workers == 1 or len(tasks) <= 1):
+        for point, trials in tasks:
+            for record in run_task(spec, point, trials, spec_hash):
+                collect(record)
     else:
         from repro.exp.fleet import WorkerFleet
         from repro.exp.supervise import SupervisionStats
 
         stats = SupervisionStats()
         if pending:
-            with WorkerFleet(min(workers, n_tasks)) as temporary:
-                stats, _ = temporary.run_pending(
-                    spec, pending, spec_hash, on_record=collect,
+            with WorkerFleet(min(workers, len(tasks))) as temporary:
+                stats, _ = temporary.run_tasks(
+                    spec, tasks, spec_hash, on_record=collect,
                     on_failure=collect_failure)
         if not spec.execution.is_default():
             supervision = stats.to_dict()

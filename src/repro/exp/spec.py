@@ -213,27 +213,12 @@ class FaultAxis:
 
     def build_plan(self, intensity: float, seed: int):
         """A fresh single-use :class:`FaultPlan` for one trial (None = no-op)."""
-        from repro.sim.faults import (
-            CorruptionRate,
-            CrashAt,
-            CrashRate,
-            FaultPlan,
-            OmissionRate,
-        )
+        from repro.sim.faults import FaultPlan, fault_model
 
         if not intensity:
             return None
-        if self.kind == "crash-rate":
-            model = CrashRate(intensity)
-        elif self.kind == "corruption-rate":
-            model = CorruptionRate(intensity)
-        elif self.kind == "omission-rate":
-            model = OmissionRate(intensity)
-        elif self.kind == "crash-at":
-            model = CrashAt(self.at_step, int(intensity))
-        else:
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-        return FaultPlan(model, seed=seed)
+        return FaultPlan(fault_model(self.kind, intensity, self.at_step),
+                         seed=seed)
 
     def to_dict(self) -> dict:
         data: dict = {"kind": self.kind,

@@ -11,7 +11,9 @@ every trial whose id is already present (resume).
 
 A truncated final line (the usual crash artifact) is detected at open
 and cut back to the last complete record, so resume works even when the
-interrupt landed mid-write.  Failure records are additionally fsynced
+interrupt landed mid-write.  A complete (newline-terminated) line that
+does not parse is skipped and left on disk; it never costs the records
+after it.  Failure records are additionally fsynced
 on append — a quarantine verdict survives a machine crash, not just a
 process crash.  A header whose hash differs from the spec being run is
 an error — stores never mix experiments.
@@ -40,7 +42,8 @@ class ResultStore:
     """One experiment's trial records, persisted as JSONL.
 
     Opening parses the whole file (specs are sweeps, not databases;
-    record counts are thousands, not billions), repairs a torn tail, and
+    record counts are thousands, not billions), skips unreadable complete
+    lines, repairs a torn tail, and
     indexes completed trial ids for O(1) resume checks.
     """
 
@@ -62,10 +65,11 @@ class ResultStore:
             for line in handle:
                 if not line.endswith(b"\n"):
                     break  # torn tail: drop the partial record
+                good_bytes += len(line)
                 try:
                     record = json.loads(line.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
-                    break
+                    continue  # complete but unreadable: skip, keep on disk
                 if record.get("kind") == "spec":
                     self._spec_header = record
                 elif record.get("kind") == "trial":
@@ -75,7 +79,6 @@ class ResultStore:
                 elif record.get("kind") == "trial-failure":
                     self._failures.append(record)
                     self._failure_ids.add(record["id"])
-                good_bytes += len(line)
         if good_bytes < os.path.getsize(self.path):
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_bytes)

@@ -114,7 +114,6 @@ class SupervisedTask:
     when a record (or a failure record) is built.
     """
 
-    kind: str  # "trial" | "ensemble" | "fluid"
     point: object  # repro.exp.runner.SweepPoint
     trials: list
     attempts: list = field(default_factory=list)
@@ -126,7 +125,7 @@ class SupervisedTask:
         otherwise the point label."""
         from repro.exp.runner import trial_id
 
-        if self.kind == "trial" and len(self.trials) == 1:
+        if len(self.trials) == 1:
             return trial_id(spec_hash, self.point, self.trials[0])
         return self.point.key
 

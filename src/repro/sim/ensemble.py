@@ -203,25 +203,12 @@ class EnsembleFaults:
     def build_plan(self, seed):
         """The equivalent single-model scalar :class:`FaultPlan` for one
         trial (None when the descriptor is a no-op)."""
-        from repro.sim.faults import (
-            CorruptionRate,
-            CrashAt,
-            CrashRate,
-            FaultPlan,
-            OmissionRate,
-        )
+        from repro.sim.faults import FaultPlan, fault_model
 
         if not self.active:
             return None
-        if self.kind == "crash-rate":
-            model = CrashRate(self.intensity)
-        elif self.kind == "corruption-rate":
-            model = CorruptionRate(self.intensity)
-        elif self.kind == "omission-rate":
-            model = OmissionRate(self.intensity)
-        else:
-            model = CrashAt(self.at_step, self.count)
-        return FaultPlan(model, seed=seed)
+        return FaultPlan(fault_model(self.kind, self.intensity, self.at_step),
+                         seed=seed)
 
     def __repr__(self) -> str:
         extra = f", at_step={self.at_step}" if self.at_step is not None else ""

@@ -360,6 +360,31 @@ class OmissionRate(FaultModel):
         return plan.rng.random() < self.p
 
 
+# -- Declarative fault kinds -------------------------------------------------------
+
+
+def fault_model(kind: str, intensity: float, at_step: int = 0) -> FaultModel:
+    """The single fault model of one declarative fault kind.
+
+    The kinds are the experiment layer's fault-axis kinds: ``crash-rate``
+    (:class:`CrashRate`), ``corruption-rate`` (:class:`CorruptionRate`
+    with the default corruptor), ``omission-rate``
+    (:class:`OmissionRate`) — each with probability ``intensity`` — and
+    ``crash-at`` (:class:`CrashAt`: ``int(intensity)`` agents crashed
+    once ``at_step`` interactions have completed).  Raises
+    ``ValueError`` for any other kind.
+    """
+    if kind == "crash-rate":
+        return CrashRate(intensity)
+    if kind == "corruption-rate":
+        return CorruptionRate(intensity)
+    if kind == "omission-rate":
+        return OmissionRate(intensity)
+    if kind == "crash-at":
+        return CrashAt(int(at_step), int(intensity))
+    raise ValueError(f"unknown fault kind {kind!r}")
+
+
 # -- Legacy crash-only wrapper -----------------------------------------------------
 
 

@@ -1,0 +1,183 @@
+"""Golden record digests: the trial pipeline's byte-level contract.
+
+Each case runs one small sweep in-process with a store attached and
+pins two sha256 digests: one over the canonically sorted records of
+:func:`~repro.exp.runner.run_experiment` (serialized with sorted keys),
+one over the raw store file, append order included.  Any drift in
+seeds, stop-rule dispatch, fault mapping, record fields or the
+reproduction context fails here.
+
+Regenerate (only for a deliberate format change) with::
+
+    PYTHONPATH=src python -m tests.exp.test_golden_records
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.exp.runner import run_experiment
+from repro.exp.spec import ExperimentSpec, FaultAxis, InputGrid, StopRule
+from repro.exp.store import ResultStore
+
+
+def _spec(**overrides) -> ExperimentSpec:
+    base = dict(protocol="majority", ns=(10, 14), trials=2,
+                inputs=InputGrid(kind="ones", ones=6),
+                stop=StopRule(patience=600, max_steps=30_000), seed=3)
+    base.update(overrides)
+    return ExperimentSpec(**base)
+
+
+def _ensemble(kind: str, intensities: tuple, **axis) -> ExperimentSpec:
+    return _spec(protocol="leader-election", ns=(12, 20), trials=3,
+                 inputs=InputGrid(),
+                 stop=StopRule(rule="silent", max_steps=40_000),
+                 faults=FaultAxis(kind, intensities, **axis),
+                 engine="ensemble")
+
+
+CASES = {
+    "agent": _spec(),
+    "agent-correct-stable": _spec(
+        protocol="epidemic", inputs=InputGrid(kind="ones", ones=1),
+        stop=StopRule(rule="correct-stable", max_steps=20_000)),
+    "batched-numpy": _spec(engine="batched",
+                           faults=FaultAxis("omission-rate", (0.0, 0.2))),
+    "batched-python": _spec(engine="batched", backend="python"),
+    "ensemble": _spec(engine="ensemble", trials=4),
+    "ensemble-crash-rate": _ensemble("crash-rate", (0.0, 0.002)),
+    "ensemble-corruption-rate": _spec(
+        engine="ensemble", trials=3,
+        faults=FaultAxis("corruption-rate", (0.01,))),
+    "ensemble-omission-rate": _ensemble("omission-rate", (0.3,)),
+    "ensemble-crash-at": _ensemble("crash-at", (0.0, 2.0), at_step=10),
+    "fluid-rate-fault": _spec(
+        protocol="epidemic", inputs=InputGrid(kind="ones", ones=1),
+        ns=(50, 1000), engine="fluid",
+        stop=StopRule(rule="correct-stable", max_steps=200_000),
+        faults=FaultAxis("omission-rate", (0.0, 0.25))),
+    # A never-healing partition starves the cross-block leader pair, so
+    # the fairness budget trips inside the stopping-rule run.
+    "agent-monitor-main-run": _spec(
+        protocol="leader-election", ns=(10,), trials=1,
+        inputs=InputGrid(), scheduler="partition:heal=1000000000",
+        monitors=("fairness:budget=400",),
+        stop=StopRule(patience=5_000, max_steps=200_000)),
+    # The flicker monitor is armed only after the stop verdict, so its
+    # violation comes from the confirm phase.
+    "agent-monitor-confirm": _spec(
+        ns=(10,), trials=2, seed=0,
+        faults=FaultAxis("corruption-rate", (0.005,)),
+        monitors=("conservation", "containment", "flicker"), confirm=4_000),
+    "ensemble-monitor": _spec(
+        protocol="epidemic", inputs=InputGrid(kind="ones", ones=1),
+        engine="ensemble", monitors=("conservation", "containment")),
+    "scheduler-axis": _spec(protocol="epidemic",
+                            inputs=InputGrid(kind="ones", ones=1),
+                            schedulers=("uniform", "partition:heal=200")),
+}
+
+GOLDEN = {
+    "agent": (
+        "87b54bd50afce1eb3a25a064245db1b9f85b24047825c31cc1067e6fbea74a98",
+        "d543e57bfba0ee4f126d102f2812f6b01946613ed490f9a9259902e903ad11e5"),
+    "agent-correct-stable": (
+        "44298327dad5729cf0af43238620db49244b55fab893c13adb9938375c5fab25",
+        "46413b753d3861baaa2260256873cb19e6a5f5056fd4a414707d84cc94de059a"),
+    "agent-monitor-confirm": (
+        "ceb4a1dc1c8225bb3944394c591334ce1c1c625ca2c954bbc0bf7be47ffa62d9",
+        "d8417d74c43c3de0057b618976553d3857e40b16890722d63e27f3b7fe1c0bc1"),
+    "agent-monitor-main-run": (
+        "b19fc330a1fd53abeffef96f71318505727daad5d23c9ddbccea190bf5ed0e44",
+        "5e49b4631455e0cf849e302700eafe6fd5d722b15e71a528d4579063682e63b2"),
+    "batched-numpy": (
+        "7c6ec9f7260d5b59a5be9f5be53800b7915daa489b49752879e3cc52385a9b85",
+        "41c6e54f22474e6773a9434b7d48643ffec00c5d819c33608b73980c32c323c8"),
+    "batched-python": (
+        "096e776815799c8d1cc2f6aa192d0508cccdb32e5d394fa587540afa5e8bf0d4",
+        "871986914ae381eeb2571210d2ed3969e1270b2c73578ed2a9ac802de9dee162"),
+    "ensemble": (
+        "f11b2dcadff39cd5fe8807164decf5e0339f3608c5b40698bc86de41afe60605",
+        "43881b804c82ca1340dec4f501e1d28f96cc6a5dd5ad70d3866181a1625f9d6d"),
+    "ensemble-corruption-rate": (
+        "52c7a4395b37a096472f8d55ad665011c8ebd6dae068c0e7e8c9ad71290216e1",
+        "5585ea1ef5733268c7e10ecac549b52ea8e9088af359ab793701bf42a6b0b468"),
+    "ensemble-crash-at": (
+        "f9b4fb3e9aeec0ed404506b426ac4db61b0e7bc79b9c694f8189bcd33749c0bf",
+        "7f5c623867a4f47f61d75a630dfacada67f54f87fca08cfca70e77c636ee4a14"),
+    "ensemble-crash-rate": (
+        "2a2bca80c1ee02f629907cfdc47b9c922dbe612111e65eb43de3d948ac936714",
+        "b61191ad88b284973ebd60dbf209abca609961a0d338445861ad5fa03a8f6347"),
+    "ensemble-monitor": (
+        "cd23878492e6de67d9fd2cf0bfa0fa471b957280a3808db0eab3e8ce29ac6671",
+        "65240ba9d93b464b86f0042d5556cef038080d5e8254d3a2dd3d5f67a7d3c099"),
+    "ensemble-omission-rate": (
+        "47ff29fbe75b8e6e8b1e210359255bb2f4fc7b7d2a7c9d45ccc4b1637ea40e06",
+        "9bdfb71a65481c30ef4c4f10acecd0fa611f8174e6f1c25ea7d8b07cfdd0a2d9"),
+    "fluid-rate-fault": (
+        "62630d1167b3b90ee465bea0972eebe177f7a805b1c75a9a49427d28dd19f9ed",
+        "b6e49921712a7f16352ed9f1d317ffef3fa8d7bf531d59ab6f8f521c06f24918"),
+    "scheduler-axis": (
+        "ec336d5a595086038b3b1b6a822b6fa4a46559c86e1f27f2d44cce9a02624e0c",
+        "d6ebd02a26ef2ed64bc66ef75708f6108293f253704502cc81ae1b431c9931f0"),
+}
+
+
+def _narrow_containment(monkeypatch) -> None:
+    """Make every containment monitor allow epidemic's state 0 only.
+
+    Registry protocols never leave their declared state space, so the
+    ensemble monitor case narrows the allowed set instead: the input
+    agent's state 1 then trips containment at the first check.
+    """
+    from repro.sim import monitors
+
+    build = monitors.build_monitors
+
+    def narrowed(specs):
+        return [monitors.StateContainmentMonitor(allowed={0})
+                if monitor.name == "containment" else monitor
+                for monitor in build(specs)]
+
+    monkeypatch.setattr(monitors, "build_monitors", narrowed)
+
+
+def digests(name: str, directory) -> tuple:
+    """``(records digest, store-file digest)`` of one golden case."""
+    path = directory / f"{name}.jsonl"
+    result = run_experiment(CASES[name], store=ResultStore(path))
+    text = json.dumps(result.records, sort_keys=True, separators=(",", ":"))
+    return (hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_records_match_golden_digests(name, tmp_path, monkeypatch):
+    if name == "ensemble-monitor":
+        _narrow_containment(monkeypatch)
+    assert digests(name, tmp_path) == GOLDEN[name]
+
+
+def test_violation_cases_really_violate(monkeypatch):
+    """The monitor cases must keep exercising their violation arms."""
+    main = run_experiment(CASES["agent-monitor-main-run"]).records
+    assert any(r["violation"] and not r["stopped"] for r in main)
+    confirm = run_experiment(CASES["agent-monitor-confirm"]).records
+    assert any(r["violation"] and r["stopped"] for r in confirm)
+    _narrow_containment(monkeypatch)
+    ensemble = run_experiment(CASES["ensemble-monitor"]).records
+    assert all(r["violation"] for r in ensemble)
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            with pytest.MonkeyPatch.context() as patch:
+                if case == "ensemble-monitor":
+                    _narrow_containment(patch)
+                print(f"    {case!r}: {digests(case, pathlib.Path(tmp))!r},")

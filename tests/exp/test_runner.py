@@ -92,13 +92,16 @@ class TestRunTrial:
         record = run_trial(spec, SweepPoint(10, 2.0), 0)
         assert record["crashes"] == 2
 
-    def test_correct_stable_needs_a_predicate(self):
+    @pytest.mark.parametrize("engine",
+                             ["agent", "batched", "ensemble", "fluid"])
+    def test_correct_stable_needs_a_predicate(self, engine):
         spec = make_spec(protocol="leader-election",
                          inputs=InputGrid(kind="all-ones"),
                          stop=StopRule(rule="correct-stable",
-                                       max_steps=10_000))
-        with pytest.raises(ValueError, match="correct-stable"):
-            run_trial(spec, SweepPoint(6), 0)
+                                       max_steps=10_000),
+                         engine=engine)
+        with pytest.raises(ValueError, match="correct-stable.*predicate"):
+            run_experiment(spec)
 
     def test_silent_rule_measures_election_hitting_time(self):
         spec = make_spec(protocol="leader-election",
@@ -480,15 +483,6 @@ class TestEnsembleEngine:
         assert second.executed == 0
         assert second.skipped == 3
         assert second.records == first.records
-
-    def test_correct_stable_needs_a_predicate(self):
-        spec = make_spec(protocol="leader-election",
-                         inputs=InputGrid(kind="all-ones"),
-                         stop=StopRule(rule="correct-stable",
-                                       max_steps=10_000),
-                         engine="ensemble")
-        with pytest.raises(ValueError, match="correct-stable"):
-            run_experiment(spec)
 
 
 class TestFluidEngine:

@@ -172,3 +172,21 @@ class TestTornTailRepair:
         assert len(repaired) == 1
         repaired.append(trial(1))
         assert len(ResultStore(path)) == 2
+
+    def test_bad_mid_file_line_is_skipped_not_truncated(self, tmp_path):
+        # A newline-terminated line that does not parse is not a torn
+        # tail: the records after it must survive, and so must the line.
+        path = tmp_path / "r.jsonl"
+        store = ResultStore(path)
+        for i in range(5):
+            store.append(trial(i))
+        lines = path.read_bytes().splitlines(keepends=True)
+        bad = b'{"kind": "tri\n'
+        path.write_bytes(b"".join(lines[:2] + [bad] + lines[2:]))
+        size = path.stat().st_size
+
+        reopened = ResultStore(path)
+        assert len(reopened) == 5
+        assert reopened.completed_ids() == {trial(i)["id"] for i in range(5)}
+        assert path.stat().st_size == size
+        assert bad in path.read_bytes()

@@ -656,18 +656,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_doctor(args: argparse.Namespace) -> int:
     import json
-    import platform
 
     from repro.exp.fleet import fleet_report
     from repro.sim.backends import DEFAULT_BACKEND, backend_report
+    from repro.util.environment import package_versions
 
-    versions = {"python": platform.python_version()}
-    for package in ("numpy", "numba", "scipy", "hypothesis"):
-        try:
-            module = __import__(package)
-            versions[package] = getattr(module, "__version__", "unknown")
-        except Exception:
-            versions[package] = None
+    versions = package_versions(("numpy", "numba", "scipy", "hypothesis"))
     report = backend_report()
     fleet = fleet_report()
     if args.json:

@@ -88,8 +88,12 @@ FAULT_OVERHEAD_PAIRS = (
     ("batched-agent", "batched-agent-faulted"),
 )
 
-#: Timed-repeat floor for workloads holding a gated twin.
-_GATED_REPEATS = 5
+#: Timed-repeat floor for workloads holding a gated twin.  On a shared
+#: 2-CPU host, contention that outlasts a short best-of run can leave one
+#: fault-free repeat fast and every faulted one slow: best-of-5 read
+#: 1.10x-1.30x in 2 of 60 gate runs, best-of-20 in 2 of 60, and
+#: best-of-30 in none of 60 (max 1.07x) for the ~25 ms smoke pair.
+_GATED_REPEATS = 30
 
 #: The full grid (committed-baseline sizes; a couple of minutes total).
 #: Ensemble workloads carry ``trials``/``trial_steps``: the ensemble row
@@ -593,14 +597,19 @@ def run_fleet_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
 def write_bench_file(path: str, rows: list[dict]) -> None:
     """Write rows (plus derived speedups) as the JSON baseline format.
 
-    Atomic: regenerating the committed baseline in place can never leave
-    a torn half-file where the CI gate's input stood.
+    The ``environment`` block records what the rows were measured on
+    (see :func:`repro.util.environment.bench_environment`); files
+    written before it existed load the same.  Atomic: regenerating the
+    committed baseline in place can never leave a torn half-file where
+    the CI gate's input stood.
     """
+    from repro.util.environment import bench_environment
     from repro.util.fileio import atomic_write_text
 
     payload = {
         "schema": 1,
         "seed": BENCH_SEED,
+        "environment": bench_environment(),
         "rows": rows,
         "speedups": speedup_summary(rows),
     }

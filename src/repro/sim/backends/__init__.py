@@ -5,10 +5,10 @@ The batched engines (:mod:`repro.sim.batched`) and the ensemble engine
 a small kernel object selected here.  Three backends ship:
 
 ``numpy`` (default)
-    The adaptive scalar-chunk / vectorized-window hybrid stepper and
-    the lockstep round, extracted verbatim from the engines
-    (:mod:`repro.sim.backends.numpy_backend`).  Always available; the
-    behavioral reference.
+    The adaptive scalar-chunk / vectorized-window hybrid stepper (for
+    the agent engine, with conflict-free prefix rounds) and the
+    lockstep round (:mod:`repro.sim.backends.numpy_backend`).  Always
+    available; the behavioral reference.
 
 ``numba``
     The same per-interaction law as one fused loop per engine,

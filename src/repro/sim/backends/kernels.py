@@ -1,11 +1,13 @@
 """Fused per-interaction span kernels in nopython-compatible Python.
 
 The numpy backend splits each engine's hot loop into a scalar chunk and
-a vectorized window and lets a gap controller interleave them.  That
-split exists purely to amortize *interpreter* cost; the trajectory is
-the same either way, because both paths consume the decoded draw stream
-in order and apply every reactive transition at its exact interaction
-index.  A compiled kernel has no interpreter cost to amortize, so the
+vectorized windows (for the agent engine, first-hit windows and
+conflict-free prefix rounds) and lets a gap controller interleave them.
+That split exists purely to amortize *interpreter* cost; the trajectory
+is the same either way, because every path consumes the decoded draw
+stream in order and applies every reactive transition at its exact
+interaction index, reading the states the sequential step would read.
+A compiled kernel has no interpreter cost to amortize, so the
 ``numba`` and ``python`` backends use one fused loop per engine instead:
 process every buffered draw scalar-style, in stream order.  Bit
 identity with the numpy backend (and hence with the reference engines)

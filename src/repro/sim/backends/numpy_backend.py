@@ -12,8 +12,21 @@ calls.  It is the default backend and the behavioral reference: every
 other backend's batched kernels must reproduce these trajectories bit
 for bit (the backend-parameterized fingerprint suite enforces it).
 
+The agent engine's vectorized step is a three-way choice made per
+chunk from the mean no-op gap ``g`` and the population ``n``: scalar
+stepping while reactive encounters are dense and a prefix round would
+be short; a first-hit window (apply the window's first reactive
+encounter, gathering responders only for draws whose initiator can
+react) while they are sparse and few would share a prefix; and
+otherwise a *prefix round* (:func:`agent_prefix_round`), which applies
+every reactive encounter before the window's first conflicting read in
+one scatter.  The ``repro.sim.batched`` module docstring gives the
+argument that a prefix round is exact.  The multiset engine keeps one
+reactive event per vectorized round: each one moves the count cumsum
+that every later draw of the window is resolved against.
+
 The functions take the engine instance and mutate its state exactly as
-the original methods did; the engines own all bookkeeping that is not
+the sequential step would; the engines own all bookkeeping that is not
 per-interaction (streams, fault plans, monitors, dirty flags).
 """
 
@@ -29,6 +42,17 @@ _GAP_VECTOR_THRESHOLD = 24.0
 _WINDOW_MAX = 1 << 16
 #: Gap estimates saturate here (treated as "effectively silent").
 _GAP_CAP = 1e9
+#: A prefix round of the agent engine runs about ``sqrt(n * gap / 2)``
+#: draws and applies about ``sqrt(n / (2 * gap))`` reactive encounters.
+#: Below the vector threshold it replaces scalar stepping once ``n * gap``
+#: reaches the first bound (long enough to repay its fixed numpy cost);
+#: above, it replaces first-hit windows once ``n / gap`` reaches the
+#: second.  Both bounds are measured, not derived (docs/PERFORMANCE.md,
+#: "Choosing the agent engine's round").  A first-hit window gathers
+#: responders only for draws whose initiator state can react at all,
+#: which keeps it ahead in sparse tails like leader election's.
+_PREFIX_SPAN2 = 131072.0
+_PREFIX_HITS2 = 16.0
 
 
 # -- Batched multiset kernels --------------------------------------------------
@@ -182,6 +206,7 @@ def agent_scalar_chunk(sim, count: int) -> None:
 
 
 def agent_vector_round(sim, remaining: int) -> None:
+    """A first-hit window: apply only its first reactive encounter."""
     gap = sim._gap
     window = int(gap * 6.0) + 8
     if window > remaining:
@@ -221,6 +246,122 @@ def agent_vector_round(sim, remaining: int) -> None:
     result = sim._pairs[int(sp_c[m]) * sim._k + int(sq_c[m])]
     sim._apply_transition(int(pv_c[m]), int(resp_c[m]), result)
     sim._gap = 0.75 * gap + 0.25 * (j0 + 1)
+
+
+def agent_prefix_round(sim, remaining: int) -> None:
+    """Apply the longest conflict-free prefix of one window at once.
+
+    Up to the first position whose initiator or responder an earlier
+    reactive encounter of the window changed, every read sees exactly
+    the state the sequential engine would see there.  So the reactive
+    encounters before that position touch pairwise-disjoint agents, and
+    one scatter applies them all; the next round starts at the
+    conflicting position.  A prefix with a single reactive encounter
+    takes the scalar apply instead.
+    """
+    gap = sim._gap
+    window = int(gap * 6.0) + 8
+    # A prefix runs about sqrt(n * gap / 2) draws before two reactive
+    # encounters share an agent; the window covers that with room.
+    spread = int(2.0 * (len(sim._ids) * gap) ** 0.5)
+    if spread > window:
+        window = spread
+    if window > remaining:
+        window = remaining
+    if window > _WINDOW_MAX:
+        window = _WINDOW_MAX
+    stream = sim._stream
+    stream.ensure(window)
+    i0 = stream.ptr
+    pv = stream.pv[i0:i0 + window]
+    qv = stream.qv[i0:i0 + window]
+    resp = qv + (qv >= pv)
+    sarr = sim._sarr
+    flat = sarr[pv] * sim._k + sarr[resp]
+    hits = np.flatnonzero(sim._react_flat[flat])
+    if hits.size == 0:
+        stream.ptr = i0 + window
+        sim.interactions += window
+        sim._gap = min(gap * 2.0 + 1.0, _GAP_CAP)
+        return
+    end = _conflict_free_end(sim, pv, resp, hits, window)
+    applied = int(np.searchsorted(hits, end))
+    base = sim.interactions
+    stream.ptr = i0 + end
+    if applied == 1:
+        j0 = int(hits[0])
+        sim.interactions = base + j0 + 1
+        sim._apply_transition(int(pv[j0]), int(resp[j0]),
+                              sim._pairs[int(flat[j0])])
+    else:
+        hits = hits[:applied]
+        _scatter_hits(sim, base, hits,
+                      np.concatenate((pv[hits], resp[hits])), flat[hits])
+    sim.interactions = base + end
+    sim._gap = 0.75 * gap + 0.25 * (end / applied)
+
+
+def _conflict_free_end(sim, pv, resp, hits, window: int) -> int:
+    """First window position reading an agent an earlier hit changed.
+
+    Returns ``window`` when no position does.  Stamps every touched
+    agent with the first hit position touching it in the engine's
+    per-agent stamp array, compares, and clears the stamps again.
+    """
+    touch = sim._touch
+    if touch is None:
+        touch = sim._touch = np.full(len(sim._ids), _WINDOW_MAX,
+                                     dtype=np.int32)
+    hit_p = pv[hits]
+    hit_q = resp[hits]
+    # One dtype throughout: ufunc.at casting int64 into int32 is slow.
+    stamps = hits.astype(np.int32)
+    np.minimum.at(touch, hit_p, stamps)
+    np.minimum.at(touch, hit_q, stamps)
+    # Nothing can conflict before the first hit.
+    start = int(hits[0]) + 1
+    late = (np.minimum(touch[pv[start:]], touch[resp[start:]])
+            < np.arange(start, window, dtype=np.int32))
+    touch[hit_p] = _WINDOW_MAX
+    touch[hit_q] = _WINDOW_MAX
+    conflicts = np.flatnonzero(late)
+    return start + int(conflicts[0]) if conflicts.size else window
+
+
+def _scatter_hits(sim, base: int, hits, agents, flat) -> None:
+    """Apply reactive encounters on pairwise-disjoint agents at once.
+
+    ``agents`` lists the initiators, then the responders, of the
+    encounters at window positions ``hits``.
+    """
+    new = np.concatenate((sim._ktinit[flat], sim._ktresp[flat]))
+    sarr = sim._sarr
+    out_ids = sim._kout_ids
+    old_out = out_ids[sarr[agents]]
+    new_out = out_ids[new]
+    sarr[agents] = new
+    agent_list = agents.tolist()
+    ids = sim._ids
+    for agent, sid in zip(agent_list, new.tolist()):
+        ids[agent] = sid
+    moved = np.flatnonzero(old_out != new_out)
+    if moved.size:
+        agent_out = sim._agent_out
+        new_out = new_out[moved]
+        for i, out in zip(moved.tolist(), new_out.tolist()):
+            agent_out[agent_list[i]] = out
+        size = len(sim._out_hist)
+        delta = (np.bincount(new_out, minlength=size)
+                 - np.bincount(old_out[moved], minlength=size))
+        hist = sim._out_hist
+        for out, d in enumerate(delta.tolist()):
+            if d:
+                hist[out] += d
+        # Initiators come first, so an agent's encounter is its index
+        # modulo the encounter count.
+        last = int((moved % hits.size).max())
+        sim.last_output_change = base + int(hits[last]) + 1
+    sim.last_change = base + int(hits[-1]) + 1
 
 
 # -- Ensemble lockstep kernel --------------------------------------------------
@@ -325,18 +466,25 @@ class NumpyMultisetKernels:
 
 
 class NumpyAgentKernels:
-    """Hybrid scalar/vector stepper for the batched agent engine."""
+    """Scalar / first-hit / prefix-round stepper for the batched agent
+    engine (the prefix-round scatter reads the typed tables)."""
 
     name = "numpy"
-    needs_typed_tables = False
+    needs_typed_tables = True
 
     @staticmethod
     def chunk(sim, remaining: int) -> None:
-        if sim._gap < _GAP_VECTOR_THRESHOLD:
-            agent_scalar_chunk(sim, remaining if remaining < _SCALAR_CHUNK
-                               else _SCALAR_CHUNK)
-        else:
+        gap = sim._gap
+        n = len(sim._ids)
+        if gap < _GAP_VECTOR_THRESHOLD:
+            if n * gap < _PREFIX_SPAN2:
+                agent_scalar_chunk(sim, remaining if remaining < _SCALAR_CHUNK
+                                   else _SCALAR_CHUNK)
+                return
+        elif n < _PREFIX_HITS2 * gap:
             agent_vector_round(sim, remaining)
+            return
+        agent_prefix_round(sim, remaining)
 
 
 class NumpyEnsembleKernels:

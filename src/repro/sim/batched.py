@@ -35,9 +35,26 @@ On top of the decoded stream each engine drives a swappable step kernel
 ``numpy`` backend is an adaptive hybrid stepper: while reactive
 encounters are frequent it steps scalar over compiled integer tables (no
 hashing, no dict lookups); once the mean no-op gap grows it switches to
-vectorized windows — ``searchsorted`` over the count cumsum (multiset)
-or direct state-array gathers (agent) plus a reactive mask — paying one
-numpy round per *reactive* event instead of Python work per interaction.
+vectorized windows.  The multiset engine's window is ``searchsorted``
+over the count cumsum plus a reactive mask, and it pays one numpy round
+per *reactive* event: every reactive event moves the cumsum, so no later
+draw of the window can be resolved before it is applied.
+
+The agent engine's windows are *prefix rounds*.  A window of draws is
+gathered from the state array at once and masked for reactive pairs.
+Let ``j`` be the first position whose initiator or responder a reactive
+encounter earlier in the window changed.  Every read before ``j`` sees
+exactly the state the sequential engine would see there, by induction:
+no earlier reactive encounter touched the agents it reads.  So the
+reactive encounters before ``j`` are exactly the ones the sequential
+engine applies, they touch pairwise-disjoint agents, and one scatter
+applies them all; the round ends at ``j`` and the next starts there.
+With ``n`` agents and a mean no-op gap ``g``, a prefix runs about
+``sqrt(n * g / 2)`` draws and applies about ``sqrt(n / (2 * g))``
+encounters, so large populations apply hundreds per numpy round; where
+few are expected the engine keeps scalar stepping or the first-hit
+window instead.
+
 The ``numba`` backend JIT-compiles one fused per-interaction loop over
 the same tables and stream, bit-identical by construction; requesting it
 where it cannot run falls back to ``numpy`` with a one-time warning.  Populations where ``n`` and ``n - 1`` differ in bit
@@ -566,6 +583,9 @@ class BatchedSimulation:
                 tresp_aug.reshape(ka, ka)[:k, :k] = tresp.reshape(k, k)
                 self._ktinit, self._ktresp = tinit_aug, tresp_aug
         self._gap = 2.0
+        #: Per-agent stamp array of the numpy prefix rounds (allocated
+        #: on first use there).
+        self._touch: "np.ndarray | None" = None
         #: Attached runtime monitors (see :meth:`attach_monitor`).
         self.monitors: list = []
         #: Reproduction tuple embedded into MonitorViolations.

@@ -122,16 +122,26 @@ def run_until_correct_stable(
 ) -> ConvergenceResult:
     """Measure time until all agents output ``expected_output``, stably.
 
-    Runs until every agent outputs the expected value and then keeps going
+    Runs until every agent outputs the expected value (an output symbol,
+    never None) and then keeps going
     until the total run length is at least ``settle_factor`` times the last
     interaction at which some agent was wrong (plus ``floor``); if outputs
     regress, the target extends automatically because the last-wrong time
     advances.  Returns the last-wrong interaction index as ``converged_at``.
+
+    The rule is defined for the agent-indexed engines (``Simulation`` and
+    ``BatchedSimulation``), where a crashed agent keeps its last output
+    and still counts.  On a multiset engine ``unanimous_output`` reads the
+    live counts only, so there the rule asks whether the survivors agree.
     """
     floor = floor or 4 * sim.n
 
     def done(s: Simulation) -> bool:
-        if any(out != expected_output for out in s.outputs()):
+        # On the agent-indexed engines every agent counts, crashed ones
+        # included.  The batched engine answers from the output histogram
+        # it keeps as it steps; the reference engine stops its walk at the
+        # first disagreeing agent.
+        if s.unanimous_output() != expected_output:
             return False
         # All correct now; the last output change is exactly the moment the
         # final wrong output was fixed.

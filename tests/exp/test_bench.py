@@ -1,6 +1,8 @@
 """Tests for the kernel benchmark harness and its regression gate."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -142,6 +144,41 @@ class TestBaselineGate:
             {"protocol": "leader-election", "n": 100, "steps": 50,
              "reference": "multiset", "fast": "batched-multiset",
              "speedup": 5.0}]
+
+    def test_environment_block(self, tmp_path):
+        import numpy
+        import scipy
+
+        path = tmp_path / "bench.json"
+        write_bench_file(str(path), [_row()])
+        env = json.loads(path.read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count",
+                            "git_commit"}
+        assert env["numpy"] == numpy.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        commit = env["git_commit"]
+        assert commit is None or re.fullmatch("[0-9a-f]{40}", commit)
+
+    def test_environment_without_git(self, tmp_path, monkeypatch):
+        import subprocess
+
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(subprocess, "run", no_git)
+        path = tmp_path / "bench.json"
+        write_bench_file(str(path), [_row()])
+        assert json.loads(path.read_text())["environment"]["git_commit"] \
+            is None
+
+    def test_loads_files_without_environment(self, tmp_path):
+        # Baselines written before the environment block still load.
+        rows = [_row()]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema": 1, "seed": 0, "rows": rows,
+                                    "speedups": []}))
+        assert load_bench_file(str(path)) == rows
 
     def test_rejects_non_baseline_file(self, tmp_path):
         path = tmp_path / "junk.json"

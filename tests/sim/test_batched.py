@@ -14,11 +14,13 @@ import pytest
 
 from repro.protocols import registry
 from repro.protocols.counting import CountToK
+from repro.sim.backends import numpy_backend
 from repro.sim.batched import (
     BatchedMultisetSimulation,
     BatchedSimulation,
     batched_simulate_counts,
 )
+from repro.sim.convergence import run_until_correct_stable
 from repro.sim.engine import Simulation, simulate_counts
 from repro.sim.faults import (
     CorruptAt,
@@ -28,6 +30,11 @@ from repro.sim.faults import (
     FaultPlan,
     OmissionRate,
     OmitAt,
+)
+from repro.sim.monitors import (
+    ConservationMonitor,
+    OutputFlickerMonitor,
+    StateContainmentMonitor,
 )
 from repro.sim.multiset_engine import MultisetSimulation
 
@@ -349,3 +356,102 @@ class TestFaultedAgentFingerprint:
             ref.run(4_000)
             fast.run(4_000)
             _assert_faulted_agent_state_equal(fast, ref)
+
+
+#: Populations large enough that the numpy backend's prefix rounds apply
+#: many reactive encounters at once (n and n - 1 share a bit length, so
+#: the draw stream is block-decoded).
+PREFIX_CASES = [
+    ("majority", {}, {1: 2_600, 0: 2_401}),
+    ("count-to-k", {"k": 5}, {1: 40, 0: 4_961}),
+]
+
+#: Irregular run() lengths; each one is followed by a single step().
+RAGGED_CHUNKS = (1, 13, 2_047, 1, 777, 9_001, 3, 30_000, 65_537, 150_001)
+
+#: Engine keyword factories: a fault plan and monitors are single-use,
+#: so each engine gets a fresh but identical set.
+PREFIX_VARIANTS = {
+    "plain": dict,
+    "crash-at": lambda: {"faults": FaultPlan(
+        [CrashAt(3_000, 5), CrashAt(40_000, 5)], seed=5)},
+    "monitored": lambda: {"monitors": [
+        ConservationMonitor(), StateContainmentMonitor(check_every=4_096),
+        OutputFlickerMonitor()]},
+}
+
+
+@pytest.fixture
+def scatter_sizes(monkeypatch):
+    """Encounter counts of every multi-hit prefix-round apply."""
+    sizes = []
+    scatter = numpy_backend._scatter_hits
+
+    def spy(sim, base, hits, *rest):
+        sizes.append(hits.size)
+        return scatter(sim, base, hits, *rest)
+
+    monkeypatch.setattr(numpy_backend, "_scatter_hits", spy)
+    return sizes
+
+
+def _assert_prefix_state_equal(fast, ref):
+    assert fast.interactions == ref.interactions
+    assert fast.last_change == ref.last_change
+    assert fast.last_output_change == ref.last_output_change
+    assert list(fast.states) == list(ref.states)
+    assert fast.output_counts() == ref.output_counts()
+    assert sorted(fast.crashed) == sorted(ref.crashed)
+
+
+class TestPrefixRounds:
+    """Bit identity at the population sizes where prefix rounds fire.
+
+    The numpy backend applies a window's whole conflict-free prefix in
+    one scatter once a round expects many reactive encounters; the
+    scatter spy proves some round here really applied more than one, so
+    the comparison with the reference engine is not vacuous.
+    """
+
+    @pytest.mark.parametrize("variant", sorted(PREFIX_VARIANTS))
+    @pytest.mark.parametrize("name,params,counts", PREFIX_CASES,
+                             ids=[c[0] for c in PREFIX_CASES])
+    def test_ragged_chunks_identical(self, name, params, counts, variant,
+                                     seed, kernel_backend, scatter_sizes):
+        protocol = _build(name, params)
+        make = PREFIX_VARIANTS[variant]
+        ref = simulate_counts(protocol, counts, seed=seed, **make())
+        fast = batched_simulate_counts(protocol, counts, seed=seed,
+                                       backend=kernel_backend, **make())
+        assert fast._stream is not None
+        for chunk in RAGGED_CHUNKS:
+            ref.run(chunk)
+            fast.run(chunk)
+            assert fast.step() == ref.step()
+            _assert_prefix_state_equal(fast, ref)
+        if kernel_backend == "numpy":
+            assert max(scatter_sizes, default=0) > 1
+
+    @pytest.mark.parametrize("variant", sorted(PREFIX_VARIANTS))
+    def test_epidemic_correct_stable_identical(self, variant, seed,
+                                               kernel_backend,
+                                               scatter_sizes):
+        protocol = _build("epidemic", {})
+        counts = {1: 1, 0: 5_000}
+        make = PREFIX_VARIANTS[variant]
+        ref = simulate_counts(protocol, counts, seed=seed, **make())
+        fast = batched_simulate_counts(protocol, counts, seed=seed,
+                                       backend=kernel_backend, **make())
+        assert fast._stream is not None
+        for chunk in RAGGED_CHUNKS[:5]:
+            ref.run(chunk)
+            fast.run(chunk)
+            assert fast.step() == ref.step()
+        # A crashed agent that was never infected stays wrong, so the
+        # crash-at run exhausts its budget on both engines.
+        result = run_until_correct_stable(fast, 1, max_steps=300_000)
+        assert result == run_until_correct_stable(ref, 1, max_steps=300_000)
+        assert result.stopped == (variant != "crash-at")
+        _assert_prefix_state_equal(fast, ref)
+        if kernel_backend == "numpy":
+            assert max(scatter_sizes, default=0) > 1

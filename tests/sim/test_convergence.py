@@ -1,14 +1,19 @@
 """Tests for convergence stopping rules."""
 
+import pytest
+
 import repro.sim.convergence as convergence
 from repro.protocols.counting import CountToK, Epidemic, count_to_five
 from repro.protocols.majority import majority_protocol
+from repro.sim.batched import BatchedSimulation, batched_simulate_counts
 from repro.sim.convergence import (
+    ConvergenceResult,
     run_until_correct_stable,
     run_until_quiescent,
     run_until_silent,
 )
 from repro.sim.engine import Simulation, simulate_counts
+from repro.sim.faults import FaultPlan
 from repro.sim.multiset_engine import MultisetSimulation
 
 
@@ -96,3 +101,47 @@ class TestRunUntilCorrectStable:
         result = run_until_correct_stable(sim, 0, max_steps=100_000)
         assert result.stopped
         assert result.converged_at == 0
+
+
+class TestCorrectStableReadsHistogram:
+    """The correct-stable rule reads the output histogram.
+
+    The batched engine keeps that histogram as it steps, so the rule
+    never needs the O(n) ``outputs()`` walk.  The pinned results were
+    measured with the rule walking ``outputs()``: the verdicts agree.
+    """
+
+    @pytest.mark.parametrize("protocol,counts,max_steps,pinned", [
+        (Epidemic(), {1: 1, 0: 2_000}, 1_000_000,
+         ConvergenceResult(interactions=37_000, converged_at=14_379,
+                           output=1, stopped=True)),
+        (majority_protocol(), {1: 700, 0: 324}, 5_000_000,
+         ConvergenceResult(interactions=215_552, converged_at=105_620,
+                           output=1, stopped=True)),
+    ], ids=["epidemic", "majority"])
+    def test_batched_result_without_outputs_walk(self, protocol, counts,
+                                                 max_steps, pinned, seed,
+                                                 monkeypatch):
+        def walked(self):
+            raise AssertionError("correct-stable walked outputs()")
+
+        monkeypatch.setattr(BatchedSimulation, "outputs", walked)
+        sim = batched_simulate_counts(protocol, counts, seed=seed)
+        assert run_until_correct_stable(
+            sim, 1, max_steps=max_steps) == pinned
+
+    @pytest.mark.parametrize("make", [simulate_counts,
+                                      batched_simulate_counts],
+                             ids=["agent", "batched"])
+    def test_crashed_wrong_agent_blocks_the_stop(self, make, seed):
+        # A crashed agent keeps its frozen output in the histogram, so one
+        # that crashed while wrong keeps the rule from ever firing.
+        sim = make(Epidemic(), {1: 1, 0: 200}, seed=seed,
+                   faults=FaultPlan(seed=1))
+        wrong = sim.outputs().index(0)
+        sim.crash(wrong)
+        result = run_until_correct_stable(sim, 1, max_steps=100_000)
+        assert result == ConvergenceResult(interactions=100_000,
+                                           converged_at=1_698, output=1,
+                                           stopped=False)
+        assert sim.output_counts() == {0: 1, 1: 200}

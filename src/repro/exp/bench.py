@@ -3,9 +3,11 @@
 :func:`run_kernel_benchmarks` times every simulation engine — reference
 and compiled fast path side by side — on fixed workloads and returns
 machine-readable rows ``{protocol, n, engine, backend, steps, unit,
-seconds, ips}``.  ``repro bench`` prints them, writes them to a JSON
-baseline file (``BENCH_engines.json`` at the repo root is the committed
-one), and compares a fresh run against a committed baseline, failing
+seconds, construct_s, ips}``; ``seconds`` includes construction for
+every engine, and ``construct_s`` is the construction share of it.
+``repro bench`` prints them, writes them to a JSON baseline file
+(``BENCH_engines.json`` at the repo root is the committed one), and
+compares a fresh run against a committed baseline, failing
 when any engine's throughput regressed by more than ``--max-regression``
 (CI runs ``repro bench --smoke --baseline BENCH_engines.json``).
 
@@ -161,101 +163,107 @@ def _time_engine(engine: str, protocol, counts, steps: int,
                  trial_steps: "int | None" = None,
                  backend: "str | None" = None) -> tuple:
     """Build one simulation, run ``steps`` units; returns ``(seconds,
-    effective_backend)``.
+    construct_seconds, effective_backend)``.
 
     The unit is interactions for the stepping engines and *reactive*
     steps for the skipping engines (their whole point is to not execute
     the no-ops in between).  The ensemble engine ignores ``steps`` and
     runs ``trials`` lockstep trials of ``trial_steps`` interactions each.
-    Construction cost — including protocol compilation for the batched
-    engines — is charged to the run, since that is what a caller
-    actually pays.  ``backend`` threads a step-kernel backend through
+    The clock starts before construction for every engine, so
+    ``seconds`` charges construction — including protocol compilation
+    and fault-plan building — to the run, since that is what a caller
+    actually pays; ``construct_seconds`` is the part of it spent
+    constructing.  ``backend`` threads a step-kernel backend through
     the backend-capable engines (batched / ensemble rows; the reference
     engines report ``numpy``, the only kernels they have); the returned
     effective backend reflects any fallback.
     """
+    build, run = _engine_workload(engine, protocol, counts, steps, seed,
+                                  trials=trials, trial_steps=trial_steps,
+                                  backend=backend)
+    start = time.perf_counter()
+    sim = build()
+    built = time.perf_counter()
+    run(sim)
+    end = time.perf_counter()
+    return end - start, built - start, getattr(sim, "backend", "numpy")
+
+
+def _engine_workload(engine: str, protocol, counts, steps: int, seed: int,
+                     *, trials, trial_steps, backend) -> tuple:
+    """``(build, run)`` for one bench row: ``build()`` constructs the
+    simulation, ``run(sim)`` executes the row's work on it."""
     if engine == "fluid":
         from repro.sim.fluid import FluidSimulation
 
         # Deterministic fixed-horizon integration (steps / n fluid time
         # units), so the row's key — including steps — is stable across
         # runs and the regression gate can match it.
-        start = time.perf_counter()
-        sim = FluidSimulation(protocol, counts, record=False)
-        sim.advance(steps / sim.n)
-    elif engine == "ensemble-multiset":
-        from repro.sim.ensemble import EnsembleMultisetSimulation
-
-        start = time.perf_counter()
-        sim = EnsembleMultisetSimulation(protocol, counts, trials=trials,
-                                         seed=seed, track_outputs=False,
-                                         backend=backend)
-        sim.run(trial_steps)
-    elif engine == "ensemble-multiset-faulted":
+        return (lambda: FluidSimulation(protocol, counts, record=False),
+                lambda sim: sim.advance(steps / sim.n))
+    if engine in ("ensemble-multiset", "ensemble-multiset-faulted"):
         from repro.sim.ensemble import (EnsembleFaults,
                                         EnsembleMultisetSimulation)
 
         # An omission rate — the representative shape for
         # resilience-curve sweeps — thins the windowed first-hit draws,
         # with reactive-dense rounds on the lockstep faulted path.
-        start = time.perf_counter()
-        sim = EnsembleMultisetSimulation(
-            protocol, counts, trials=trials, seed=seed, track_outputs=False,
-            faults=EnsembleFaults("omission-rate", 0.05), backend=backend)
-        sim.run(trial_steps)
-    elif engine == "multiset":
+        faulted = engine == "ensemble-multiset-faulted"
+        return (lambda: EnsembleMultisetSimulation(
+                    protocol, counts, trials=trials, seed=seed,
+                    track_outputs=False, backend=backend,
+                    faults=(EnsembleFaults("omission-rate", 0.05)
+                            if faulted else None)),
+                lambda sim: sim.run(trial_steps))
+    if engine == "multiset":
         from repro.sim.multiset_engine import MultisetSimulation
 
-        sim = MultisetSimulation(protocol, counts, seed=seed)
-        start = time.perf_counter()
-        sim.run(steps)
-    elif engine == "batched-multiset":
+        return (lambda: MultisetSimulation(protocol, counts, seed=seed),
+                lambda sim: sim.run(steps))
+    if engine == "batched-multiset":
         from repro.sim.batched import BatchedMultisetSimulation
 
-        start = time.perf_counter()
-        sim = BatchedMultisetSimulation(protocol, counts, seed=seed,
-                                        backend=backend)
-        sim.run(steps)
-    elif engine == "agent":
+        return (lambda: BatchedMultisetSimulation(protocol, counts,
+                                                  seed=seed, backend=backend),
+                lambda sim: sim.run(steps))
+    if engine == "agent":
         from repro.sim.engine import simulate_counts
 
-        sim = simulate_counts(protocol, counts, seed=seed)
-        start = time.perf_counter()
-        sim.run(steps)
-    elif engine == "batched-agent":
+        return (lambda: simulate_counts(protocol, counts, seed=seed),
+                lambda sim: sim.run(steps))
+    if engine == "batched-agent":
         from repro.sim.batched import batched_simulate_counts
 
-        start = time.perf_counter()
-        sim = batched_simulate_counts(protocol, counts, seed=seed,
-                                      backend=backend)
-        sim.run(steps)
-    elif engine == "batched-agent-faulted":
+        return (lambda: batched_simulate_counts(protocol, counts, seed=seed,
+                                                backend=backend),
+                lambda sim: sim.run(steps))
+    if engine == "batched-agent-faulted":
         from repro.sim.batched import batched_simulate_counts
         from repro.sim.faults import CrashAt, FaultPlan
 
         # An early crash so nearly the whole run executes on the
         # dead-aware vectorized path (the regime the <= 10% faulted
         # overhead gate bounds).
-        start = time.perf_counter()
-        plan = FaultPlan(CrashAt(steps // 10, 2), seed=seed + 1)
-        sim = batched_simulate_counts(protocol, counts, seed=seed,
-                                      faults=plan, backend=backend)
-        sim.run(steps)
-    elif engine in ("skipping-rebuild", "skipping-incremental"):
+        return (lambda: batched_simulate_counts(
+                    protocol, counts, seed=seed, backend=backend,
+                    faults=FaultPlan(CrashAt(steps // 10, 2), seed=seed + 1)),
+                lambda sim: sim.run(steps))
+    if engine in ("skipping-rebuild", "skipping-incremental"):
         from repro.sim.skipping import SkippingSimulation
 
-        sim = SkippingSimulation(protocol, counts, seed=seed,
-                                 incremental=engine == "skipping-incremental")
-        start = time.perf_counter()
-        for _ in range(steps):
-            if not sim.step():
-                raise RuntimeError(
-                    f"benchmark workload went silent after "
-                    f"{sim.reactive_steps} reactive steps; pick a livelier "
-                    "protocol or fewer steps")
-    else:
-        raise ValueError(f"unknown benchmark engine {engine!r}")
-    return time.perf_counter() - start, getattr(sim, "backend", "numpy")
+        def run_skipping(sim) -> None:
+            for _ in range(steps):
+                if not sim.step():
+                    raise RuntimeError(
+                        f"benchmark workload went silent after "
+                        f"{sim.reactive_steps} reactive steps; pick a "
+                        "livelier protocol or fewer steps")
+
+        return (lambda: SkippingSimulation(
+                    protocol, counts, seed=seed,
+                    incremental=engine == "skipping-incremental"),
+                run_skipping)
+    raise ValueError(f"unknown benchmark engine {engine!r}")
 
 
 def _unit(engine: str) -> str:
@@ -280,8 +288,10 @@ def run_kernel_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
     warm-up repeat — absorbing one-time costs like JIT compilation on
     the numba backend — and then reports the best of ``repeats`` timed
     runs (best-of, not mean: scheduling noise only ever slows a run
-    down), taken round-robin across the workload's engines.  ``backend`` selects the step-kernel backend for the
-    backend-capable engines; each row records the effective backend.
+    down), taken round-robin across the workload's engines; the row's
+    ``construct_s`` is the construction time of that best run.
+    ``backend`` selects the step-kernel backend for the backend-capable
+    engines; each row records the effective backend.
     """
     grid = SMOKE_GRID if smoke else FULL_GRID + SMOKE_GRID
     rows: list[dict] = []
@@ -307,11 +317,11 @@ def run_kernel_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
         # round-robin over the workload's engines, so a stretch of
         # machine load slows every engine of the workload alike instead
         # of landing on one row and faking a ratio between them.
-        backends = {engine: timed(engine)[1] for engine in engines}
-        best = dict.fromkeys(engines, float("inf"))
+        backends = {engine: timed(engine)[2] for engine in engines}
+        best = dict.fromkeys(engines, (float("inf"), 0.0))
         for _ in range(runs):
             for engine in engines:
-                best[engine] = min(best[engine], timed(engine)[0])
+                best[engine] = min(best[engine], timed(engine)[:2])
         for engine in engines:
             if engine.startswith("ensemble-multiset"):
                 # The row reports the interactions actually executed
@@ -319,7 +329,7 @@ def run_kernel_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
                 row_steps = workload["trials"] * workload["trial_steps"]
             else:
                 row_steps = steps
-            seconds = best[engine]
+            seconds, construct = best[engine]
             row = {
                 "protocol": workload["protocol"],
                 "n": workload["n"],
@@ -328,6 +338,7 @@ def run_kernel_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
                 "steps": row_steps,
                 "unit": _unit(engine),
                 "seconds": round(seconds, 6),
+                "construct_s": round(construct, 6),
                 "ips": round(row_steps / seconds, 1),
             }
             rows.append(row)

@@ -19,16 +19,22 @@ Twister word (truncated to its top ``k`` bits).  So when ``n`` and
 ``n - 1`` have the same bit length, the engines' entire draw stream is a
 pure function of the raw word stream: a word ``w`` yields the value
 ``w >> (32 - k)``, which is *rejected* when ``>= bound`` and *accepted*
-otherwise.  :class:`_PairDrawStream` pulls words in blocks through
-``getrandbits(32 * B)`` on the **same** ``random.Random`` instance and
-replays that rejection logic vectorized, producing the identical accepted
-draw sequence far faster than ``randrange`` call-by-call.  The single
-subtlety is a word decoding to exactly ``n - 1``: it is accepted for an
-initiator draw (bound ``n``) but rejected for a responder draw (bound
-``n - 1``).  Since accepted draws strictly alternate roles, the role at
-any ambiguous word is determined by the parity of accepted draws before
-it, which a short sequential fix-up over only the ambiguous positions
-resolves.
+otherwise.  CPython's ``random.Random`` and numpy's ``MT19937`` are the
+same generator, so :class:`_PairDrawStream` loads the engine's
+``random.Random`` state (its 624-word key and position) into an
+``MT19937`` once, pulls words from it in blocks with ``random_raw`` —
+the words ``getrandbits(32 * B)`` would have produced, in the same order,
+without building a ``32 * B``-bit Python integer — and replays the
+rejection logic vectorized, producing the identical accepted draw
+sequence far faster than ``randrange`` call-by-call.  The position is
+copied back into the ``random.Random`` only when someone reads the
+engine's ``rng`` property, since the copy costs about as much as
+decoding a block.  The single subtlety is a word decoding to exactly
+``n - 1``: it is accepted for an initiator draw (bound ``n``) but
+rejected for a responder draw (bound ``n - 1``).  Since accepted draws
+strictly alternate roles, the role at any ambiguous word is determined by
+the parity of accepted draws before it, which a short sequential fix-up
+over only the ambiguous positions resolves.
 
 On top of the decoded stream each engine drives a swappable step kernel
 (see :mod:`repro.sim.backends`; select with ``backend=``).  The default
@@ -116,31 +122,55 @@ __all__ = [
     "batched_simulate_counts",
 ]
 
-#: 32-bit words decoded per ``getrandbits`` block.
+#: 32-bit words decoded per block.  The block size fixes where the
+#: engine's ``random.Random`` stands after a run, so it is part of the
+#: bit-identity contract: changing it moves every later draw.
 _BLOCK_WORDS = 1 << 14
 
 
 class _PairDrawStream:
     """Block-decodes the ``randrange(n), randrange(n - 1), ...`` stream.
 
-    Pulls raw Mersenne Twister words from ``rng`` via ``getrandbits`` and
-    replays CPython's ``_randbelow`` rejection sampling vectorized (see
-    the module docstring for the argument).  ``pv[i], qv[i]`` with
-    ``i >= ptr`` are the not-yet-consumed draw pairs; callers advance
-    ``ptr`` as they use them.  The ``rng`` object's internal position runs
-    ahead of the logical stream by whatever is buffered — interleaving
-    other draws on the same ``rng`` mid-run would diverge, which is why
-    the batched engines own their RNG exclusively.
+    Takes raw Mersenne Twister words from a numpy ``MT19937`` loaded with
+    ``rng``'s state, and replays CPython's ``_randbelow`` rejection
+    sampling vectorized (see the module docstring for the argument).
+    ``pv[i], qv[i]`` with ``i >= ptr`` are the not-yet-consumed draw
+    pairs; callers advance ``ptr`` as they use them.
+
+    The word source runs ahead of the logical stream by whatever is
+    buffered, and ``rng`` itself only learns the source's position when
+    :meth:`sync` copies it back (the owning engine's ``rng`` property
+    does, lazily).  Drawing from ``rng`` mid-run would therefore neither
+    advance nor be seen by the stream, which is why the batched engines
+    own their RNG exclusively.
     """
 
-    __slots__ = ("rng", "n", "shift", "block_words",
-                 "pv", "qv", "ptr", "_pending", "_emitted")
+    __slots__ = ("rng", "n", "shift", "block_words", "pv", "qv", "ptr",
+                 "_words", "_limit", "_dirty", "_pending", "_emitted")
 
     def __init__(self, rng, n: int, block_words: int = _BLOCK_WORDS):
+        # numpy.random is imported here, not at module level: sweeps
+        # import this module during setup for every workload, and the
+        # ~20 ms import belongs to the runs that actually decode.
+        from numpy.random import MT19937
+
         self.rng = rng
         self.n = n
-        self.shift = 32 - n.bit_length()
+        self.shift = np.uint64(32 - n.bit_length())
         self.block_words = block_words
+        # CPython's random.Random and numpy's MT19937 are the same
+        # generator: the 624-word key and the position carry over as is.
+        # (The setter copies a plain tuple several times faster than an
+        # array.)
+        internal = rng.getstate()[1]
+        words = MT19937()
+        words.state = {"bit_generator": "MT19937",
+                       "state": {"key": internal[:624],
+                                 "pos": internal[624]}}
+        self._words = words
+        self._limit = np.uint64(n)
+        #: Words were drawn since ``rng`` last received the position.
+        self._dirty = False
         empty = np.empty(0, dtype=np.int64)
         self.pv = empty
         self.qv = empty
@@ -163,6 +193,22 @@ class _PairDrawStream:
     def available(self) -> int:
         return len(self.pv) - self.ptr
 
+    def sync(self) -> None:
+        """Copy the word source's position back into ``rng``.
+
+        Afterwards ``rng`` stands exactly where ``getrandbits`` would
+        have left it had it drawn every decoded word itself; its
+        ``gauss_next`` is kept.
+        """
+        if not self._dirty:
+            return
+        state = self._words.state["state"]
+        rng = self.rng
+        rng.setstate((rng.VERSION,
+                      tuple(state["key"].tolist()) + (state["pos"],),
+                      rng.gauss_next))
+        self._dirty = False
+
     def ensure(self, pairs: int) -> None:
         """Decode blocks until at least ``pairs`` pairs are buffered."""
         if len(self.pv) - self.ptr >= pairs:
@@ -180,12 +226,13 @@ class _PairDrawStream:
         self.ptr = 0
 
     def _decode_block(self):
-        words = self.block_words
-        raw = self.rng.getrandbits(32 * words)
-        vals = np.frombuffer(raw.to_bytes(4 * words, "little"),
-                             dtype="<u4").astype(np.int64) >> self.shift
+        raw = self._words.random_raw(self.block_words)
+        self._dirty = True
+        raw >>= self.shift
+        # Rejected by both bounds.  An index take compacts a random
+        # mask about twice as fast as boolean indexing does.
+        vals = raw.take(np.flatnonzero(raw < self._limit)).view(np.int64)
         n = self.n
-        vals = vals[vals < n]  # rejected by both bounds
         base = self._emitted
         ambiguous = np.flatnonzero(vals == n - 1)
         if ambiguous.size:
@@ -201,9 +248,7 @@ class _PairDrawStream:
                     drop.append(j)
                     dropped += 1
             if drop:
-                keep = np.ones(len(vals), dtype=bool)
-                keep[drop] = False
-                vals = vals[keep]
+                vals = np.delete(vals, drop)
         self._emitted = base + len(vals)
         if self._pending is not None:
             vals = np.concatenate(([self._pending], vals))
@@ -235,6 +280,11 @@ class BatchedMultisetSimulation:
     fingerprint tests.  Pass a pre-built ``compiled`` table (or rely on
     the process-level memo in :func:`~repro.sim.compiled.compile_protocol`)
     to amortize compilation across many simulations.
+
+    The engine owns its RNG: nothing else may draw from it mid-run.  A
+    ``random.Random`` passed as ``seed=`` shows the advanced state once
+    :attr:`rng` is read, exactly as if the reference engine had drawn
+    from it.
     """
 
     def __init__(
@@ -285,11 +335,11 @@ class BatchedMultisetSimulation:
         self.n = sum(counts)
         if self.n < 2:
             raise ValueError("a population needs at least two agents")
-        self.rng = resolve_rng(seed)
+        self._rng = resolve_rng(seed)
         self.interactions = 0
         self.last_change = 0
         self.dead = 0  # API parity: this engine never crashes agents
-        self._stream = _make_stream(self.rng, self.n)
+        self._stream = _make_stream(self._rng, self.n)
         #: Effective kernel backend name (after any fallback) and the
         #: kernel object the run loop drives.
         self.backend, self._kernels = select_kernels(
@@ -311,6 +361,18 @@ class BatchedMultisetSimulation:
         self._react2d = compiled.reactive_mask.reshape(k, k)
 
     # -- Introspection ---------------------------------------------------------
+
+    @property
+    def rng(self) -> random.Random:
+        """The engine's ``random.Random``, read-only.
+
+        The same object passed as ``seed=`` (or built from it).  Reading
+        it first copies the pair stream's word position back, so it
+        stands where the decoded words left it.
+        """
+        if self._stream is not None:
+            self._stream.sync()
+        return self._rng
 
     @property
     def n_alive(self) -> int:
@@ -353,8 +415,8 @@ class BatchedMultisetSimulation:
         """One interaction; True iff the configuration changed."""
         stream = self._stream
         if stream is None:
-            p_val = self.rng.randrange(self.n)
-            q_val = self.rng.randrange(self.n - 1)
+            p_val = self._rng.randrange(self.n)
+            q_val = self._rng.randrange(self.n - 1)
         else:
             stream.ensure(1)
             i = stream.ptr
@@ -484,6 +546,10 @@ class BatchedSimulation:
     module docstring for the fault and monitor contracts).  ``states`` is
     exposed as a property building a fresh list; :meth:`set_state` is
     available for corruption faults and experiment perturbations.
+
+    The engine owns its RNG: nothing else may draw from it mid-run (fault
+    plans bring their own).  A ``random.Random`` passed as ``seed=`` shows
+    the advanced state once :attr:`rng` is read.
     """
 
     def __init__(
@@ -504,9 +570,10 @@ class BatchedSimulation:
         if compiled is None:
             compiled = compile_protocol(protocol)
         if inputs is not None:
-            for symbol in inputs:
-                if symbol not in protocol.input_alphabet:
-                    raise ValueError(f"input symbol {symbol!r} not in alphabet")
+            alphabet = protocol.input_alphabet
+            if set(inputs).difference(alphabet):
+                symbol = next(s for s in inputs if s not in alphabet)
+                raise ValueError(f"input symbol {symbol!r} not in alphabet")
             ids = [compiled.initial_ids[symbol] for symbol in inputs]
         else:
             unknown = [s for s in states if s not in compiled.index]
@@ -518,16 +585,16 @@ class BatchedSimulation:
         n = len(ids)
         if n < 2:
             raise ValueError("a population needs at least two agents")
-        self.rng = resolve_rng(seed)
+        self._rng = resolve_rng(seed)
         self.interactions = 0
         self.last_output_change = 0
         self.last_change = 0
-        out_ids = compiled.output_ids
-        self._agent_out = [out_ids[sid] for sid in ids]
-        self._out_hist = [0] * len(compiled.output_symbols)
-        for oid in self._agent_out:
-            self._out_hist[oid] += 1
         self._sarr = np.asarray(ids, dtype=np.int64)
+        agent_out = np.asarray(compiled.output_ids,
+                               dtype=np.int64)[self._sarr]
+        self._agent_out = agent_out.tolist()
+        self._out_hist = np.bincount(
+            agent_out, minlength=len(compiled.output_symbols)).tolist()
         # Transition tables used by the stepping paths.  Fault-free these
         # are exactly the compiled tables; with a plan attached they are
         # augmented with one extra non-reactive "dead" state id so that
@@ -562,7 +629,7 @@ class BatchedSimulation:
             self._row_any = row_any_aug
             self._dead = k
             faults.bind(self)
-        self._stream = _make_stream(self.rng, n)
+        self._stream = _make_stream(self._rng, n)
         #: Effective kernel backend name (after any fallback) and the
         #: kernel object the run loops drive.
         self.backend, self._kernels = select_kernels(
@@ -633,6 +700,18 @@ class BatchedSimulation:
         self.monitors.append(monitor)
 
     # -- Introspection ---------------------------------------------------------
+
+    @property
+    def rng(self) -> random.Random:
+        """The engine's ``random.Random``, read-only.
+
+        The same object passed as ``seed=`` (or built from it).  Reading
+        it first copies the pair stream's word position back, so it
+        stands where the decoded words left it.
+        """
+        if self._stream is not None:
+            self._stream.sync()
+        return self._rng
 
     @property
     def n(self) -> int:
@@ -718,9 +797,10 @@ class BatchedSimulation:
     def _fault_rng(self, rng):
         """Resolve the RNG for a fault primitive.
 
-        The engine's own RNG is block-buffered by the pair-draw stream
-        (its internal position runs ahead of the logical draw sequence),
-        so consuming it out of band would desynchronize the decoder;
+        The engine owns its RNG.  With a pair stream, the words come from
+        a numpy copy of the generator that runs ahead of the logical draw
+        sequence and is only copied back into ``rng`` lazily, so a draw
+        from ``rng`` would neither advance nor be seen by the decoder;
         callers on a stream-backed engine must pass an explicit RNG (a
         fault plan always passes its own).
         """
@@ -730,7 +810,7 @@ class BatchedSimulation:
             raise RuntimeError(
                 "the batched engine's RNG is block-buffered; pass an "
                 "explicit rng= to fault primitives (fault plans do)")
-        return self.rng
+        return self._rng
 
     def crash(self, agent: int) -> None:
         """Silently stop ``agent``; mirrors the reference engine exactly.
@@ -849,8 +929,8 @@ class BatchedSimulation:
         n = len(self._ids)
         stream = self._stream
         if stream is None:
-            initiator = self.rng.randrange(n)
-            responder = self.rng.randrange(n - 1)
+            initiator = self._rng.randrange(n)
+            responder = self._rng.randrange(n - 1)
         else:
             stream.ensure(1)
             i = stream.ptr
@@ -877,8 +957,8 @@ class BatchedSimulation:
         n = len(self._ids)
         stream = self._stream
         if stream is None:
-            initiator = self.rng.randrange(n)
-            responder = self.rng.randrange(n - 1)
+            initiator = self._rng.randrange(n)
+            responder = self._rng.randrange(n - 1)
         else:
             stream.ensure(1)
             i = stream.ptr

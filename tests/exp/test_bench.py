@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -81,6 +82,80 @@ class TestGrids:
         # artifact; it must sit under the CI smoke gate.
         fluid = [w for w in SMOKE_GRID for e in w["engines"] if e == "fluid"]
         assert fluid and fluid[0]["n"] == 10 ** 9
+
+
+class TestConstructionCharging:
+    """Every engine's row charges construction the same way."""
+
+    #: One tiny workload per engine name the grids use.
+    TINY = {
+        "fluid": ("leader-election", 50, 200, {}),
+        "ensemble-multiset": ("leader-election", 50, 0,
+                              {"trials": 4, "trial_steps": 100}),
+        "ensemble-multiset-faulted": ("leader-election", 50, 0,
+                                      {"trials": 4, "trial_steps": 100}),
+        "multiset": ("leader-election", 50, 200, {}),
+        "batched-multiset": ("leader-election", 50, 200, {}),
+        "agent": ("leader-election", 50, 200, {}),
+        "batched-agent": ("leader-election", 50, 200, {}),
+        "batched-agent-faulted": ("leader-election", 50, 200, {}),
+        "skipping-rebuild": ("threshold-mixed", 50, 5, {}),
+        "skipping-incremental": ("threshold-mixed", 50, 5, {}),
+    }
+
+    def test_tiny_table_covers_every_grid_engine(self):
+        engines = {e for grid in (FULL_GRID, SMOKE_GRID)
+                   for w in grid for e in w["engines"]}
+        assert engines == set(self.TINY)
+
+    @pytest.mark.parametrize("engine", sorted(TINY))
+    def test_clock_starts_before_construction(self, engine, monkeypatch):
+        # A constructor made 30 ms slower must show in both the row's
+        # seconds and its construct share, whichever engine it is.
+        from repro.exp import bench
+
+        workload = bench._engine_workload
+
+        def slow_build(*args, **kwargs):
+            build, run = workload(*args, **kwargs)
+
+            def build_slowly():
+                time.sleep(0.03)
+                return build()
+
+            return build_slowly, run
+
+        monkeypatch.setattr(bench, "_engine_workload", slow_build)
+        protocol_name, n, steps, extra = self.TINY[engine]
+        protocol = bench._build_protocol(protocol_name)
+        counts = bench._input_counts(protocol_name, n)
+        seconds, construct, backend = bench._time_engine(
+            engine, protocol, counts, steps, 7, **extra)
+        assert 0.03 <= construct < seconds
+        assert backend == "numpy"
+
+    def test_rows_carry_construct_s(self, monkeypatch):
+        from repro.exp import bench
+
+        monkeypatch.setattr(bench, "SMOKE_GRID", (
+            {"protocol": "leader-election", "n": 50, "steps": 300,
+             "engines": ("multiset", "batched-multiset")},))
+        rows = run_kernel_benchmarks(smoke=True, repeats=2)
+        assert [r["engine"] for r in rows] == ["multiset",
+                                               "batched-multiset"]
+        for row in rows:
+            assert 0 < row["construct_s"] < row["seconds"]
+
+    def test_baselines_without_construct_s_still_gate(self, tmp_path):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"schema": 1, "seed": 0,
+                                   "rows": [_row(ips=1000.0)],
+                                   "speedups": []}))
+        baseline = load_bench_file(str(old))
+        assert "construct_s" not in baseline[0]
+        fresh = [dict(_row(ips=100.0), construct_s=0.01)]
+        assert len(compare_to_baseline(fresh, baseline,
+                                       max_regression=3.0)) == 1
 
 
 class TestSupervisionBenchmark:

@@ -10,6 +10,7 @@ step for step.  These fingerprints are what licenses `exp run
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.protocols import registry
@@ -455,3 +456,174 @@ class TestPrefixRounds:
         _assert_prefix_state_equal(fast, ref)
         if kernel_backend == "numpy":
             assert max(scatter_sizes, default=0) > 1
+
+
+def _reference_pairs(rng, n, block_words, blocks_read):
+    """``(randrange(n), randrange(n - 1))`` pairs replayed from raw words.
+
+    Reads ``getrandbits(32 * block_words)`` from ``rng`` one block at a
+    time, as the stream does, and replays CPython's ``_randbelow``
+    rejection word by word; ``blocks_read[0]`` counts the blocks.
+    """
+    shift = 32 - n.bit_length()
+    bounds = (n, n - 1)
+    role, first = 0, None
+    while True:
+        block = rng.getrandbits(32 * block_words).to_bytes(4 * block_words,
+                                                           "little")
+        blocks_read[0] += 1
+        for word in np.frombuffer(block, dtype="<u4").tolist():
+            value = word >> shift
+            if value < bounds[role]:
+                if role:
+                    yield first, value
+                else:
+                    first = value
+                role ^= 1
+
+
+#: ensure() sizes, cycled; irregular so block and pair boundaries fall
+#: everywhere.
+ENSURE_SIZES = (1, 7, 4_093, 2, 10_007, 1, 333, 30_011)
+
+
+class TestPairDrawStreamOracle:
+    """The numpy-word stream against a getrandbits reference decoder."""
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 50, 100_001, 2 ** 31 - 1])
+    @pytest.mark.parametrize("gauss", [False, True])
+    def test_pairs_and_final_state_match(self, n, gauss, seed):
+        from repro.sim.batched import _BLOCK_WORDS, _PairDrawStream
+
+        rng = random.Random(seed)
+        ref_rng = random.Random(seed)
+        if gauss:  # leaves a cached gauss_next on both
+            assert rng.gauss() == ref_rng.gauss()
+        stream = _PairDrawStream(rng, n)
+        blocks_read = [0]
+        ref = _reference_pairs(ref_rng, n, _BLOCK_WORDS, blocks_read)
+        step = 0
+        while blocks_read[0] < 20:
+            size = ENSURE_SIZES[step % len(ENSURE_SIZES)]
+            step += 1
+            stream.ensure(size)
+            i = stream.ptr
+            got = list(zip(stream.pv[i:i + size].tolist(),
+                           stream.qv[i:i + size].tolist()))
+            stream.ptr = i + size
+            assert got == [next(ref) for _ in range(size)]
+        assert rng.getstate() != ref_rng.getstate()  # not copied back yet
+        stream.sync()
+        assert rng.getstate() == ref_rng.getstate()
+        assert rng.random() == ref_rng.random()
+
+
+def _count_blocks(monkeypatch):
+    """Count every block the pair streams decode."""
+    from repro.sim.batched import _PairDrawStream
+
+    blocks = [0]
+    decode = _PairDrawStream._decode_block
+
+    def counting(stream):
+        blocks[0] += 1
+        return decode(stream)
+
+    monkeypatch.setattr(_PairDrawStream, "_decode_block", counting)
+    return blocks
+
+
+#: (engine factory, input counts): one case per batched engine, both
+#: block-decoded.
+HAND_BACK_CASES = {
+    "agent": (lambda protocol, counts, seed: batched_simulate_counts(
+        protocol, counts, seed=seed), {1: 3_000, 0: 3_001}),
+    "multiset": (lambda protocol, counts, seed: BatchedMultisetSimulation(
+        protocol, counts, seed=seed), {1: 3_000, 0: 3_001}),
+}
+
+
+class TestRngHandBack:
+    """``sim.rng`` is the caller's generator, advanced past every word."""
+
+    @pytest.mark.parametrize("engine", sorted(HAND_BACK_CASES))
+    def test_rng_advances_as_if_python_drew_the_words(self, engine, seed,
+                                                      monkeypatch):
+        from repro.sim.batched import _BLOCK_WORDS
+
+        make, counts = HAND_BACK_CASES[engine]
+        blocks = _count_blocks(monkeypatch)
+        r = random.Random(seed)
+        r.gauss()  # a cached gauss_next must survive the hand-back
+        expected = random.Random()
+        expected.setstate(r.getstate())
+        sim = make(_build("majority", {}), counts, r)
+        sim.run(200_000)
+        assert blocks[0] > 1
+        for _ in range(blocks[0]):
+            expected.getrandbits(32 * _BLOCK_WORDS)
+        assert sim.rng is r
+        assert r.getstate() == expected.getstate()
+
+    @pytest.mark.parametrize("engine", sorted(HAND_BACK_CASES))
+    def test_reading_rng_mid_run_changes_nothing(self, engine, seed):
+        make, counts = HAND_BACK_CASES[engine]
+        protocol = _build("majority", {})
+        read = make(protocol, counts, seed)
+        unread = make(protocol, counts, seed)
+        seen = []
+        for chunk in RAGGED_CHUNKS:
+            read.run(chunk)
+            unread.run(chunk)
+            seen.append(read.rng.getstate())
+        assert read.interactions == unread.interactions
+        assert read.last_change == unread.last_change
+        assert read.multiset() == unread.multiset()
+        assert read.output_counts() == unread.output_counts()
+        assert len(set(seen)) > 1  # the copies really moved
+        assert read.rng.getstate() == unread.rng.getstate()
+
+    @pytest.mark.parametrize("counts", [{1: 3_000, 0: 3_001},
+                                        {1: 200, 0: 312}],
+                             ids=["decoded", "fallback"])
+    def test_rng_is_the_given_generator_and_read_only(self, counts, seed):
+        protocol = _build("majority", {})
+        for make in (lambda r: batched_simulate_counts(protocol, counts,
+                                                       seed=r),
+                     lambda r: BatchedMultisetSimulation(protocol, counts,
+                                                         seed=r)):
+            r = random.Random(seed)
+            sim = make(r)
+            sim.run(5_000)
+            assert sim.rng is r
+            with pytest.raises(AttributeError):
+                sim.rng = random.Random(seed)
+            assert sim.rng is r
+
+
+class TestAgentConstruction:
+    """The vectorized output bookkeeping built at construction."""
+
+    @pytest.mark.parametrize("faults", [False, True],
+                             ids=["fault-free", "crash-at"])
+    def test_output_bookkeeping_matches_reference(self, faults, seed):
+        protocol = _build("majority", {})
+        counts = {1: 120, 0: 181}
+        plan = (lambda: FaultPlan(CrashAt(900, 10), seed=3)) if faults \
+            else (lambda: None)
+        ref = simulate_counts(protocol, counts, seed=seed, faults=plan())
+        fast = batched_simulate_counts(protocol, counts, seed=seed,
+                                       faults=plan())
+        symbols = fast.compiled.output_symbols
+        for steps in (0, 5_000):
+            ref.run(steps)
+            fast.run(steps)
+            outputs = list(ref.outputs())
+            assert [symbols[oid] for oid in fast._agent_out] == outputs
+            assert fast._out_hist == [outputs.count(sym) for sym in symbols]
+            assert all(type(oid) is int for oid in fast._agent_out)
+
+    def test_unknown_input_symbol_rejected(self):
+        protocol = _build("majority", {})
+        with pytest.raises(ValueError, match="'bogus'"):
+            BatchedSimulation(protocol, [1, 0, "bogus", 1])

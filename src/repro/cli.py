@@ -355,6 +355,7 @@ def cmd_exp_run(args: argparse.Namespace) -> int:
     from repro.exp.store import ResultStore
     from repro.exp.supervise import TrialExecutionError
 
+    store = None
     try:
         spec = _spec_from_args(args)
         spec.validate()
@@ -372,6 +373,9 @@ def cmd_exp_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
+    finally:
+        if store is not None:
+            store.close()
     aggregates = aggregate(result.records, metric=args.metric)
     if args.json:
         payload = report_dict(aggregates, spec=spec, metric=args.metric,
@@ -467,6 +471,7 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
     from repro.exp.store import ResultStore
     from repro.exp.supervise import TrialExecutionError
 
+    store = None
     try:
         spec = _spec_from_args(args)
         spec.validate()
@@ -482,6 +487,9 @@ def cmd_chaos_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
+    finally:
+        if store is not None:
+            store.close()
     violated = [r for r in result.records
                 if r.get("violation") is not None]
     shrink_payload = None

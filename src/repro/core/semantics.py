@@ -73,7 +73,11 @@ def is_silent(protocol: PopulationProtocol, configuration: FrozenMultiset) -> bo
     Silence is a strong, locally-checkable form of stability: a silent
     configuration is trivially output-stable.
     """
-    return not enabled_transitions(protocol, configuration)
+    delta = protocol.delta
+    for p, q in enabled_state_pairs(configuration):
+        if delta(p, q) != (p, q):
+            return False
+    return True
 
 
 def pair_count(configuration: FrozenMultiset, p: State, q: State) -> int:

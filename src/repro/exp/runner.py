@@ -257,13 +257,20 @@ def run_trial(spec: ExperimentSpec, point: SweepPoint, trial: int,
     lands in the record's ``violation`` field instead of propagating.
     Fault plans run through the batched engine's bit-identical per-step
     path, so the fingerprint contract with the agent engine holds
-    faulted and fault-free alike.
+    faulted and fault-free alike.  Sweeps reach the same code through
+    :func:`run_task`, which builds the point's setup once per task.
     """
+    return _run_slot(_setup(spec, point, [trial], spec_hash), 0)
+
+
+def _run_slot(setup: _PointSetup, slot: int) -> dict:
+    """Execute trial ``setup.trials[slot]`` on the agent or batched
+    engine (see :func:`run_trial`) and return its record."""
     from repro.sim import convergence
     from repro.sim.monitors import build_monitors
 
-    setup = _setup(spec, point, [trial], spec_hash)
-    engine_seed, fault_seed = setup.seeds[0]
+    spec, point = setup.spec, setup.point
+    engine_seed, fault_seed = setup.seeds[slot]
     plan = None
     if spec.faults is not None:
         plan = spec.faults.build_plan(point.intensity, fault_seed)
@@ -294,7 +301,7 @@ def run_trial(spec: ExperimentSpec, point: SweepPoint, trial: int,
     faults = (0, 0, 0)
     if plan is not None:
         faults = (plan.crashes, plan.corruptions, plan.omissions)
-    return setup.record(0, result, sim.interactions, faults,
+    return setup.record(slot, result, sim.interactions, faults,
                         getattr(sim, "backend", "numpy"), violation)
 
 
@@ -424,15 +431,20 @@ def build_tasks(spec: ExperimentSpec, pending, chunk: int) -> list:
 def run_task(spec: ExperimentSpec, point: SweepPoint, trials: Sequence[int],
              spec_hash: str):
     """Yield the records of one task: the point's ensemble or fluid
-    batch, or each trial through :func:`run_trial` as it completes."""
+    batch, or each trial as it completes.
+
+    A task's trials share one point setup (protocol, input counts, ground
+    truth and seeds), built once here instead of once per trial; each
+    trial then runs exactly as :func:`run_trial` would run it."""
     if spec.engine == "ensemble":
         yield from run_ensemble_point(spec, point, trials,
                                       spec_hash=spec_hash)
     elif spec.engine == "fluid":
         yield from run_fluid_point(spec, point, trials, spec_hash=spec_hash)
     else:
-        for trial in trials:
-            yield run_trial(spec, point, trial, spec_hash=spec_hash)
+        setup = _setup(spec, point, trials, spec_hash)
+        for slot in range(len(trials)):
+            yield _run_slot(setup, slot)
 
 
 def record_sort_key(record: dict):

@@ -7,7 +7,11 @@ Layout: line 1 is a spec header ``{"kind": "spec", "hash": ..., "spec":
 Appending is the only write operation, so a store is exactly as durable
 as its filesystem: killing a sweep mid-run loses at most the record
 being written, and re-running the same spec against the store skips
-every trial whose id is already present (resume).
+every trial whose id is already present (resume).  The file is opened in
+append mode on the first write and the handle is held until
+:meth:`ResultStore.close`; every line is flushed before the append
+returns, so the record is in the OS (and visible to any other reader)
+as soon as the caller moves on.
 
 A truncated final line (the usual crash artifact) is detected at open
 and cut back to the last complete record, so resume works even when the
@@ -55,6 +59,8 @@ class ResultStore:
         self._by_id: dict[str, dict] = {}
         self._failures: list[dict] = []
         self._failure_ids: set[str] = set()
+        #: Append-mode handle, opened by the first write and then held.
+        self._handle = None
         self._load()
 
     def _load(self) -> None:
@@ -137,11 +143,21 @@ class ResultStore:
 
     def _append_line(self, record: Mapping, *, fsync: bool = False) -> None:
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self.path, "a", encoding="utf-8")
+        handle.write(line + "\n")
+        # Flushed per line: the record is in the OS before the caller
+        # moves on, and a forked worker inherits no buffered bytes.
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+
+    def close(self) -> None:
+        """Close the append handle (reopened by the next append)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def bind_spec(self, spec: ExperimentSpec) -> None:
         """Attach the store to ``spec``: write the header, or verify it.

@@ -534,6 +534,33 @@ class BatchedMultisetSimulation:
         self._dirty_struct = False
 
 
+def _check_alphabet(protocol: PopulationProtocol, symbols) -> None:
+    alphabet = protocol.input_alphabet
+    if set(symbols).difference(alphabet):
+        symbol = next(s for s in symbols if s not in alphabet)
+        raise ValueError(f"input symbol {symbol!r} not in alphabet")
+
+
+class _SymbolRuns(tuple):
+    """Inputs as ``(symbol, count)`` runs, laid out in order.
+
+    :func:`batched_simulate_counts` passes these instead of an n-element
+    symbol list, so the agent ids come from one ``np.repeat`` over the
+    runs' initial state ids rather than one dict lookup per agent.
+    """
+
+    def id_array(self, protocol: PopulationProtocol,
+                 compiled: CompiledProtocol) -> np.ndarray:
+        """The agents' initial state ids, one run after another."""
+        runs = [(symbol, count) for symbol, count in self if count]
+        symbols = [symbol for symbol, _ in runs]
+        _check_alphabet(protocol, symbols)
+        return np.repeat(
+            np.array([compiled.initial_ids[s] for s in symbols],
+                     dtype=np.int64),
+            [count for _, count in runs])
+
+
 class BatchedSimulation:
     """Batched twin of :class:`~repro.sim.engine.Simulation` under uniform
     random pairing on the complete graph.
@@ -569,17 +596,19 @@ class BatchedSimulation:
             raise ValueError("pass exactly one of inputs= or states=")
         if compiled is None:
             compiled = compile_protocol(protocol)
-        if inputs is not None:
-            alphabet = protocol.input_alphabet
-            if set(inputs).difference(alphabet):
-                symbol = next(s for s in inputs if s not in alphabet)
-                raise ValueError(f"input symbol {symbol!r} not in alphabet")
+        if isinstance(inputs, _SymbolRuns):
+            sarr = inputs.id_array(protocol, compiled)
+            ids = sarr.tolist()
+        elif inputs is not None:
+            _check_alphabet(protocol, inputs)
             ids = [compiled.initial_ids[symbol] for symbol in inputs]
+            sarr = np.asarray(ids, dtype=np.int64)
         else:
             unknown = [s for s in states if s not in compiled.index]
             if unknown:
                 compiled = compile_protocol(protocol, extra_states=unknown)
             ids = [compiled.index[state] for state in states]
+            sarr = np.asarray(ids, dtype=np.int64)
         self._compiled = compiled
         self._ids = ids
         n = len(ids)
@@ -589,7 +618,7 @@ class BatchedSimulation:
         self.interactions = 0
         self.last_output_change = 0
         self.last_change = 0
-        self._sarr = np.asarray(ids, dtype=np.int64)
+        self._sarr = sarr
         agent_out = np.asarray(compiled.output_ids,
                                dtype=np.int64)[self._sarr]
         self._agent_out = agent_out.tolist()
@@ -1140,11 +1169,11 @@ def batched_simulate_counts(
     the reference construction agent-for-agent — including fault plans,
     which consume their own RNG identically on both engines.
     """
-    inputs: list = []
-    for symbol, count in sorted(input_counts.items(), key=lambda kv: repr(kv[0])):
+    runs = _SymbolRuns(sorted(input_counts.items(),
+                              key=lambda kv: repr(kv[0])))
+    for _, count in runs:
         if count < 0:
             raise ValueError("counts must be non-negative")
-        inputs.extend([symbol] * count)
-    return BatchedSimulation(protocol, inputs, seed=seed, compiled=compiled,
+    return BatchedSimulation(protocol, runs, seed=seed, compiled=compiled,
                              faults=faults, monitors=monitors,
                              backend=backend)

@@ -6,6 +6,14 @@ default, i.e. the conjugating-automata model of Sect. 6).  It counts
 interactions, tracks when the output assignment last changed, and supports
 the stopping rules in :mod:`repro.sim.convergence`.
 
+Every entry point — :meth:`~Simulation.step`, :meth:`~Simulation.run`,
+:meth:`~Simulation.run_until` — steps through one loop,
+:meth:`Simulation._advance`, which hoists its attribute lookups once per
+call.  Under the default uniform scheduler and a plain ``random.Random``
+it draws each pair inline with ``getrandbits``, replaying CPython's
+``randrange`` rejection sampling, so the RNG stream (and every trajectory)
+is the one ``randrange`` would have produced.
+
 For fault-free runs under the default uniform scheduler, the batched twin
 :class:`~repro.sim.batched.BatchedSimulation` executes the same trajectory
 (bit-identical for the same seed) several times faster; see
@@ -14,6 +22,7 @@ For fault-free runs under the default uniform scheduler, the batched twin
 
 from __future__ import annotations
 
+import random
 from collections.abc import Mapping, Sequence
 
 from repro.core.configuration import AgentConfiguration
@@ -288,16 +297,6 @@ class Simulation:
         return self.set_state(
             agent, corruptor(self.states[agent], self.protocol, rng))
 
-    # -- Stepping --------------------------------------------------------------
-
-    def _delta(self, p: State, q: State) -> tuple[State, State]:
-        key = (p, q)
-        result = self._delta_cache.get(key)
-        if result is None:
-            result = self.protocol.delta(p, q)
-            self._delta_cache[key] = result
-        return result
-
     # -- Checkpointing -----------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -342,6 +341,8 @@ class Simulation:
             # Re-copy so the same snapshot can be restored repeatedly.
             self._faults = copy.deepcopy(snap["faults"], {id(self): self})
 
+    # -- Stepping --------------------------------------------------------------
+
     def step(self) -> bool:
         """Run one interaction.  Returns True iff any state changed.
 
@@ -349,56 +350,125 @@ class Simulation:
         corruptions) are applied first; the scheduled encounter is then
         inert if either party has crashed, and may be dropped by omission
         faults.  Inert and omitted encounters still advance the
-        interaction counter (global time passes).
+        interaction counter (global time passes).  This is
+        :meth:`_advance` with ``k = 1``: every stepping entry point runs
+        the same loop.
         """
+        return self._advance(1)
+
+    def _advance(self, k: int) -> bool:
+        """Run ``k`` interactions; True iff the last one changed a state.
+
+        The engine's one stepping loop.  Attribute lookups are hoisted
+        into locals once per call, and the interaction counter lives in
+        a local that is written back on exit (also when the protocol or
+        scheduler raises).  Fault models read ``self.interactions``, so
+        with a plan attached it is written before ``pre_step`` and again
+        before ``drop_encounter``.
+
+        Under the exact :class:`UniformPairScheduler` and an exact
+        ``random.Random``, the ``randrange(n), randrange(n - 1)`` pair is
+        drawn inline as CPython's ``_randbelow_with_getrandbits`` draws
+        it: ``getrandbits(bit_length)`` until the value is in range.  The
+        generator then ends in the same state as through ``randrange``.
+        Any other scheduler is asked for ``next_encounter``, and so is
+        the uniform one under a ``random.Random`` subclass, whose
+        ``randrange`` may be built on an overridden ``random()``.
+        """
+        states = self.states
+        outputs = self._outputs
+        crashed = self.crashed
         plan = self._faults
-        if plan is not None:
-            plan.pre_step(self)
-        initiator, responder = self.scheduler.next_encounter(self.states, self.rng)
-        self.interactions += 1
-        if self.crashed and (initiator in self.crashed
-                             or responder in self.crashed):
-            return False
-        if plan is not None and plan.drop_encounter(self):
-            return False
-        p, q = self.states[initiator], self.states[responder]
-        p2, q2 = self._delta(p, q)
-        if p2 == p and q2 == q:
-            return False
-        self.states[initiator] = p2
-        self.states[responder] = q2
-        self.last_change = self.interactions
-        changed_output = False
-        out_p = self.protocol.output(p2)
-        if out_p != self._outputs[initiator]:
-            self._outputs[initiator] = out_p
-            changed_output = True
-        out_q = self.protocol.output(q2)
-        if out_q != self._outputs[responder]:
-            self._outputs[responder] = out_q
-            changed_output = True
-        if changed_output:
-            self.last_output_change = self.interactions
-        return True
+        cache = self._delta_cache
+        delta = self.protocol.delta
+        output = self.protocol.output
+        scheduler = self.scheduler
+        rng = self.rng
+        inline = (type(scheduler) is UniformPairScheduler
+                  and type(rng) is random.Random)
+        if inline:
+            n = scheduler.n
+            m = n - 1
+            bits_n = n.bit_length()
+            bits_m = m.bit_length()
+            getrandbits = rng.getrandbits
+        else:
+            next_encounter = scheduler.next_encounter
+        t = self.interactions
+        changed = False
+        try:
+            for _ in range(k):
+                changed = False
+                if plan is not None:
+                    self.interactions = t
+                    plan.pre_step(self)
+                if inline:
+                    i = getrandbits(bits_n)
+                    while i >= n:
+                        i = getrandbits(bits_n)
+                    j = getrandbits(bits_m)
+                    while j >= m:
+                        j = getrandbits(bits_m)
+                    if j >= i:
+                        j += 1
+                else:
+                    i, j = next_encounter(states, rng)
+                t += 1
+                if crashed and (i in crashed or j in crashed):
+                    continue
+                if plan is not None:
+                    self.interactions = t
+                    if plan.drop_encounter(self):
+                        continue
+                p = states[i]
+                q = states[j]
+                result = cache.get((p, q))
+                if result is None:
+                    result = cache[p, q] = delta(p, q)
+                p2, q2 = result
+                if p2 == p and q2 == q:
+                    continue
+                states[i] = p2
+                states[j] = q2
+                self.last_change = t
+                changed = True
+                out_p = output(p2)
+                out_q = output(q2)
+                if out_p != outputs[i]:
+                    outputs[i] = out_p
+                    self.last_output_change = t
+                if out_q != outputs[j]:
+                    outputs[j] = out_q
+                    self.last_output_change = t
+        finally:
+            self.interactions = t
+        return changed
 
     def run(self, steps: int) -> None:
-        """Run a fixed number of interactions."""
-        for _ in range(steps):
-            self.step()
+        """Run a fixed number of interactions: one :meth:`_advance` call,
+        or, with monitors attached, one monitored :meth:`step` each."""
+        if self.monitors:
+            step = self.step
+            for _ in range(steps):
+                step()
+        else:
+            self._advance(steps)
 
     def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
         """Run until ``condition(self)`` holds or ``max_steps`` pass.
 
         Returns True iff the condition was met.  ``condition`` is evaluated
         every ``check_every`` interactions (and before the first step).
+        Each chunk of ``check_every`` interactions is one :meth:`run`:
+        one :meth:`_advance` call, or, with monitors attached, that many
+        calls of the monitored :meth:`step`.
         """
         if condition(self):
             return True
         remaining = max_steps
         while remaining > 0:
             chunk = min(check_every, remaining)
-            for _ in range(chunk):
-                self.step()
+            self.run(chunk)
             remaining -= chunk
             if condition(self):
                 return True

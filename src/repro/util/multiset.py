@@ -15,6 +15,10 @@ from typing import TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
+#: Longest list or tuple counted by a Python loop; longer ones go through
+#: ``Counter``, whose C counting loop wins from about a hundred items on.
+_LOOP_COUNT_MAX = 64
+
 
 class FrozenMultiset(Mapping):
     """An immutable multiset with value-based equality and hashing.
@@ -27,6 +31,19 @@ class FrozenMultiset(Mapping):
     __slots__ = ("_counts", "_hash", "_total")
 
     def __init__(self, items: Iterable[T] | Mapping[T, int] = ()):
+        kind = type(items)
+        if (kind is list or kind is tuple) and len(items) <= _LOOP_COUNT_MAX:
+            # The hot case (engine snapshots of small populations): count
+            # in one pass, skipping the Mapping ABC check and Counter's
+            # set-up; every multiplicity is positive by construction.
+            counts: dict = {}
+            get = counts.get
+            for item in items:
+                counts[item] = get(item, 0) + 1
+            self._counts = counts
+            self._total = len(items)
+            self._hash = None
+            return
         if isinstance(items, Mapping):
             counts = {k: int(v) for k, v in items.items() if v != 0}
         else:
@@ -36,7 +53,8 @@ class FrozenMultiset(Mapping):
                 raise ValueError(f"negative multiplicity {count} for {value!r}")
         self._counts = counts
         self._total = sum(counts.values())
-        self._hash = hash(frozenset(counts.items()))
+        #: Computed on first use: most snapshots are never hashed.
+        self._hash = None
 
     # -- Mapping interface -------------------------------------------------
 
@@ -120,6 +138,8 @@ class FrozenMultiset(Mapping):
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._counts.items()))
         return self._hash
 
     def __repr__(self) -> str:

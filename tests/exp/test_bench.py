@@ -390,3 +390,49 @@ class TestFaultedOverheadGate:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             faulted_overhead_check([], max_overhead=0.9)
+
+    def _gate_run(self, monkeypatch, plain_s, faulted_s):
+        """Rows of a gated workload whose k-th timed round takes
+        ``plain_s[k]`` and ``faulted_s[k]`` seconds."""
+        from repro.exp import bench
+
+        times = {"batched-agent": [plain_s[0]] + list(plain_s),
+                 "batched-agent-faulted": [faulted_s[0]] + list(faulted_s)}
+
+        def fake_time_engine(engine, *args, **kwargs):
+            return times[engine].pop(0), 0.001, "numpy"
+
+        monkeypatch.setattr(bench, "_time_engine", fake_time_engine)
+        monkeypatch.setattr(bench, "SMOKE_GRID", (
+            {"protocol": "leader-election", "n": 1_000, "steps": 500_000,
+             "engines": FAULT_OVERHEAD_PAIRS[0]},))
+        rows = run_kernel_benchmarks(smoke=True, repeats=1)
+        assert [len(t) for t in times.values()] == [0, 0]
+        return rows
+
+    def test_gate_reads_median_of_paired_rounds(self, monkeypatch):
+        # Every round the faulted twin takes 1.15x its fault-free twin,
+        # but one lucky faulted round is the fastest of all: the ratio of
+        # best-of times reads below 1, the paired median reads 1.15.
+        plain = [0.030 + 0.001 * (k % 3) for k in range(30)]
+        faulted = [1.15 * s for s in plain]
+        faulted[17] = 0.029
+        rows = self._gate_run(monkeypatch, plain, faulted)
+        plain_row, faulted_row = rows
+        assert plain_row["ips"] < faulted_row["ips"]
+        assert "overhead_median" not in plain_row
+        assert faulted_row["overhead_median"] == pytest.approx(1.15)
+        problems = faulted_overhead_check(rows, max_overhead=1.10)
+        assert [p["overhead"] for p in problems] == [1.15]
+
+    def test_one_fast_plain_round_does_not_fail_the_gate(self, monkeypatch):
+        # The mirror case: a single rare fast fault-free round makes the
+        # best-of ratio read 1.41x although the twins run within 3%.
+        plain = [0.030] * 30
+        plain[4] = 0.022
+        faulted = [0.031] * 30
+        rows = self._gate_run(monkeypatch, plain, faulted)
+        assert rows[0]["ips"] / rows[1]["ips"] > 1.4
+        assert rows[1]["overhead_median"] == pytest.approx(0.031 / 0.030,
+                                                           abs=1e-4)
+        assert faulted_overhead_check(rows, max_overhead=1.10) == []

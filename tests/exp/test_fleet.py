@@ -278,7 +278,7 @@ class TestSupervisionThroughFleet:
             raise error
 
         # Patched before the fleet forks, so its workers run `explode`.
-        monkeypatch.setattr(runner_mod, "run_trial", explode)
+        monkeypatch.setattr(runner_mod, "_run_slot", explode)
         with WorkerFleet(1) as fleet:
             with pytest.raises(TrialExecutionError,
                                match="unpicklable") as raised:

@@ -190,3 +190,75 @@ class TestTornTailRepair:
         assert reopened.completed_ids() == {trial(i)["id"] for i in range(5)}
         assert path.stat().st_size == size
         assert bad in path.read_bytes()
+
+
+class TestAppendHandle:
+    """The store opens its file once, on the first write, and keeps the
+    handle; every line is flushed before ``append`` returns."""
+
+    def test_fresh_store_sees_record_without_close(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store = ResultStore(path)
+        store.bind_spec(make_spec())
+        store.append(trial(0))
+        assert trial(0)["id"] in ResultStore(path)
+        handle = store._handle
+        store.append(trial(1))
+        assert store._handle is handle  # held, not reopened
+        assert ResultStore(path).completed_ids() == {trial(0)["id"],
+                                                    trial(1)["id"]}
+
+    def test_close_then_append_reopens(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store = ResultStore(path)
+        store.append(trial(0))
+        store.close()
+        store.close()  # idempotent
+        store.append(trial(1))
+        assert len(ResultStore(path)) == 2
+
+    def test_failure_appends_still_fsync(self, tmp_path, monkeypatch):
+        import repro.exp.store as store_mod
+
+        synced = []
+        real_fsync = store_mod.os.fsync
+        monkeypatch.setattr(store_mod.os, "fsync",
+                            lambda fd: (synced.append(fd), real_fsync(fd)))
+        store = ResultStore(tmp_path / "r.jsonl")
+        store.append(trial(0))
+        assert synced == []
+        store.append_failure(failure(1))
+        assert synced == [store._handle.fileno()]
+        assert ResultStore(store.path).quarantined_ids() == {failure(1)["id"]}
+
+    def test_append_after_torn_tail_repair_lands_on_own_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        writer = ResultStore(path)
+        writer.bind_spec(make_spec())
+        writer.append(trial(0))
+        writer.append(trial(1))
+        with open(path, "r+b") as handle:
+            handle.truncate(path.stat().st_size - 10)
+
+        repaired = ResultStore(path)
+        repaired.append(trial(2))
+        # The first writer's held handle appends at the end, too.
+        writer.append(trial(3))
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == [
+            "spec", "trial", "trial", "trial"]
+        assert ResultStore(path).completed_ids() == {
+            trial(i)["id"] for i in (0, 2, 3)}
+
+    def test_two_stores_on_one_path_keep_both_records(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        first = ResultStore(path)
+        first.bind_spec(make_spec())
+        first.append(trial(0))
+        second = ResultStore(path)
+        second.append(trial(1))
+        first.append(trial(2))
+        second.append(trial(3))
+        assert ResultStore(path).completed_ids() == {
+            trial(i)["id"] for i in range(4)}
+        assert all(json.loads(line) for line in path.read_text().splitlines())

@@ -627,3 +627,39 @@ class TestAgentConstruction:
         protocol = _build("majority", {})
         with pytest.raises(ValueError, match="'bogus'"):
             BatchedSimulation(protocol, [1, 0, "bogus", 1])
+
+    @pytest.mark.parametrize("name, counts", [
+        ("majority", {1: 120, 0: 181}),
+        ("majority", {0: 7, 1: 0}),
+        ("majority", {0: 0, 1: 5}),
+        ("epidemic", {1: 1, 0: 4_999}),
+        ("count-to-k", {1: 13, 0: 0}),
+    ])
+    def test_counts_layout_matches_symbol_list(self, name, counts):
+        # batched_simulate_counts builds the agent ids from the counts in
+        # one np.repeat; an explicit symbol list in the same repr-sorted
+        # layout must give the same agents, outputs and histogram.
+        protocol = _build(name, {})
+        inputs = [symbol for symbol, count
+                  in sorted(counts.items(), key=lambda kv: repr(kv[0]))
+                  for _ in range(count)]
+        fast = batched_simulate_counts(protocol, counts, seed=1)
+        listed = BatchedSimulation(protocol, inputs, seed=1)
+        assert fast._ids == listed._ids
+        assert all(type(sid) is int for sid in fast._ids)
+        assert fast._sarr.dtype == np.int64
+        assert fast._sarr.tolist() == listed._ids
+        assert fast._agent_out == listed._agent_out
+        assert fast._out_hist == listed._out_hist
+
+    def test_counts_errors_are_kept(self):
+        protocol = _build("majority", {})
+        with pytest.raises(ValueError, match="non-negative"):
+            batched_simulate_counts(protocol, {1: 3, 0: -1})
+        with pytest.raises(ValueError, match="'bogus'"):
+            batched_simulate_counts(protocol, {1: 3, 0: 2, "bogus": 1})
+        # A zero count is no agent, so its symbol is never checked.
+        sim = batched_simulate_counts(protocol, {1: 3, 0: 2, "bogus": 0})
+        assert sim.n == 5
+        with pytest.raises(ValueError, match="at least two agents"):
+            batched_simulate_counts(protocol, {1: 1, 0: 0})

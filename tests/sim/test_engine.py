@@ -1,9 +1,11 @@
 """Tests for the agent-array simulation engine."""
 
+import random
+
 import pytest
 
 from repro.core.population import Population, line_population
-from repro.protocols.counting import Epidemic, count_to_five
+from repro.protocols.counting import CountToK, Epidemic, count_to_five
 from repro.protocols.leader import LEADER, LeaderElection
 from repro.sim.engine import Simulation, simulate_counts
 from repro.util.multiset import FrozenMultiset
@@ -134,3 +136,261 @@ class TestSimulateCounts:
     def test_negative_count_rejected(self, seed):
         with pytest.raises(ValueError):
             simulate_counts(count_to_five(), {0: -1, 1: 3}, seed=seed)
+
+
+# -- Stepping oracle ---------------------------------------------------------
+#
+# ``reference_step`` is the engine's per-interaction step as it stood
+# before every entry point moved onto one hoisted loop (``_advance``): one
+# scheduler call, one ``randrange`` pair, attribute lookups on every
+# interaction.  The engine must reproduce it exactly — states, clocks,
+# outputs and the RNG state — under every scheduler, fault plan and mix
+# of entry points.
+
+
+def reference_step(sim) -> bool:
+    plan = sim.faults
+    if plan is not None:
+        plan.pre_step(sim)
+    initiator, responder = sim.scheduler.next_encounter(sim.states, sim.rng)
+    sim.interactions += 1
+    if sim.crashed and (initiator in sim.crashed
+                        or responder in sim.crashed):
+        return False
+    if plan is not None and plan.drop_encounter(sim):
+        return False
+    p, q = sim.states[initiator], sim.states[responder]
+    p2, q2 = sim.protocol.delta(p, q)
+    if p2 == p and q2 == q:
+        return False
+    sim.states[initiator] = p2
+    sim.states[responder] = q2
+    sim.last_change = sim.interactions
+    changed_output = False
+    out_p = sim.protocol.output(p2)
+    if out_p != sim._outputs[initiator]:
+        sim._outputs[initiator] = out_p
+        changed_output = True
+    out_q = sim.protocol.output(q2)
+    if out_q != sim._outputs[responder]:
+        sim._outputs[responder] = out_q
+        changed_output = True
+    if changed_output:
+        sim.last_output_change = sim.interactions
+    return True
+
+
+class _Recorder:
+    """A monitor that logs every ``after_step`` call it receives."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.calls = []
+
+    def on_attach(self, sim) -> None:
+        pass
+
+    def after_step(self, sim, changed: bool) -> None:
+        self.calls.append((sim.interactions, changed))
+
+
+class _ReferenceStepper:
+    """``step``/``run``/``run_until`` of an unmonitored simulation, each
+    interaction taken by :func:`reference_step`."""
+
+    def __init__(self, sim, recorder):
+        self.sim = sim
+        self.recorder = recorder
+
+    def step(self) -> bool:
+        changed = reference_step(self.sim)
+        if self.recorder is not None:
+            self.recorder.after_step(self.sim, changed)
+        return changed
+
+    def run(self, steps: int) -> None:
+        for _ in range(steps):
+            self.step()
+
+    def run_until(self, condition, max_steps: int, check_every: int) -> bool:
+        if condition(self.sim):
+            return True
+        remaining = max_steps
+        while remaining > 0:
+            chunk = min(check_every, remaining)
+            for _ in range(chunk):
+                self.step()
+            remaining -= chunk
+            if condition(self.sim):
+                return True
+        return False
+
+
+class _OwnRandom(random.Random):
+    """Overrides ``random()``, so ``randrange`` no longer draws through
+    ``getrandbits`` and the inline draw must not be used."""
+
+    def random(self):
+        return super().random()
+
+
+def _plan(kind: str, seed: int):
+    from repro.sim.faults import (
+        CorruptAt,
+        CorruptionRate,
+        CrashAt,
+        CrashRate,
+        FaultPlan,
+        OmissionRate,
+        OmitAt,
+    )
+
+    models = {
+        "crash-at": lambda: [CrashAt(4), CrashAt(37), CrashAt(38),
+                             CrashAt(120)],
+        "crash-rate": lambda: [CrashRate(0.02)],
+        # Corruptions stamp ``last_change`` with the clock they read, and
+        # crashes make inert encounters, so a stale clock shows.
+        "corruption": lambda: [CrashAt(3)] + [CorruptAt(step) for step in
+                                              range(9, 500, 11)]
+                              + [CorruptionRate(0.03)],
+        "omission": lambda: [CrashAt(6), OmitAt(range(1, 400, 5)),
+                             OmissionRate(0.1)],
+    }[kind]()
+    return FaultPlan(models, seed=seed)
+
+
+def _scheduler(kind: str, n: int, protocol):
+    from repro.core.population import complete_population
+    from repro.sim import schedulers as sch
+
+    complete = complete_population(n)
+    return {
+        "uniform": lambda: None,
+        "uniform-pair": lambda: sch.UniformPairScheduler(n),
+        "edge": lambda: sch.UniformEdgeScheduler(line_population(n)),
+        "round-robin": lambda: sch.RoundRobinScheduler(complete),
+        "shuffled": lambda: sch.ShuffledSweepScheduler(complete),
+        "weighted": lambda: sch.WeightedPairScheduler(
+            n, lambda state: 1 + state),
+        "stalling": lambda: sch.StallingScheduler(complete, protocol),
+        "greedy": lambda: sch.GreedyChangeScheduler(complete, protocol),
+        "partition": lambda: sch.PartitionScheduler(n, heal_after=50),
+        "eclipse": lambda: sch.EclipseScheduler(n, target=1, budget=7),
+        "delay": lambda: sch.AdversarialDelayScheduler(complete, protocol,
+                                                       budget=9),
+    }[kind]()
+
+
+#: An interleaving of every stepping entry point, with a snapshot taken
+#: mid-run and restored later.
+_PROGRAM = (("step",), ("run", 7), ("run_until", 40, 5), ("step",),
+            ("snapshot",), ("run", 25), ("run_until", 30, 1), ("restore",),
+            ("run", 33), ("step",), ("run_until", 300, 9), ("run", 1),
+            ("run_until", 200, 64), ("run", 150))
+
+
+def _observe(sim) -> tuple:
+    plan = sim.faults
+    counters = (None if plan is None
+                else (plan.crashes, plan.corruptions, plan.omissions))
+    return (list(sim.states), sim.interactions, sim.last_change,
+            sim.last_output_change, sim.outputs(), sorted(sim.crashed),
+            counters, sim.rng.getstate())
+
+
+def _check_against_reference(*, n=8, scheduler="uniform", faults=None,
+                             rng_type=random.Random, monitored=False,
+                             seeds=(1, 2, 3)):
+    protocol = count_to_five()
+    inputs = [1] * (n - n // 3) + [0] * (n // 3)
+    for seed in seeds:
+        def make(monitors=()):
+            return Simulation(
+                protocol, inputs, seed=rng_type(seed),
+                scheduler=_scheduler(scheduler, n, protocol),
+                faults=None if faults is None else _plan(faults, seed),
+                monitors=monitors)
+
+        engine_log = oracle_log = None
+        if monitored:
+            from repro.sim.monitors import build_monitors
+
+            engine_log, oracle_log = _Recorder(), _Recorder()
+            engine = make(build_monitors(
+                ["conservation", "containment:check=3", "flicker"])
+                + [engine_log])
+        else:
+            engine = make()
+        oracle = make()
+        reference = _ReferenceStepper(oracle, oracle_log)
+        checks: dict = {"engine": [], "reference": []}
+        snaps: dict = {}
+        for op in _PROGRAM:
+            for name, stepper, sim in (("engine", engine, engine),
+                                      ("reference", reference, oracle)):
+                if op[0] == "step":
+                    stepper.step()
+                elif op[0] == "run":
+                    stepper.run(op[1])
+                elif op[0] == "run_until":
+                    log = checks[name]
+
+                    def condition(s, log=log):
+                        log.append(s.interactions)
+                        return s.interactions - s.last_change >= 45
+
+                    stepper.run_until(condition, max_steps=op[1],
+                                      check_every=op[2])
+                elif op[0] == "snapshot":
+                    snaps[name] = sim.snapshot()
+                else:
+                    sim.restore(snaps[name])
+            assert _observe(engine) == _observe(oracle), (seed, op)
+        assert checks["engine"] == checks["reference"]
+        if monitored:
+            assert engine_log.calls == oracle_log.calls
+
+
+class TestSteppingOracle:
+    @pytest.mark.parametrize("n", [2, 3, 8, 17])
+    def test_uniform_pairs(self, n):
+        # n = 2 draws randrange(1), which loops until it draws 0.
+        _check_against_reference(n=n)
+
+    @pytest.mark.parametrize("scheduler", [
+        "uniform-pair", "edge", "round-robin", "shuffled", "weighted",
+        "stalling", "greedy", "partition", "eclipse", "delay"])
+    def test_every_scheduler(self, scheduler):
+        _check_against_reference(scheduler=scheduler)
+
+    def test_random_subclass_draws_through_randrange(self):
+        _check_against_reference(rng_type=_OwnRandom)
+        _check_against_reference(n=2, rng_type=_OwnRandom)
+
+    @pytest.mark.parametrize("faults", [
+        "crash-at", "crash-rate", "corruption", "omission"])
+    def test_fault_plans(self, faults):
+        _check_against_reference(faults=faults)
+        _check_against_reference(faults=faults, scheduler="shuffled")
+
+    @pytest.mark.parametrize("faults", [None, "corruption"])
+    def test_monitored_steps_once_per_interaction(self, faults):
+        _check_against_reference(faults=faults, monitored=True)
+
+    def test_interactions_survive_a_raising_step(self):
+        class Halting(CountToK):
+            def delta(self, p, q):
+                if p + q >= 4:
+                    raise RuntimeError("stop")
+                return super().delta(p, q)
+
+        sim = Simulation(Halting(5), [1] * 6, seed=3)
+        with pytest.raises(RuntimeError, match="stop"):
+            sim.run(10_000)
+        oracle = Simulation(Halting(5), [1] * 6, seed=3)
+        with pytest.raises(RuntimeError, match="stop"):
+            while True:
+                reference_step(oracle)
+        assert _observe(sim) == _observe(oracle)

@@ -9,15 +9,11 @@ simulation engine.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import TypeVar
 
 T = TypeVar("T", bound=Hashable)
-
-#: Longest list or tuple counted by a Python loop; longer ones go through
-#: ``Counter``, whose C counting loop wins from about a hundred items on.
-_LOOP_COUNT_MAX = 64
 
 
 class FrozenMultiset(Mapping):
@@ -32,25 +28,18 @@ class FrozenMultiset(Mapping):
 
     def __init__(self, items: Iterable[T] | Mapping[T, int] = ()):
         kind = type(items)
-        if (kind is list or kind is tuple) and len(items) <= _LOOP_COUNT_MAX:
-            # The hot case (engine snapshots of small populations): count
-            # in one pass, skipping the Mapping ABC check and Counter's
-            # set-up; every multiplicity is positive by construction.
+        if kind is list or kind is tuple or not isinstance(items, Mapping):
+            # ``_count_elements`` is the C counting loop behind ``Counter``
+            # (stdlib since 3.2); called directly it skips Counter's set-up
+            # and, for the engines' list snapshots, the Mapping ABC check.
             counts: dict = {}
-            get = counts.get
-            for item in items:
-                counts[item] = get(item, 0) + 1
-            self._counts = counts
-            self._total = len(items)
-            self._hash = None
-            return
-        if isinstance(items, Mapping):
-            counts = {k: int(v) for k, v in items.items() if v != 0}
+            _count_elements(counts, items)
         else:
-            counts = dict(Counter(items))
-        for value, count in counts.items():
-            if count < 0:
-                raise ValueError(f"negative multiplicity {count} for {value!r}")
+            counts = {k: int(v) for k, v in items.items() if v != 0}
+            for value, count in counts.items():
+                if count < 0:
+                    raise ValueError(
+                        f"negative multiplicity {count} for {value!r}")
         self._counts = counts
         self._total = sum(counts.values())
         #: Computed on first use: most snapshots are never hashed.

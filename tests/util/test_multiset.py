@@ -1,5 +1,7 @@
 """Tests for the frozen multiset."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,6 +48,17 @@ class TestEqualityHashing:
         b = FrozenMultiset(reversed(items))
         assert a == b
         assert hash(a) == hash(b)
+
+    @given(st.lists(st.sampled_from("abcdef"), max_size=300))
+    def test_every_input_kind_counts_alike(self, items):
+        expected = dict(Counter(items))
+        built = [FrozenMultiset(items), FrozenMultiset(tuple(items)),
+                 FrozenMultiset(iter(items)), FrozenMultiset(Counter(items))]
+        for ms in built:
+            assert ms.counts() == expected
+            assert ms.total == len(items)
+            assert ms == built[0]
+            assert hash(ms) == hash(frozenset(expected.items()))
 
 
 class TestOperations:

@@ -38,13 +38,14 @@ def test_kernel_throughput(benchmark, base_seed, workload, engine):
     if engine == "ensemble-multiset":
         steps = workload["trials"] * workload["trial_steps"]
 
-    seconds = benchmark.pedantic(
+    seconds, construct_s, backend = benchmark.pedantic(
         lambda: _time_engine(engine, protocol, counts, workload["steps"],
                              base_seed, trials=workload.get("trials"),
                              trial_steps=workload.get("trial_steps")),
         rounds=1, iterations=1)
     json_row(benchmark,
              protocol=workload["protocol"], n=workload["n"], engine=engine,
-             steps=steps, unit=_unit(engine),
-             seconds=round(seconds, 6), ips=round(steps / seconds, 1))
+             backend=backend, steps=steps, unit=_unit(engine),
+             seconds=round(seconds, 6), construct_s=round(construct_s, 6),
+             ips=round(steps / seconds, 1))
     assert seconds > 0

@@ -85,8 +85,10 @@ ENGINE_PAIRS = (
 #: bounds (``repro bench --max-fault-overhead``, default 1.10).  Only
 #: the batched pair is gated: its fault path is the vectorized one with
 #: a hard <= 10% contract; the ensemble faulted row is informational
-#: (its omission faults thin the windowed first-hit draws, but the
-#: reactive-dense rounds still step in the faulted lockstep mode).
+#: (its omission faults thin the jump to each trial's next reactive
+#: encounter in every regime, while the fault-free row steps its
+#: reactive-dense start in lockstep, so the two rows time different
+#: advancement modes).
 FAULT_OVERHEAD_PAIRS = (
     ("batched-agent", "batched-agent-faulted"),
 )
@@ -206,8 +208,8 @@ def _engine_workload(engine: str, protocol, counts, steps: int, seed: int,
                                         EnsembleMultisetSimulation)
 
         # An omission rate — the representative shape for
-        # resilience-curve sweeps — thins the windowed first-hit draws,
-        # with reactive-dense rounds on the lockstep faulted path.
+        # resilience-curve sweeps — thins the jump to each trial's next
+        # reactive encounter, in the reactive-dense regime too.
         faulted = engine == "ensemble-multiset-faulted"
         return (lambda: EnsembleMultisetSimulation(
                     protocol, counts, trials=trials, seed=seed,

@@ -343,7 +343,6 @@ class EnsembleSpanKernels:
                           ens._out_ids, last_hit, last_out_hit)
         base = ens.interactions[idx]
         ens.counts[idx] = c
-        ens._cum[idx] = cum
         ens.interactions[idx] += rounds
         hit = last_hit > 0
         ens.last_change[idx[hit]] = base[hit] + last_hit[hit]

@@ -432,7 +432,6 @@ def ensemble_lockstep_chunk(ens, idx: np.ndarray, rounds: int) -> None:
             last_out_hit[changed] = r + 1
     base = ens.interactions[idx]
     ens.counts[idx] = c
-    ens._cum[idx] = cum
     ens.interactions[idx] += rounds
     hit = last_hit > 0
     ens.last_change[idx[hit]] = base[hit] + last_hit[hit]

@@ -26,29 +26,31 @@ ordered state pair ``(p, q)`` probability ``c_p (c_q - [p = q]) /
 state-level draw (:class:`~repro.sim.multiset_engine.MultisetSimulation`
 removes one unit of the initiator's *state* before the responder draw;
 removing the initiator *agent* is the identical distribution, and the
-index draws are count-independent, so a whole window of them can be
+index draws are count-independent, so a whole chunk of them can be
 drawn and shifted up front).  Only the randomness source differs (one
 shared ``numpy`` bit generator instead of one ``random.Random`` per
 trial), so ensemble trajectories agree with scalar trajectories *in
 distribution*, not bit for bit.  The statistical-equivalence suite in
 ``tests/sim/test_ensemble.py`` pins this down with KS tests on
-convergence-time distributions; see ``docs/PERFORMANCE.md`` for the
-contract.
+convergence-time distributions, and ``tests/sim/test_ensemble_oracle.py``
+against the exact chain of :class:`~repro.analysis.markov.MarkovAnalysis`;
+see ``docs/PERFORMANCE.md`` for the contract.
 
-Windowed advancement
---------------------
+Jump advancement
+----------------
 
-Per :meth:`_advance_once` call the engine draws a ``(W, A)`` window of
-pair draws for the ``A`` still-active trials, resolves all of them
-against the *current* counts, and finds each trial's first reactive
-round.  Rounds before the first reactive event are genuine no-ops under
-frozen counts, so each trial advances through them in one shot and
-applies exactly its first reactive transition; draws past that point are
-discarded (fresh i.i.d. draws replace them — statistically free, which
-is precisely what the statistical contract buys over the bit-identical
-batched engines).  An adaptive window tracks the mean no-op gap, so
-silent-tail regimes advance tens of thousands of interactions per numpy
-round while reactive-dense regimes shrink the window to a few rounds.
+Outside the reactive-dense regime the engine does not draw no-op pairs
+at all.  Per :meth:`_jump` call it gathers, for each of the ``A`` active
+trials, the weights ``w_pq = c_p (c_q - [p = q])`` of the ``r`` compiled
+reactive ordered pairs (an ``(A, r)`` gather), so a round is reactive
+with probability ``pi = sum(w) / (n (n-1))`` under the counts it starts
+from.  Rounds are i.i.d. until the counts change, so the number of
+rounds up to and including the next reactive encounter is exactly
+``Geometric(pi)``; the trial advances that many rounds (or its cap,
+whichever is smaller — the draw is memoryless, so a capped trial needs
+nothing else) and applies one pair drawn in proportion to ``w``.  This
+is the law :class:`~repro.sim.skipping.SkippingSimulation` samples for a
+single trial, vectorized across the fleet.
 
 Faults and monitors
 -------------------
@@ -56,19 +58,19 @@ Faults and monitors
 A declarative :class:`EnsembleFaults` descriptor attaches per-trial
 stochastic faults (crash-rate / corruption-rate / omission-rate /
 crash-at — exactly the kinds :class:`repro.exp.spec.FaultAxis` can
-express), sampled round by round from a dedicated fault stream keyed by
-per-trial ``fault_seeds``; the engine's pair-draw stream is untouched,
-mirroring the scalar engines' ``FaultPlan.rng`` split.  Omission only
-ever turns an encounter into a no-op, so omission-rate runs keep the
-windowed first-hit path: each window's draws are thinned by fault-stream
-uniforms before the first-hit search, and only the reactive-dense regime
-steps in the fault-aware lockstep mode
-(:meth:`EnsembleMultisetSimulation._faulted_chunk`).  For the other
+express), sampled from a dedicated fault stream keyed by per-trial
+``fault_seeds``; the engine's pair-draw stream is untouched, mirroring
+the scalar engines' ``FaultPlan.rng`` split.  Omission only ever turns
+an encounter into a no-op, so omission-rate runs take the jump in every
+regime: a round is a surviving reactive encounter with probability
+``pi (1 - omega)``, and the omitted encounters among the other rounds a
+jump consumes are a binomial draw from the fault stream.  For the other
 kinds, while fault events remain possible — or any trial holds crashed
-agents, which the fault-free index search cannot represent — the
-controller stays in that lockstep mode; a spent schedule skips all fault
-sampling there, leaving only the dead-sentinel clamping as residual
-overhead.  The scalar-twin replay contract extends to
+agents, which the fault-free paths cannot represent — the controller
+steps round by round in the fault-aware lockstep mode
+(:meth:`EnsembleMultisetSimulation._faulted_chunk`); a spent schedule
+skips all fault sampling there, leaving only the dead-sentinel clamping
+as residual overhead.  The scalar-twin replay contract extends to
 faults: :meth:`EnsembleMultisetSimulation.scalar_twin` rebuilds trial
 ``t`` with the equivalent scalar ``FaultPlan`` seeded by
 ``fault_seeds[t]``, so a faulted trial replays *deterministically* on
@@ -112,13 +114,12 @@ __all__ = [
     "run_ensemble_until_correct_stable",
 ]
 
-#: Hard cap on rounds per advancement window.
-_WINDOW_MAX = 1 << 15
-#: Element budget of one window's (W, A, k) broadcast (bounds memory).
+#: Element budget of one jump's (A, r) reactive-weight gather (bounds
+#: memory; larger fleets are jumped in slices of trials).
 _ADVANCE_BUDGET = 1 << 22
 #: Gap estimates saturate here (treated as "effectively silent").
 _GAP_CAP = 1e9
-#: Mean no-op gap below which lockstep rounds beat first-hit windows.
+#: Mean no-op gap below which fault-free lockstep rounds beat jumps.
 _GAP_LOCKSTEP = 6.0
 #: Rounds per lockstep chunk between mode-controller decisions.
 _LOCKSTEP_CHUNK = 256
@@ -336,10 +337,16 @@ class EnsembleMultisetSimulation:
         # Compiled tables as numpy arrays (flat [p*k + q] indexing, plus
         # (k, k) views for two-index gathers in the hot loops).
         self._tinit, self._tresp, self._out_ids = compiled.typed_arrays()
-        self._reactive = compiled.reactive_mask
         self._tinit2d = self._tinit.reshape(k, k)
         self._tresp2d = self._tresp.reshape(k, k)
         self._react2d = compiled.reactive_mask.reshape(k, k)
+        #: Flat ids of the reactive ordered pairs, their initiator and
+        #: responder state ids, and 1 where the two coincide (the jump's
+        #: weight gather ``c_p (c_q - [p = q])``).
+        self._rflat = np.flatnonzero(compiled.reactive_mask)
+        self._rp = self._rflat // k
+        self._rq = self._rflat % k
+        self._rself = (self._rp == self._rq).astype(np.int64)
         #: Effective kernel backend name and the lockstep kernel object
         #: (requesting an unavailable backend falls back to numpy with a
         #: one-time warning; see repro.sim.backends).
@@ -353,13 +360,11 @@ class EnsembleMultisetSimulation:
             self.output_hist = self.counts @ onehot
         else:
             self.output_hist = None
-        #: ``(T, k)`` inclusive count cumsums (refreshed only on change).
-        self._cum = np.cumsum(self.counts, axis=1)
         #: Off-diagonal reactive matrix (silence checks; the diagonal
         #: needs the count >= 2 qualifier, handled separately).
         self._react_off = self._react2d & ~np.eye(k, dtype=bool)
         self._react_diag = np.diag(self._react2d).copy()
-        #: EMA of interactions per reactive event (window controller).
+        #: EMA of interactions per reactive event (lockstep/jump controller).
         self._gap = 2.0
 
         # -- Fault state.  The per-trial clocks below are allocated
@@ -370,7 +375,7 @@ class EnsembleMultisetSimulation:
         if faults is None and fault_seeds is not None:
             raise ValueError("fault_seeds= is only meaningful with faults=")
         self._faults = faults
-        #: Omission probability the windowed path thins its draws with
+        #: Omission probability the jump thins its reactive rounds with
         #: (0.0 unless omission-rate faults are attached).
         self._omission = (faults.intensity if faults is not None
                           and faults.kind == "omission-rate" else 0.0)
@@ -522,7 +527,7 @@ class EnsembleMultisetSimulation:
         The ensemble supports the two structural invariants —
         conservation and containment — checked vectorized across the
         whole fleet at chunk boundaries (every lockstep chunk or
-        windowed round), not per interaction; a monitor's
+        jump), not per interaction; a monitor's
         ``check_every`` is not consulted here.  A violating trial is
         recorded in :attr:`violations` and deactivated instead of
         raising, so one broken trial cannot take down the other
@@ -601,38 +606,65 @@ class EnsembleMultisetSimulation:
     def run_to(self, targets) -> None:
         """Advance each active trial to its absolute interaction target.
 
-        An adaptive controller picks between two vectorized advancement
-        modes on the running no-op-gap estimate: reactive-dense regimes
-        step one interaction per round in lockstep (the backend's
-        ``lockstep_chunk`` kernel), sparse regimes scan no-op windows and
-        jump to each trial's first reactive event
-        (:meth:`_advance_once`).  Omission faults ride the same
-        controller: they only ever turn an encounter into a no-op, so the
-        windowed mode thins its reactive draws with them, and the
-        fault-aware lockstep mode (:meth:`_faulted_chunk`) stands in for
-        the backend kernel in the reactive-dense regime.  While any other
-        attached fault can still fire, :meth:`_faulted_chunk` overrides
-        both modes — every step boundary must be offered to the fault
-        sampler.  Attached monitors sweep the fleet after every chunk.
+        Each engine round picks one of three vectorized modes:
+
+        * while a crash-rate, corruption-rate or crash-at fault can still
+          fire (or a trial holds crashed agents), the fault-aware
+          lockstep mode (:meth:`_faulted_chunk`) — every step boundary
+          must be offered to the fault sampler;
+        * otherwise, fault-free runs whose running no-op-gap estimate
+          says the regime is reactive-dense step one interaction per
+          round in lockstep (the backend's ``lockstep_chunk`` kernel);
+        * everything else — sparse fault-free regimes, and omission-rate
+          runs in every regime — jumps each trial to its next reactive
+          encounter (:meth:`_jump`).
+
+        Attached monitors sweep the fleet after every round.
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        faulted = self._faults is not None
+        self._run_to(np.array(targets, dtype=np.int64))
+
+    def _run_to(self, targets: np.ndarray, check_every: int = 0,
+                origin: "np.ndarray | None" = None) -> None:
+        """:meth:`run_to`'s loop, lowering ``targets`` in place.
+
+        With ``check_every`` set (the silent driver's check grid: the
+        points ``origin + j * check_every``), a trial is held at the
+        first grid point after any change of its counts, so the driver
+        checks it there.  A jump that lands a transition at ``t`` lowers
+        the trial's target to the first grid point at or after ``t``;
+        lockstep rounds apply several transitions per chunk, so they
+        lower every stepped trial's target to its next grid point.
+        """
         while True:
             idx = np.flatnonzero(self.active
                                  & (self.interactions < targets))
             if idx.size == 0:
                 return
-            caps = targets[idx] - self.interactions[idx]
-            lockstep = self._gap < _GAP_LOCKSTEP
-            if (faulted and self._faults_pending()
-                    and (lockstep or not self._omission)):
-                self._faulted_chunk(
-                    idx, min(int(caps.min()), _LOCKSTEP_CHUNK))
-            elif lockstep:
-                self._kernels.lockstep_chunk(
-                    self, idx, min(int(caps.min()), _LOCKSTEP_CHUNK))
+            faulted = (self._faults is not None and not self._omission
+                       and self._faults_pending())
+            if faulted or (not self._omission
+                           and self._gap < _GAP_LOCKSTEP):
+                if check_every:
+                    o = origin[idx]
+                    targets[idx] = np.minimum(
+                        targets[idx],
+                        o + ((self.interactions[idx] - o) // check_every
+                             + 1) * check_every)
+                rounds = min(int((targets[idx]
+                                  - self.interactions[idx]).min()),
+                             _LOCKSTEP_CHUNK)
+                if faulted:
+                    self._faulted_chunk(idx, rounds)
+                else:
+                    self._kernels.lockstep_chunk(self, idx, rounds)
             else:
-                self._advance_once(idx, caps)
+                rows = self._jump(idx, targets[idx] - self.interactions[idx])
+                if check_every and rows.size:
+                    o = origin[rows]
+                    targets[rows] = np.minimum(
+                        targets[rows],
+                        o - ((o - self.interactions[rows]) // check_every)
+                        * check_every)
             if self.monitors:
                 self._check_monitors()
 
@@ -641,11 +673,10 @@ class EnsembleMultisetSimulation:
 
         That is whenever a fault event can still fire, and also for as
         long as any active trial holds crashed agents: the fault-free
-        fast paths resolve agent indices against live mass only and
-        cannot represent the dead sentinel bin.  Rate faults are always
-        pending; :meth:`run_to` still sends omission-rate runs through the
-        windowed path in the sparse regime, because that path thins its
-        draws with the omission faults itself.
+        paths resolve agent indices against live mass only and cannot
+        represent the dead sentinel bin.  Rate faults are always pending
+        (omission-rate runs never ask: the jump thins its reactive
+        rounds with the omission faults itself).
         """
         if self._faults.kind == "crash-at":
             act = self.active
@@ -674,17 +705,17 @@ class EnsembleMultisetSimulation:
         The faulted twin of the fault-free lockstep kernel
         (:func:`repro.sim.backends.numpy_backend.ensemble_lockstep_chunk`);
         it always runs here, backend-independent, and feeds the same
-        no-op-gap estimate.  Crash and corruption runs take every round
-        here; omission runs only while the gap estimate says the regime
-        is reactive-dense (sparse rounds go to :meth:`_advance_once`).
-        Each round mirrors
-        the scalar engines' faulted step order exactly: step-boundary
-        faults first (crash / corruption), then the scheduled pair —
-        drawn over all ``n`` sensors, dead ones included, so the global
-        clock matches the scalar engines — with dead-party encounters
-        inert and omission faults dropping live encounters.  Fault
-        randomness comes from the dedicated fault stream, never the
-        engine stream (the scalar ``FaultPlan.rng`` split).
+        no-op-gap estimate.  Crash-rate, corruption-rate and crash-at
+        runs take every round here while a fault can still fire (or a
+        trial holds crashed agents); omission-rate runs never come here,
+        because the jump (:meth:`_jump`) thins its reactive rounds
+        exactly.  Each round mirrors the scalar engines' faulted step
+        order exactly: step-boundary faults first (crash / corruption),
+        then the scheduled pair — drawn over all ``n`` sensors, dead
+        ones included, so the global clock matches the scalar engines —
+        with dead-party encounters inert.  Fault randomness comes from
+        the dedicated fault stream, never the engine stream (the scalar
+        ``FaultPlan.rng`` split).
 
         Dead agents are represented *positionally*: a trial's live
         agents occupy the first ``n - dead`` index slots of the cumsum
@@ -775,18 +806,12 @@ class EnsembleMultisetSimulation:
             ps = np.where(livepair, p, 0)
             qs = np.where(livepair, q, 0)
             re = react2d[ps, qs] & livepair
-            if fd.kind == "omission-rate":
-                # Consulted for every live-live encounter (reactive or
-                # not), matching the scalar omission counter.
-                drop = livepair & (frng.random(A) < fd.intensity)
-                self.omissions[idx[drop]] += 1
-                re &= ~drop
             nre = int(re.sum())
             if nre == 0:
                 continue
             hits += nre
-            # Suppressed and dead-party encounters scatter as clamped
-            # identities, so the unconditional arithmetic stays exact.
+            # Dead-party encounters scatter as clamped identities, so
+            # the unconditional arithmetic stays exact.
             p2 = np.where(re, tinit2d[ps, qs], ps)
             q2 = np.where(re, tresp2d[ps, qs], qs)
             c[ar, ps] -= 1
@@ -806,7 +831,6 @@ class EnsembleMultisetSimulation:
                                  | ((op == oq2) & (oq == op2)))
                 lo_off[changed] = r + 1
         self.counts[idx] = c
-        self._cum[idx] = cum
         self.dead[idx] = dead
         self.interactions[idx] = base + rounds
         if fd.kind == "crash-at":
@@ -818,92 +842,95 @@ class EnsembleMultisetSimulation:
             so = lo_off >= 0
             self.last_output_change[idx[so]] = base[so] + lo_off[so]
         # The gap EMA counts applied transitions, as the fault-free
-        # lockstep kernel does, so omission runs leave lockstep once the
-        # tail turns sparse.
+        # lockstep kernel does.
         if hits:
             self._gap = 0.7 * self._gap + 0.3 * (rounds * A / hits)
         else:
             self._gap = min(self._gap * 2.0 + 1.0, _GAP_CAP)
 
-    def _advance_once(self, idx: np.ndarray, caps: np.ndarray) -> None:
-        """One windowed round: each trial in ``idx`` advances by at most
-        ``caps`` interactions and applies at most its first reactive
-        transition.
+    def _jump(self, idx: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        """One jump: each trial in ``idx`` advances to its next reactive
+        encounter, or by its cap if that comes first, and applies that
+        one transition.  Returns the trial ids that applied one.
 
-        All draws in the window are resolved against frozen counts; a
-        trial's draws past its first reactive event (or past its cap) are
-        discarded, which is sound because draws are i.i.d. — the next
-        window simply draws fresh ones.
+        Under the counts a trial starts from, every round is an i.i.d.
+        ordered pair draw, reactive with probability ``pi = sum(w) /
+        (n (n-1))`` where ``w_pq = c_p (c_q - [p = q])`` runs over the
+        reactive pairs.  With omission probability ``omega`` a round is
+        a surviving reactive encounter with probability ``kappa = pi (1 -
+        omega)``, so the round of the first one is ``G ~
+        Geometric(kappa)``.  A trial with ``G`` within its cap advances
+        ``G`` rounds and applies a pair drawn in proportion to ``w``;
+        otherwise it advances its cap and, the geometric being
+        memoryless, the next jump simply draws afresh.  A trial with
+        ``kappa = 0`` advances its full cap.
 
-        Under omission faults every draw of the window is thinned: a
-        fault-stream uniform drops it with the omission probability
-        before the first-hit search, so a trial's first hit is its first
-        reactive *and* surviving encounter.  Each round a trial consumes
-        is a live encounter, so the drops among those rounds are exactly
-        its omissions (the scalar ``OmissionRate`` counter).
+        Every other round the jump consumes is a live encounter that is
+        not a surviving reactive one, which happens with probability ``1
+        - kappa``; it is an omission with probability ``omega / (1 -
+        kappa)`` given that, so the omissions among them are one
+        binomial draw from the fault stream (the scalar ``OmissionRate``
+        counter).  The hit round itself is kept by definition.
         """
-        A = idx.size
-        k = self._compiled.size
-        window = int(self._gap * 1.5) + 2
-        window = min(window, int(caps.max()), _WINDOW_MAX,
-                     max(1, _ADVANCE_BUDGET // (A * k)))
-        u1 = self.rng.integers(0, self.n, size=(window, A))
-        u2 = self.rng.integers(0, self.n - 1, size=(window, A))
-        cum = self._cum[idx]
-        # Agent-index law: initiator index u1, responder index uniform
-        # over the other n - 1 agents, both resolved to count bins by a
-        # broadcast searchsorted-right over the inclusive cumsums.
-        j = u2 + (u2 >= u1)
-        p = (u1[..., None] >= cum[None]).sum(axis=2)
-        q = (j[..., None] >= cum[None]).sum(axis=2)
-        flat = p * k + q
-        reactive = self._reactive[flat]
+        per = max(1, _ADVANCE_BUDGET // max(1, self._rflat.size))
+        if idx.size > per:
+            return np.concatenate([
+                self._jump(idx[s:s + per], caps[s:s + per])
+                for s in range(0, idx.size, per)])
+        n = self.n
+        c = self.counts[idx]
+        w = c[:, self._rp] * (c[:, self._rq] - self._rself)
+        # A true division, so a fully reactive row gets exactly 1.0.
+        kappa = w.sum(axis=1) / (n * (n - 1))
         if self._omission:
-            drop = self._fault_rng.random((window, A)) < self._omission
-            reactive &= ~drop
-        first = reactive.argmax(axis=0)
-        hit = reactive.any(axis=0) & (first < caps)
-        steps = np.where(hit, first + 1, np.minimum(window, caps))
+            kappa *= 1.0 - self._omission
+        live = kappa > 0
+        g = self.rng.geometric(np.where(live, kappa, 1.0))
+        hit = live & (g <= caps)
+        steps = np.where(hit, g, caps)
         self.interactions[idx] += steps
         if self._omission:
-            consumed = np.arange(window)[:, None] < steps
-            self.omissions[idx] += (drop & consumed).sum(axis=0)
+            self.omissions[idx] += self._fault_rng.binomial(
+                steps - hit, np.minimum(self._omission / (1.0 - kappa), 1.0))
 
-        hits = int(hit.sum())
-        if hits:
-            sel = np.flatnonzero(hit)
-            rows = idx[sel]
-            w = first[sel]
-            pp = p[w, sel]
-            qq = q[w, sel]
-            f = flat[w, sel]
-            p2 = self._tinit[f]
-            q2 = self._tresp[f]
-            # Rows are distinct within each scatter, so plain fancy
-            # indexing is exact even when pp == qq or p2 == q2.
-            counts = self.counts
-            counts[rows, pp] -= 1
-            counts[rows, qq] -= 1
-            counts[rows, p2] += 1
-            counts[rows, q2] += 1
-            self._cum[rows] = np.cumsum(counts[rows], axis=1)
-            self.last_change[rows] = self.interactions[rows]
-            if self.output_hist is not None:
-                out = self._out_ids
-                op, oq = out[pp], out[qq]
-                op2, oq2 = out[p2], out[q2]
-                hist = self.output_hist
-                hist[rows, op] -= 1
-                hist[rows, oq] -= 1
-                hist[rows, op2] += 1
-                hist[rows, oq2] += 1
-                same = (((op == op2) & (oq == oq2))
-                        | ((op == oq2) & (oq == op2)))
-                changed = rows[~same]
-                self.last_output_change[changed] = self.interactions[changed]
-            self._gap = 0.7 * self._gap + 0.3 * (int(steps.sum()) / hits)
-        else:
+        sel = np.flatnonzero(hit)
+        rows = idx[sel]
+        if not sel.size:
             self._gap = min(self._gap * 2.0 + 1.0, _GAP_CAP)
+            return rows
+        # The pair: one uniform per hit trial, searched in the row's
+        # cumulative reactive weights (zero-weight pairs are never hit).
+        cw = np.cumsum(w[sel], axis=1)
+        u = self.rng.integers(0, cw[:, -1])
+        j = (cw <= u[:, None]).sum(axis=1)
+        pp = self._rp[j]
+        qq = self._rq[j]
+        f = self._rflat[j]
+        p2 = self._tinit[f]
+        q2 = self._tresp[f]
+        # Rows are distinct within each scatter, so plain fancy
+        # indexing is exact even when pp == qq or p2 == q2.
+        counts = self.counts
+        counts[rows, pp] -= 1
+        counts[rows, qq] -= 1
+        counts[rows, p2] += 1
+        counts[rows, q2] += 1
+        self.last_change[rows] = self.interactions[rows]
+        if self.output_hist is not None:
+            out = self._out_ids
+            op, oq = out[pp], out[qq]
+            op2, oq2 = out[p2], out[q2]
+            hist = self.output_hist
+            hist[rows, op] -= 1
+            hist[rows, oq] -= 1
+            hist[rows, op2] += 1
+            hist[rows, oq2] += 1
+            same = (((op == op2) & (oq == oq2))
+                    | ((op == oq2) & (oq == op2)))
+            changed = rows[~same]
+            self.last_output_change[changed] = self.interactions[changed]
+        self._gap = 0.7 * self._gap + 0.3 * (int(steps.sum()) / sel.size)
+        return rows
 
     def __repr__(self) -> str:
         return (f"<EnsembleMultisetSimulation trials={self.trials} "
@@ -922,17 +949,28 @@ class _Driver:
     ens: EnsembleMultisetSimulation
     max_steps: int
     check_every: int
+    #: Let a trial whose counts have not changed since its last check run
+    #: past grid points (sound only for a rule whose verdict is a
+    #: function of the counts alone: the silent rule).
+    skip_quiet: bool = False
 
     def run(self, check) -> "list[ConvergenceResult]":
         """Drive the ensemble until every trial stopped or exhausted.
 
         ``check(rows) -> bool mask`` is the vectorized stopping rule; it
         is evaluated on the same per-trial interaction grid as the scalar
-        drivers (every ``check_every`` interactions, and once before the
-        first step), so stopping-time distributions are comparable.
+        drivers (every ``check_every`` interactions from the trial's
+        starting clock, once before the first step, and at the budget),
+        so stopping-time distributions are comparable.  With
+        ``skip_quiet`` a trial is checked only at the grid points where
+        its counts may have changed since its previous check — the first
+        grid point after each jump that changed them, or every grid point
+        while it steps in lockstep; the skipped checks would all have
+        repeated its previous verdict.
         """
         ens = self.ens
         stopped = np.zeros(ens.trials, dtype=bool)
+        origin = ens.interactions.copy()
         while True:
             idx = np.flatnonzero(ens.active)
             if idx.size == 0:
@@ -948,11 +986,12 @@ class _Driver:
             idx = np.flatnonzero(ens.active)
             if idx.size == 0:
                 break
-            targets = np.minimum(ens.interactions[idx] + self.check_every,
-                                 self.max_steps)
-            full = ens.interactions.copy()
-            full[idx] = targets
-            ens.run_to(full)
+            targets = ens.interactions.copy()
+            targets[idx] = (self.max_steps if self.skip_quiet
+                            else np.minimum(ens.interactions[idx]
+                                            + self.check_every,
+                                            self.max_steps))
+            ens._run_to(targets, self.check_every, origin)
         return [
             ConvergenceResult(
                 interactions=int(ens.interactions[t]),
@@ -971,13 +1010,18 @@ def run_ensemble_until_silent(
 ) -> "list[ConvergenceResult]":
     """Vectorized twin of :func:`repro.sim.convergence.run_until_silent`.
 
-    Silence is checked on the count rows every ``check_every``
-    interactions (default ``n``, the scalar default) — but only for
-    trials whose ``last_change`` advanced since their previous check:
-    unchanged counts cannot change the verdict, so those trials skip the
-    O(k^2) scan entirely (the same optimization the scalar driver
-    applies).  ``converged_at`` is the trial's last state change, the
-    multiset engines' convergence marker.
+    A trial stops at the first point of the scalar check grid (every
+    ``check_every`` interactions, default ``n``, the scalar default, and
+    the budget) at which its counts are silent.  Silence is absorbing
+    and the verdict can change only when the counts do, so a trial whose
+    counts have not changed since its previous check is not stopped at
+    the grid points in between: a jumping trial runs on to its next
+    reactive encounter and is checked at the first grid point after it
+    (see :class:`_Driver`), and a check whose ``last_change`` has not
+    advanced reuses the previous verdict instead of the O(k^2) scan (the
+    same optimization the scalar driver applies).  ``converged_at`` is
+    the trial's last state change, the multiset engines' convergence
+    marker.
     """
     check_every = check_every or max(ens.n, 1)
     checked_at = np.full(ens.trials, -1, dtype=np.int64)
@@ -991,7 +1035,8 @@ def run_ensemble_until_silent(
             checked_at[rows] = ens.last_change[rows]
         return verdict
 
-    results = _Driver(ens, max_steps, check_every).run(silent)
+    results = _Driver(ens, max_steps, check_every,
+                      skip_quiet=True).run(silent)
     # The multiset convergence marker is the last state change.
     return [
         ConvergenceResult(

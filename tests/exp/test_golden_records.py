@@ -99,23 +99,23 @@ GOLDEN = {
         "096e776815799c8d1cc2f6aa192d0508cccdb32e5d394fa587540afa5e8bf0d4",
         "871986914ae381eeb2571210d2ed3969e1270b2c73578ed2a9ac802de9dee162"),
     "ensemble": (
-        "f11b2dcadff39cd5fe8807164decf5e0339f3608c5b40698bc86de41afe60605",
-        "43881b804c82ca1340dec4f501e1d28f96cc6a5dd5ad70d3866181a1625f9d6d"),
+        "ccc13989b9547d8abdff4e86923bc25d2625f5412eb70625f9511db94bfced8d",
+        "f3b2fedcbd21ff56f5f33ac983abe1b15a2f16502ab081861f9994762e786885"),
     "ensemble-corruption-rate": (
         "52c7a4395b37a096472f8d55ad665011c8ebd6dae068c0e7e8c9ad71290216e1",
         "5585ea1ef5733268c7e10ecac549b52ea8e9088af359ab793701bf42a6b0b468"),
     "ensemble-crash-at": (
-        "f9b4fb3e9aeec0ed404506b426ac4db61b0e7bc79b9c694f8189bcd33749c0bf",
-        "7f5c623867a4f47f61d75a630dfacada67f54f87fca08cfca70e77c636ee4a14"),
+        "c930193ea0792b792d683cc456d8230ba84ba86d63d1e0b9a71fdc97e52156a9",
+        "aa666a566bdfc3d1c1535599145fec04e8eb96ce659651b341065c97e8d79a2b"),
     "ensemble-crash-rate": (
-        "2a2bca80c1ee02f629907cfdc47b9c922dbe612111e65eb43de3d948ac936714",
-        "b61191ad88b284973ebd60dbf209abca609961a0d338445861ad5fa03a8f6347"),
+        "8bb2bcd86fc78a0a4b8ed450166f1ea0dfa9ccb4256efb3242bd08614cd0a4af",
+        "27a8bb40c26ac5f249f078e4d3af0f9e0b9f5194ae326a3cc6a34908348abcaa"),
     "ensemble-monitor": (
         "cd23878492e6de67d9fd2cf0bfa0fa471b957280a3808db0eab3e8ce29ac6671",
         "65240ba9d93b464b86f0042d5556cef038080d5e8254d3a2dd3d5f67a7d3c099"),
     "ensemble-omission-rate": (
-        "47ff29fbe75b8e6e8b1e210359255bb2f4fc7b7d2a7c9d45ccc4b1637ea40e06",
-        "9bdfb71a65481c30ef4c4f10acecd0fa611f8174e6f1c25ea7d8b07cfdd0a2d9"),
+        "990a9303f7ff49c0181e2a063e80be4727e8b082b9c00b994090e6168c6fc0cd",
+        "c4173a459bd354c95832bfcc8acc3535448a2d5afca51f60a0f294bcbbb1297d"),
     "fluid-rate-fault": (
         "62630d1167b3b90ee465bea0972eebe177f7a805b1c75a9a49427d28dd19f9ed",
         "b6e49921712a7f16352ed9f1d317ffef3fa8d7bf531d59ab6f8f521c06f24918"),

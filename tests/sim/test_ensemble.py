@@ -519,25 +519,102 @@ class TestOmissionOracle:
         share = ens.omissions.sum() / ens.interactions.sum()
         assert abs(share - p) < 0.01
 
-    def test_sparse_tail_skips_lockstep(self, monkeypatch):
-        # Leader election's tail is sparse: after the first few merges
-        # most encounters are no-ops, so nearly all interactions must go
-        # through the windowed path.  A controller that never leaves the
-        # faulted lockstep mode would push all of them through here.
-        stepped = []
-        faulted_chunk = EnsembleMultisetSimulation._faulted_chunk
-
-        def counting(self, idx, rounds):
-            stepped.append(idx.size * rounds)
-            return faulted_chunk(self, idx, rounds)
+    def test_omission_never_steps_the_faulted_lockstep(self, monkeypatch):
+        # Omission only ever turns an encounter into a no-op, so the jump
+        # thins its reactive rounds exactly in every regime; the
+        # round-by-round faulted mode is for the kinds that change the
+        # counts.
+        def refuse(self, idx, rounds):
+            raise AssertionError("omission run entered _faulted_chunk")
 
         monkeypatch.setattr(EnsembleMultisetSimulation, "_faulted_chunk",
-                            counting)
+                            refuse)
         ens = EnsembleMultisetSimulation(
             LeaderElection(), {1: 32}, trials=64, seed=7,
             track_outputs=False,
             faults=EnsembleFaults("omission-rate", 0.05))
         results = run_ensemble_until_silent(ens, max_steps=10_000_000)
         assert all(r.stopped for r in results)
-        assert stepped, "the reactive-dense start runs in lockstep"
-        assert sum(stepped) < 0.5 * ens.interactions.sum()
+        assert ens.omissions.sum() > 0
+
+
+class TestSilentGrid:
+    """The silent driver's stop grid under the jump.
+
+    Quiet trials run past grid points, but every stop must still land on
+    the first grid point at or after the trial's last state change, and
+    the budget still ends a run exactly where the scalar driver's does.
+    """
+
+    @pytest.mark.parametrize("omission", [0.0, 0.3])
+    def test_stops_sit_on_the_grid(self, seed, omission):
+        check_every = 20
+        faults = (EnsembleFaults("omission-rate", omission) if omission
+                  else None)
+        ens = EnsembleMultisetSimulation(LeaderElection(), {1: 24},
+                                         trials=64, seed=seed,
+                                         faults=faults)
+        results = run_ensemble_until_silent(ens, max_steps=10_000_000,
+                                            check_every=check_every)
+        for r in results:
+            assert r.stopped
+            assert r.interactions % check_every == 0
+            assert 0 <= r.interactions - r.converged_at < check_every
+
+    def test_budget_off_the_grid_ends_at_the_budget(self, seed):
+        # 31 merges cannot all happen within 45 interactions, and 45 is
+        # not a multiple of check_every = n = 32.
+        ens = EnsembleMultisetSimulation(LeaderElection(), {1: 32},
+                                         trials=16, seed=seed)
+        results = run_ensemble_until_silent(ens, max_steps=45)
+        assert all(r.interactions == 45 and not r.stopped
+                   for r in results)
+        assert (ens.interactions == 45).all()
+
+    @pytest.mark.parametrize("omission", [0.0, 0.05])
+    def test_rounds_scale_with_transitions_not_grid_points(self, omission):
+        # Leader election at n = 32 applies n - 1 = 31 transitions per
+        # trial but spends ~(n-1)^2 = 961 interactions, about 30 check
+        # grid points, on them.  A jump per transition plus one to reach
+        # each check keeps the engine rounds near 2 (n - 1) (fewer
+        # without faults, whose dense start steps in lockstep); rounds
+        # capped by the check grid take 140 to 210 on this case.
+        import types
+
+        n = 32
+        rounds = []
+
+        def counting(method):
+            def wrapped(*args, **kwargs):
+                rounds.append(1)
+                return method(*args, **kwargs)
+            return wrapped
+
+        ens = EnsembleMultisetSimulation(
+            LeaderElection(), {1: n}, trials=64, seed=7,
+            track_outputs=False,
+            faults=(EnsembleFaults("omission-rate", omission) if omission
+                    else None))
+        ens._jump = counting(ens._jump)
+        ens._kernels = types.SimpleNamespace(
+            lockstep_chunk=counting(ens._kernels.lockstep_chunk))
+        results = run_ensemble_until_silent(ens, max_steps=10_000_000)
+        assert all(r.stopped for r in results)
+        assert len(rounds) <= 3 * (n - 1)
+
+    def test_jump_slices_the_trial_axis_within_its_budget(
+            self, seed, monkeypatch):
+        # A budget of two gathered weights per slice jumps leader
+        # election's single reactive pair two trials at a time.
+        from repro.sim import ensemble
+
+        monkeypatch.setattr(ensemble, "_ADVANCE_BUDGET", 2)
+        ens = EnsembleMultisetSimulation(LeaderElection(), {1: 16},
+                                         trials=9, seed=seed,
+                                         faults=EnsembleFaults(
+                                             "omission-rate", 0.2))
+        results = run_ensemble_until_silent(ens, max_steps=10_000_000)
+        assert all(r.stopped for r in results)
+        assert (ens.counts.sum(axis=1) == 16).all()
+        assert all(0 <= r.interactions - r.converged_at < 16
+                   for r in results)

@@ -8,7 +8,7 @@ bit-identical compiled twin side by side:
 * ``agent`` vs ``batched-agent`` — agent-array stepping;
 * ``skipping-rebuild`` vs ``skipping-incremental`` — reactive-table
   maintenance in the no-op-skipping engine;
-* ``multiset`` vs ``ensemble-multiset`` — scalar trials vs the lockstep
+* ``multiset`` vs ``ensemble-multiset`` — scalar trials vs the many-trial
   Monte-Carlo fleet (the ensemble row reports trials x trial_steps
   interactions, so throughputs stay per-interaction).
 

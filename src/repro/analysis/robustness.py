@@ -46,7 +46,7 @@ PlanFactory = Callable[[int], "FaultPlan | None"]
 #: Engines ``repro robustness --engine`` accepts.  ``reference`` is the
 #: agent-array engine (default, exact semantics for every scenario),
 #: ``multiset`` the count-based scalar engine, ``batched`` the
-#: bit-identical vectorized fast path, and ``ensemble`` the lockstep
+#: bit-identical vectorized fast path, and ``ensemble`` the many-trial
 #: fleet engine (statistical contract; scenarios that need a *targeted*
 #: fault predicate fall back to per-trial multiset runs, the ensemble's
 #: scalar-twin engine, because predicates over states are not
@@ -170,7 +170,7 @@ def measure_scenario(
 
     Each trial gets an independent engine seed and fault seed; a fresh
     protocol and fault plan are built per trial (plans are single-use).
-    On the ensemble engine all trials advance in numpy lockstep and the
+    On the ensemble engine all trials advance together and the
     scenario's faults are sampled per trial from ``descriptor``; a
     scenario with a plan factory but no declarative descriptor (targeted
     predicates) falls back to per-trial multiset runs — the ensemble's

@@ -29,9 +29,9 @@ Four commands expose the main pipeline:
   (start method, numba warm status).
 
 ``exp run``, ``chaos run``, and ``bench`` accept ``--backend`` to
-select the step-kernel backend for the backend-capable engines
-(``--engine batched`` / ``--engine ensemble``); an unavailable request
-falls back to numpy with a one-time warning.
+select the step-kernel backend for ``--engine batched``, the one
+engine with a kernel seam; an unavailable request falls back to numpy
+with a one-time warning.
 
 ``repro run`` and ``repro robustness`` accept ``--json`` for
 machine-readable output.
@@ -681,8 +681,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     print("versions:")
     for package, version in versions.items():
         print(f"  {package:<12} {version if version else 'not installed'}")
-    print("kernel backends (engines: batched, ensemble; "
-          "select with --backend):")
+    print("kernel backends (engine: batched; select with --backend):")
     for row in report:
         status = "available" if row["available"] else "unavailable"
         suffix = "  [default]" if row["default"] else ""
@@ -771,8 +770,8 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument("--backend", default=None,
                         choices=backend_names(),
-                        help="step-kernel backend for the batched and "
-                             "ensemble engines (default numpy). numba "
+                        help="step-kernel backend for the batched "
+                             "engine (default numpy). numba "
                              "JIT-compiles the inner loops bit-identically "
                              "(needs the [perf] extra; see 'repro "
                              "doctor'); python runs the same fused loops "
@@ -846,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=ROBUSTNESS_ENGINES,
                             help="trial engine (default reference). "
                                  "batched is bit-exact per trial; ensemble "
-                                 "runs all trials in numpy lockstep "
+                                 "advances all trials together "
                                  "(targeted-fault scenarios fall back to "
                                  "the multiset scalar twin). --json rows "
                                  "report the engine used and its faulted "
@@ -897,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="trial engine: the reference agent-array "
                               "engine, the bit-identical batched fast "
                               "path (faults and vectorized monitors "
-                              "included), the lockstep ensemble engine "
+                              "included), the many-trial ensemble engine "
                               "(statistically equivalent, fastest "
                               "discrete; per-trial fault sampling), or "
                               "the deterministic mean-field fluid engine "

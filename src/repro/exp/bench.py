@@ -15,8 +15,8 @@ Every row runs one untimed warm-up repeat before its timed repeats, so
 one-time costs — JIT compilation on the ``numba`` kernel backend, numpy
 buffer allocation, import latency — never contaminate a throughput
 number.  ``--backend`` threads a step-kernel backend through the
-backend-capable engines (the batched and ensemble rows; reference rows
-ignore it), each row records the *effective* backend after any
+batched rows (the only engines with a kernel seam; every other row
+ignores it), each row records the *effective* backend after any
 fallback, and the baseline gate keys on it, so numpy rows are only ever
 compared against numpy rows and numba rows against numba rows.
 
@@ -32,8 +32,8 @@ Workloads:
   engine's incremental reactive tables from the full rebuild;
 * ``leader-election`` again on the multiset vs. *ensemble* engines — a
   256-trial Monte-Carlo sweep shape at n = 10^4, the workload the
-  lockstep ensemble engine exists for (many trials amortizing numpy
-  dispatch; see :mod:`repro.sim.ensemble`);
+  ensemble engine exists for (many trials amortizing numpy dispatch;
+  see :mod:`repro.sim.ensemble`);
 * *faulted* twins of the batched-agent and ensemble workloads — the
   same run with a crash fault plan (batched) or an omission-rate
   descriptor (ensemble) attached.  The batched twin is additionally
@@ -85,10 +85,8 @@ ENGINE_PAIRS = (
 #: bounds (``repro bench --max-fault-overhead``, default 1.10).  Only
 #: the batched pair is gated: its fault path is the vectorized one with
 #: a hard <= 10% contract; the ensemble faulted row is informational
-#: (its omission faults thin the jump to each trial's next reactive
-#: encounter in every regime, while the fault-free row steps its
-#: reactive-dense start in lockstep, so the two rows time different
-#: advancement modes).
+#: (both ensemble rows jump each trial to its next reactive encounter,
+#: the faulted one thinning the jump with its omission faults).
 FAULT_OVERHEAD_PAIRS = (
     ("batched-agent", "batched-agent-faulted"),
 )
@@ -170,15 +168,14 @@ def _time_engine(engine: str, protocol, counts, steps: int,
     The unit is interactions for the stepping engines and *reactive*
     steps for the skipping engines (their whole point is to not execute
     the no-ops in between).  The ensemble engine ignores ``steps`` and
-    runs ``trials`` lockstep trials of ``trial_steps`` interactions each.
+    runs ``trials`` trials of ``trial_steps`` interactions each.
     The clock starts before construction for every engine, so
     ``seconds`` charges construction — including protocol compilation
     and fault-plan building — to the run, since that is what a caller
     actually pays; ``construct_seconds`` is the part of it spent
     constructing.  ``backend`` threads a step-kernel backend through
-    the backend-capable engines (batched / ensemble rows; the reference
-    engines report ``numpy``, the only kernels they have); the returned
-    effective backend reflects any fallback.
+    the batched rows (every other engine reports ``numpy``, having no
+    kernel seam); the returned effective backend reflects any fallback.
     """
     build, run = _engine_workload(engine, protocol, counts, steps, seed,
                                   trials=trials, trial_steps=trial_steps,
@@ -209,11 +206,11 @@ def _engine_workload(engine: str, protocol, counts, steps: int, seed: int,
 
         # An omission rate — the representative shape for
         # resilience-curve sweeps — thins the jump to each trial's next
-        # reactive encounter, in the reactive-dense regime too.
+        # reactive encounter.
         faulted = engine == "ensemble-multiset-faulted"
         return (lambda: EnsembleMultisetSimulation(
                     protocol, counts, trials=trials, seed=seed,
-                    track_outputs=False, backend=backend,
+                    track_outputs=False,
                     faults=(EnsembleFaults("omission-rate", 0.05)
                             if faulted else None)),
                 lambda sim: sim.run(trial_steps))
@@ -295,7 +292,7 @@ def run_kernel_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
     faulted row of a :data:`FAULT_OVERHEAD_PAIRS` pair also carries
     ``overhead_median``, the median over rounds of its time over its
     fault-free twin's time in the same round.
-    ``backend`` selects the step-kernel backend for the backend-capable
+    ``backend`` selects the step-kernel backend for the batched
     engines; each row records the effective backend.
     """
     grid = SMOKE_GRID if smoke else FULL_GRID + SMOKE_GRID

@@ -107,8 +107,8 @@ def _warm_spec(spec) -> None:
 
     Mirrors exactly what the trial functions will do: the compiled
     engines (batched / ensemble / fluid) compile the protocol through
-    :func:`repro.exp.runner.compile_for`, and the backend engines
-    construct their step kernels (which *is* the JIT compile on the
+    :func:`repro.exp.runner.compile_for`, and the batched engine
+    constructs its step kernels (which *is* the JIT compile on the
     numba backend).  The agent engine compiles nothing, so nothing is
     warmed for it — that keeps protocols whose compilation itself
     misbehaves (the supervision test protocols) failing per trial, where
@@ -121,14 +121,10 @@ def _warm_spec(spec) -> None:
     from repro.sim.backends import select_kernels
 
     compile_for(spec, registry.get(spec.protocol).build(**spec.params))
-    if spec.engine == "batched":
-        families = ("batched-agent", "batched-multiset")
-    elif spec.engine == "ensemble":
-        families = ("ensemble",)
-    else:
+    if spec.engine != "batched":
         return
     requested = None if spec.backend == "numpy" else spec.backend
-    for family in families:
+    for family in ("batched-agent", "batched-multiset"):
         select_kernels(requested, family)
 
 

@@ -308,7 +308,7 @@ def _run_slot(setup: _PointSetup, slot: int) -> dict:
 def run_ensemble_point(spec: ExperimentSpec, point: SweepPoint,
                        trials: Sequence[int], *,
                        spec_hash: "str | None" = None) -> list[dict]:
-    """Execute one sweep point's trials in numpy lockstep.
+    """Execute one sweep point's trials on the ensemble engine.
 
     All of the point's pending trials advance together through one
     :class:`~repro.sim.ensemble.EnsembleMultisetSimulation`; each trial
@@ -341,8 +341,7 @@ def run_ensemble_point(spec: ExperimentSpec, point: SweepPoint,
         fault_seeds=([fault_seed for _, fault_seed in setup.seeds]
                      if faults is not None else None),
         monitors=monitors,
-        track_outputs=spec.stop.rule != "silent",
-        backend=spec.backend)
+        track_outputs=spec.stop.rule != "silent")
     if monitors:
         # One context serves every trial of the ensemble, so it carries
         # no per-trial seeds (and the ensemble runs no confirm phase).
@@ -359,7 +358,7 @@ def run_ensemble_point(spec: ExperimentSpec, point: SweepPoint,
     return [setup.record(slot, result, result.interactions,
                          (int(ens.crashes[slot]), int(ens.corruptions[slot]),
                           int(ens.omissions[slot])),
-                         ens.backend, ens.violations.get(slot))
+                         violation=ens.violations.get(slot))
             for slot, result in enumerate(results)]
 
 

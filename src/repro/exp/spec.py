@@ -55,7 +55,7 @@ ENGINES = tuple(ENGINE_FEATURES)
 #: Engines that drive a swappable step-kernel backend
 #: (see repro.sim.backends); only these accept a non-default
 #: ``ExperimentSpec.backend``.
-BACKEND_ENGINES = ("batched", "ensemble")
+BACKEND_ENGINES = ("batched",)
 
 
 def engine_supports(engine: str, feature: str,
@@ -371,7 +371,7 @@ class ExperimentSpec:
     #: ``batched`` (:class:`~repro.sim.batched.BatchedSimulation` — the
     #: bit-identical compiled fast path), ``ensemble``
     #: (:class:`~repro.sim.ensemble.EnsembleMultisetSimulation` — all of
-    #: a point's trials stepped in numpy lockstep; statistically, not bit,
+    #: a point's trials advanced together; statistically, not bit,
     #: equivalent), or ``fluid``
     #: (:class:`~repro.sim.fluid.FluidSimulation` — the deterministic
     #: mean-field ODE limit; O(|states|) per step regardless of ``n``).
@@ -381,8 +381,8 @@ class ExperimentSpec:
     #: (statistical contract), and fluid admits rate faults as perturbed
     #: drift; non-uniform schedulers stay reference-only.
     engine: str = "agent"
-    #: Step-kernel backend for the fast engines (``batched`` /
-    #: ``ensemble``; see :mod:`repro.sim.backends`): ``numpy`` (the
+    #: Step-kernel backend for the ``batched`` engine (see
+    #: :mod:`repro.sim.backends`): ``numpy`` (the
     #: default hybrid stepper), ``numba`` (JIT-compiled fused loops,
     #: bit-identical, needs the ``[perf]`` extra), or ``python`` (the
     #: fused loops interpreted — the debugging/contract-coverage

@@ -107,7 +107,7 @@ class SupervisionStats:
 @dataclass
 class SupervisedTask:
     """One unit of fleet work: a chunk of trials at one sweep point, or a
-    point batch (one ensemble stepped in lockstep / one fluid
+    point batch (one ensemble advancing all of them / one fluid
     integration covering all of ``trials``).
 
     Only coordinates travel; trial ids and seeds are derived from them

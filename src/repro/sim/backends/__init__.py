@@ -1,22 +1,23 @@
-"""Pluggable step-kernel backends for the fast engine family.
+"""Pluggable step-kernel backends for the batched engines.
 
-The batched engines (:mod:`repro.sim.batched`) and the ensemble engine
-(:mod:`repro.sim.ensemble`) drive their inner interaction loops through
-a small kernel object selected here.  Three backends ship:
+The batched engines (:mod:`repro.sim.batched`) drive their inner
+interaction loops through a small kernel object selected here.  (The
+ensemble engine has no kernel seam: it jumps each trial to its next
+reactive encounter, see :mod:`repro.sim.ensemble`.)  Three backends
+ship:
 
 ``numpy`` (default)
-    The adaptive scalar-chunk / vectorized-window hybrid stepper (for
-    the agent engine, with conflict-free prefix rounds) and the
-    lockstep round (:mod:`repro.sim.backends.numpy_backend`).  Always
-    available; the behavioral reference.
+    The adaptive scalar-chunk / vectorized-window hybrid stepper, with
+    conflict-free prefix rounds for the agent engine
+    (:mod:`repro.sim.backends.numpy_backend`).  Always available; the
+    behavioral reference.
 
 ``numba``
     The same per-interaction law as one fused loop per engine,
     ``@njit(cache=True)``-compiled over the dense compiled tables
     (:mod:`repro.sim.backends.numba_backend`).  Eligible when numba is
-    importable (``pip install -e ".[perf]"``); batched kernels stay
-    bit-identical to numpy, ensemble lockstep matches numpy count for
-    count.
+    importable (``pip install -e ".[perf]"``); its kernels stay
+    bit-identical to numpy.
 
 ``python``
     The numba kernels executed un-jitted — slow, but it runs the exact
@@ -25,9 +26,10 @@ a small kernel object selected here.  Three backends ship:
     installations, and how the kernels stay debuggable under pdb and
     coverage.
 
-Selection: engines take ``backend=`` (``None`` means the default),
-:class:`repro.exp.spec.ExperimentSpec` has a hash-stable ``backend``
-field, and ``exp run`` / ``chaos run`` / ``bench`` take ``--backend``.
+Selection: the batched engines take ``backend=`` (``None`` means the
+default), :class:`repro.exp.spec.ExperimentSpec` has a hash-stable
+``backend`` field, and ``exp run`` / ``chaos run`` / ``bench`` take
+``--backend``.
 When an explicitly requested backend is unavailable — numba missing,
 the population shape has no block-decodable draw stream, or JIT
 compilation fails — the engine falls back to ``numpy`` and warns once
@@ -60,7 +62,7 @@ __all__ = [
 #: The always-available fallback backend.
 DEFAULT_BACKEND = "numpy"
 #: Engine families a backend can serve kernels for.
-FAMILIES = ("batched-agent", "batched-multiset", "ensemble")
+FAMILIES = ("batched-agent", "batched-multiset")
 
 
 class KernelBackend:
@@ -198,7 +200,7 @@ def select_kernels(requested: "str | None", family: str, *,
         _warm_kernels.add((name, family))
         return name, kernels
     reason = backend.ineligible_reason()
-    if reason is None and family != "ensemble" and not decodable:
+    if reason is None and not decodable:
         reason = ("the population shape or RNG has no block-decodable "
                   "draw stream (needs 3 <= n <= 2**31 with n and n - 1 "
                   "of equal bit length, and a stock random.Random)")

@@ -1,8 +1,9 @@
 """Fused per-interaction span kernels in nopython-compatible Python.
 
-The numpy backend splits each engine's hot loop into a scalar chunk and
-vectorized windows (for the agent engine, first-hit windows and
-conflict-free prefix rounds) and lets a gap controller interleave them.
+The numpy backend splits each batched engine's hot loop into a scalar
+chunk and vectorized windows (for the agent engine, first-hit windows
+and conflict-free prefix rounds) and lets a gap controller interleave
+them.
 That split exists purely to amortize *interpreter* cost; the trajectory
 is the same either way, because every path consumes the decoded draw
 stream in order and applies every reactive transition at its exact
@@ -30,8 +31,6 @@ the span, and writes back.  The copies are O(n + k) per span of up to
 from __future__ import annotations
 
 import numpy as np
-
-from repro.sim.backends.numpy_backend import _GAP_CAP
 
 #: Interactions per fused span between engine-loop decisions (stream
 #: refills, fault boundaries, monitor sweeps).
@@ -148,66 +147,11 @@ def multiset_span(pv, qv, counts, order, olen, tinit, tresp, reactive, k):
     return olen, lc
 
 
-def ensemble_lockstep_span(ij, c, cum, hist, track,
-                           tinit2d, tresp2d, react2d, out_ids,
-                           last_hit, last_out_hit):
-    """The ensemble lockstep rounds as a fused loop over (round, trial).
-
-    Consumes the same pre-drawn ``(rounds, 2, A)`` index pairs as the
-    numpy lockstep and performs the identical bin search (count of
-    cumsum entries <= the draw) and scatter arithmetic, so the count
-    trajectories agree with the numpy backend exactly.  Returns the
-    reactive-hit total for the chunk's gap update.
-    """
-    rounds = ij.shape[0]
-    A = ij.shape[2]
-    k = c.shape[1]
-    hits = 0
-    for a in range(A):
-        for r in range(rounds):
-            u = ij[r, 0, a]
-            p = 0
-            while u >= cum[a, p]:
-                p += 1
-            u = ij[r, 1, a]
-            q = 0
-            while u >= cum[a, q]:
-                q += 1
-            if not react2d[p, q]:
-                continue
-            hits += 1
-            p2 = tinit2d[p, q]
-            q2 = tresp2d[p, q]
-            c[a, p] -= 1
-            c[a, q] -= 1
-            c[a, p2] += 1
-            c[a, q2] += 1
-            acc = 0
-            for j in range(k):
-                acc += c[a, j]
-                cum[a, j] = acc
-            last_hit[a] = r + 1
-            if track:
-                op = out_ids[p]
-                oq = out_ids[q]
-                op2 = out_ids[p2]
-                oq2 = out_ids[q2]
-                hist[a, op] -= 1
-                hist[a, oq] -= 1
-                hist[a, op2] += 1
-                hist[a, oq2] += 1
-                if not ((op == op2 and oq == oq2)
-                        or (op == oq2 and oq == op2)):
-                    last_out_hit[a] = r + 1
-    return hits
-
-
 #: The raw span functions, keyed by engine family (the ``python``
 #: backend runs these as-is; the numba backend jits each one).
 SPANS = {
     "batched-agent": agent_span,
     "batched-multiset": multiset_span,
-    "ensemble": ensemble_lockstep_span,
 }
 
 
@@ -229,13 +173,6 @@ def exercise(spans) -> None:
     spans["batched-multiset"](
         z1, z1, np.array([2], dtype=np.int64), np.zeros(1, dtype=np.int64),
         1, zk, zk, np.zeros(1, dtype=bool), 1)
-    spans["ensemble"](
-        np.zeros((1, 2, 1), dtype=np.int64),
-        np.array([[2]], dtype=np.int64), np.array([[2]], dtype=np.int64),
-        np.zeros((1, 1), dtype=np.int64), False,
-        np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64),
-        np.zeros((1, 1), dtype=bool), np.zeros(1, dtype=np.int64),
-        np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
 
 # -- Engine adapters -----------------------------------------------------------
@@ -309,60 +246,10 @@ class MultisetSpanKernels:
             sim._dirty_struct = True
 
 
-class EnsembleSpanKernels:
-    """Adapter: fused lockstep span over the ensemble's count matrix.
-
-    Draws come from ``ens.rng`` in exactly the numpy backend's order and
-    shapes, so the resulting trajectories (and the gap controller's mode
-    decisions) are bit-identical to the numpy backend — stronger than
-    the ensemble's statistical contract requires.
-    """
-
-    needs_typed_tables = False
-
-    def __init__(self, name: str, span):
-        self.name = name
-        self._span = span
-
-    def lockstep_chunk(self, ens, idx: np.ndarray, rounds: int) -> None:
-        A = idx.size
-        ij = np.empty((rounds, 2, A), dtype=np.int64)
-        u1 = ens.rng.integers(0, ens.n, size=(rounds, A))
-        u2 = ens.rng.integers(0, ens.n - 1, size=(rounds, A))
-        ij[:, 0] = u1
-        ij[:, 1] = u2 + (u2 >= u1)
-        c = np.ascontiguousarray(ens.counts[idx])
-        cum = np.cumsum(c, axis=1)
-        track = ens.output_hist is not None
-        hist = (np.ascontiguousarray(ens.output_hist[idx]) if track
-                else np.zeros((A, 1), dtype=np.int64))
-        last_hit = np.zeros(A, dtype=np.int64)
-        last_out_hit = np.zeros(A, dtype=np.int64)
-        hits = self._span(ij, c, cum, hist, track,
-                          ens._tinit2d, ens._tresp2d, ens._react2d,
-                          ens._out_ids, last_hit, last_out_hit)
-        base = ens.interactions[idx]
-        ens.counts[idx] = c
-        ens.interactions[idx] += rounds
-        hit = last_hit > 0
-        ens.last_change[idx[hit]] = base[hit] + last_hit[hit]
-        if track:
-            ens.output_hist[idx] = hist
-            ohit = last_out_hit > 0
-            ens.last_output_change[idx[ohit]] = (base[ohit]
-                                                 + last_out_hit[ohit])
-        if hits:
-            ens._gap = 0.7 * ens._gap + 0.3 * (rounds * A / hits)
-        else:
-            ens._gap = min(ens._gap * 2.0 + 1.0, _GAP_CAP)
-
-
 def make_kernels(family: str, spans, *, name: str):
     """Adapt one family's span function to its engine interface."""
     if family == "batched-agent":
         return AgentSpanKernels(name, spans[family])
     if family == "batched-multiset":
         return MultisetSpanKernels(name, spans[family])
-    if family == "ensemble":
-        return EnsembleSpanKernels(name, spans[family])
     raise ValueError(f"unknown engine family {family!r}")

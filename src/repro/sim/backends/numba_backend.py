@@ -13,8 +13,7 @@ to numpy with a warning instead of exploding mid-run.
 Trajectory contract: identical source to the ``python`` backend, so the
 batched kernels are bit-identical to the numpy backend and the
 reference engines (the backend-parameterized fingerprint suite runs on
-every available backend), and the ensemble lockstep matches the numpy
-backend count for count.
+every available backend).
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 This module is the hybrid stepper that used to live inline in
 :class:`~repro.sim.batched.BatchedSimulation` /
 :class:`~repro.sim.batched.BatchedMultisetSimulation` (the adaptive
-scalar-chunk / vectorized-window controller) and
-:class:`~repro.sim.ensemble.EnsembleMultisetSimulation` (the lockstep
-round), extracted verbatim behind the backend seam so alternative
+scalar-chunk / vectorized-window controller), extracted verbatim behind
+the backend seam so alternative
 kernels — JIT-compiled (:mod:`repro.sim.backends.numba_backend`) or
 interpreted (the ``python`` backend) — can slot in behind the same
 calls.  It is the default backend and the behavioral reference: every
@@ -364,88 +363,6 @@ def _scatter_hits(sim, base: int, hits, agents, flat) -> None:
     sim.last_change = base + int(hits[-1]) + 1
 
 
-# -- Ensemble lockstep kernel --------------------------------------------------
-
-
-def ensemble_lockstep_chunk(ens, idx: np.ndarray, rounds: int) -> None:
-    """``rounds`` lockstep rounds: every trial in ``idx`` advances
-    exactly one interaction per round, transitions applied at once.
-
-    The reactive-dense fast path.  When the mean no-op gap is small,
-    first-hit windows apply only ~one transition per numpy round
-    anyway while paying the full (W, A, k) broadcast; here the engine
-    pays a short fixed sequence of O(A*k) operations per interaction
-    instead.  No-op pairs go through the same scatter arithmetic —
-    their compiled transitions are identities, so the updates cancel
-    exactly — which keeps the inner loop branch-free.
-    """
-    A = idx.size
-    # Agent-index draws are count-independent: the whole chunk's
-    # (initiator, responder) index pairs are drawn and shifted up
-    # front, leaving only the bin search and the apply per round.
-    ij = np.empty((rounds, 2, A), dtype=np.int64)
-    u1 = ens.rng.integers(0, ens.n, size=(rounds, A))
-    u2 = ens.rng.integers(0, ens.n - 1, size=(rounds, A))
-    ij[:, 0] = u1
-    ij[:, 1] = u2 + (u2 >= u1)
-    c = np.ascontiguousarray(ens.counts[idx])
-    cum = np.cumsum(c, axis=1)
-    ar = np.arange(A)
-    react2d = ens._react2d
-    tinit2d = ens._tinit2d
-    tresp2d = ens._tresp2d
-    last_hit = np.zeros(A, dtype=np.int64)
-    last_out_hit = np.zeros(A, dtype=np.int64)
-    track = ens.output_hist is not None
-    if track:
-        hist = np.ascontiguousarray(ens.output_hist[idx])
-        out = ens._out_ids
-    hits = 0
-    for r in range(rounds):
-        b = (ij[r][:, :, None] >= cum[None]).sum(axis=2)
-        p, q = b
-        re = react2d[p, q]
-        nre = int(re.sum())
-        if nre == 0:
-            # A fully no-op round leaves every row untouched.
-            continue
-        hits += nre
-        p2 = tinit2d[p, q]
-        q2 = tresp2d[p, q]
-        # Unconditional apply: rows are distinct within each scatter
-        # and no-op transitions are identities, so this is exact.
-        c[ar, p] -= 1
-        c[ar, q] -= 1
-        c[ar, p2] += 1
-        c[ar, q2] += 1
-        np.cumsum(c, axis=1, out=cum)
-        last_hit[re] = r + 1
-        if track:
-            op, oq = out[p], out[q]
-            op2, oq2 = out[p2], out[q2]
-            hist[ar, op] -= 1
-            hist[ar, oq] -= 1
-            hist[ar, op2] += 1
-            hist[ar, oq2] += 1
-            changed = ~(((op == op2) & (oq == oq2))
-                        | ((op == oq2) & (oq == op2)))
-            last_out_hit[changed] = r + 1
-    base = ens.interactions[idx]
-    ens.counts[idx] = c
-    ens.interactions[idx] += rounds
-    hit = last_hit > 0
-    ens.last_change[idx[hit]] = base[hit] + last_hit[hit]
-    if track:
-        ens.output_hist[idx] = hist
-        ohit = last_out_hit > 0
-        ens.last_output_change[idx[ohit]] = (base[ohit]
-                                             + last_out_hit[ohit])
-    if hits:
-        ens._gap = 0.7 * ens._gap + 0.3 * (rounds * A / hits)
-    else:
-        ens._gap = min(ens._gap * 2.0 + 1.0, _GAP_CAP)
-
-
 # -- Kernel objects ------------------------------------------------------------
 
 
@@ -486,19 +403,9 @@ class NumpyAgentKernels:
         agent_prefix_round(sim, remaining)
 
 
-class NumpyEnsembleKernels:
-    """Lockstep round for the ensemble engine."""
-
-    name = "numpy"
-    needs_typed_tables = False
-
-    lockstep_chunk = staticmethod(ensemble_lockstep_chunk)
-
-
 _KERNELS = {
     "batched-multiset": NumpyMultisetKernels(),
     "batched-agent": NumpyAgentKernels(),
-    "ensemble": NumpyEnsembleKernels(),
 }
 
 

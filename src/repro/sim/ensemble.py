@@ -1,4 +1,4 @@
-"""Vectorized ensemble engine: many Monte-Carlo trials stepped in lockstep.
+"""Vectorized ensemble engine: many Monte-Carlo trials advanced together.
 
 The Sect. 6 quantitative claims (leader election in expected ``(n-1)^2``
 interactions, the ``Theta(n^2 log n)`` coupon-collector bound, Theorem 8's
@@ -14,43 +14,35 @@ Sampling law
 ------------
 
 Each trial's interacting pair is an ordered sample of two agents without
-replacement from its count row — the sequential decomposition of a
-2-sample multivariate-hypergeometric draw over the state counts.  The
-engine samples it at the *agent-index* level, exactly the paper's model:
-an initiator index ``i ~ U[0, n)``, a responder index ``j`` uniform over
-the other ``n - 1`` agents (``u2 ~ U[0, n-1)`` plus a shift past ``i``),
-then both indices resolved to state bins by a vectorized cumulative-sum
-search over the count row.  Conditioned on the counts this gives the
-ordered state pair ``(p, q)`` probability ``c_p (c_q - [p = q]) /
-(n (n-1))`` — the **same** law as the reference engines'
-state-level draw (:class:`~repro.sim.multiset_engine.MultisetSimulation`
-removes one unit of the initiator's *state* before the responder draw;
-removing the initiator *agent* is the identical distribution, and the
-index draws are count-independent, so a whole chunk of them can be
-drawn and shifted up front).  Only the randomness source differs (one
-shared ``numpy`` bit generator instead of one ``random.Random`` per
-trial), so ensemble trajectories agree with scalar trajectories *in
-distribution*, not bit for bit.  The statistical-equivalence suite in
-``tests/sim/test_ensemble.py`` pins this down with KS tests on
-convergence-time distributions, and ``tests/sim/test_ensemble_oracle.py``
-against the exact chain of :class:`~repro.analysis.markov.MarkovAnalysis`;
-see ``docs/PERFORMANCE.md`` for the contract.
+replacement — the paper's uniform random pairing.  Conditioned on the
+counts this gives the ordered state pair ``(p, q)`` probability ``c_p
+(c_q - [p = q]) / (n (n-1))``, the **same** law as the reference
+engines' state-level draw
+(:class:`~repro.sim.multiset_engine.MultisetSimulation`).  Only the
+randomness source differs (one shared ``numpy`` bit generator instead of
+one ``random.Random`` per trial), so ensemble trajectories agree with
+scalar trajectories *in distribution*, not bit for bit.  The
+statistical-equivalence suite in ``tests/sim/test_ensemble.py`` pins
+this down with KS tests on convergence-time distributions, and
+``tests/sim/test_ensemble_oracle.py`` against the exact chain of
+:class:`~repro.analysis.markov.MarkovAnalysis`; see
+``docs/PERFORMANCE.md`` for the contract.
 
 Jump advancement
 ----------------
 
-Outside the reactive-dense regime the engine does not draw no-op pairs
-at all.  Per :meth:`_jump` call it gathers, for each of the ``A`` active
-trials, the weights ``w_pq = c_p (c_q - [p = q])`` of the ``r`` compiled
-reactive ordered pairs (an ``(A, r)`` gather), so a round is reactive
-with probability ``pi = sum(w) / (n (n-1))`` under the counts it starts
-from.  Rounds are i.i.d. until the counts change, so the number of
-rounds up to and including the next reactive encounter is exactly
-``Geometric(pi)``; the trial advances that many rounds (or its cap,
-whichever is smaller — the draw is memoryless, so a capped trial needs
-nothing else) and applies one pair drawn in proportion to ``w``.  This
-is the law :class:`~repro.sim.skipping.SkippingSimulation` samples for a
-single trial, vectorized across the fleet.
+Fault-free runs never draw no-op pairs.  Per :meth:`_jump` call the
+engine gathers, for each of the ``A`` active trials, the weights ``w_pq
+= c_p (c_q - [p = q])`` of the ``r`` compiled reactive ordered pairs (an
+``(A, r)`` gather), so a round is reactive with probability ``pi =
+sum(w) / (n (n-1))`` under the counts it starts from.  Rounds are i.i.d.
+until the counts change, so the number of rounds up to and including the
+next reactive encounter is exactly ``Geometric(pi)``; the trial advances
+that many rounds (or its cap, whichever is smaller — the draw is
+memoryless, so a capped trial needs nothing else) and applies one pair
+drawn in proportion to ``w``.  This is the law
+:class:`~repro.sim.skipping.SkippingSimulation` samples for a single
+trial, vectorized across the fleet.
 
 Faults and monitors
 -------------------
@@ -61,19 +53,20 @@ crash-at — exactly the kinds :class:`repro.exp.spec.FaultAxis` can
 express), sampled from a dedicated fault stream keyed by per-trial
 ``fault_seeds``; the engine's pair-draw stream is untouched, mirroring
 the scalar engines' ``FaultPlan.rng`` split.  Omission only ever turns
-an encounter into a no-op, so omission-rate runs take the jump in every
-regime: a round is a surviving reactive encounter with probability
-``pi (1 - omega)``, and the omitted encounters among the other rounds a
-jump consumes are a binomial draw from the fault stream.  For the other
-kinds, while fault events remain possible — or any trial holds crashed
-agents, which the fault-free paths cannot represent — the controller
-steps round by round in the fault-aware lockstep mode
-(:meth:`EnsembleMultisetSimulation._faulted_chunk`); a spent schedule
-skips all fault sampling there, leaving only the dead-sentinel clamping
-as residual overhead.  The scalar-twin replay contract extends to
-faults: :meth:`EnsembleMultisetSimulation.scalar_twin` rebuilds trial
-``t`` with the equivalent scalar ``FaultPlan`` seeded by
-``fault_seeds[t]``, so a faulted trial replays *deterministically* on
+an encounter into a no-op, so omission-rate runs jump too: a round is a
+surviving reactive encounter with probability ``pi (1 - omega)``, and
+the omitted encounters among the other rounds a jump consumes are a
+binomial draw from the fault stream.  For the other kinds, while fault
+events remain possible — or any trial holds crashed agents, which the
+jump cannot represent — the engine steps round by round
+(:meth:`EnsembleMultisetSimulation._faulted_chunk`): each round draws
+an initiator index ``i ~ U[0, n)`` and a responder index uniform over
+the other ``n - 1`` agents, and resolves both to state bins by a
+vectorized cumulative-sum search over the count row.  The scalar-twin
+replay contract extends to faults:
+:meth:`EnsembleMultisetSimulation.scalar_twin` rebuilds trial ``t``
+with the equivalent scalar ``FaultPlan`` seeded by ``fault_seeds[t]``,
+so a faulted trial replays *deterministically* on
 :class:`~repro.sim.multiset_engine.MultisetSimulation`; ensemble and
 twin agree in distribution (KS-tested), not bit for bit.
 
@@ -100,7 +93,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.protocol import PopulationProtocol, State, Symbol
-from repro.sim.backends import select_kernels
 from repro.sim.compiled import CompiledProtocol, compile_protocol
 from repro.sim.convergence import ConvergenceResult
 from repro.util.multiset import FrozenMultiset
@@ -117,12 +109,8 @@ __all__ = [
 #: Element budget of one jump's (A, r) reactive-weight gather (bounds
 #: memory; larger fleets are jumped in slices of trials).
 _ADVANCE_BUDGET = 1 << 22
-#: Gap estimates saturate here (treated as "effectively silent").
-_GAP_CAP = 1e9
-#: Mean no-op gap below which fault-free lockstep rounds beat jumps.
-_GAP_LOCKSTEP = 6.0
-#: Rounds per lockstep chunk between mode-controller decisions.
-_LOCKSTEP_CHUNK = 256
+#: Rounds per faulted chunk between fault-schedule and monitor checks.
+_FAULTED_CHUNK = 256
 
 #: Fault kinds the ensemble can sample vectorized (the FaultAxis kinds).
 ENSEMBLE_FAULT_KINDS = ("crash-rate", "corruption-rate", "omission-rate",
@@ -217,7 +205,7 @@ class EnsembleFaults:
 
 
 class EnsembleMultisetSimulation:
-    """``T`` independent multiset trials advanced in lockstep.
+    """``T`` independent multiset trials advanced together.
 
     Every trial starts from the same inputs (one sweep point = one
     population size), holds its own ``(counts, interactions, last_change,
@@ -226,7 +214,7 @@ class EnsembleMultisetSimulation:
     either ``input_counts=`` or ``state_counts=`` (exactly one), plus:
 
     ``trials``
-        Number of lockstep trials ``T``.
+        Number of trials ``T``.
     ``seeds``
         Per-trial integer seeds (length ``T``).  These are the trials'
         *scalar identities* — :meth:`scalar_twin` replays trial ``t``
@@ -253,13 +241,6 @@ class EnsembleMultisetSimulation:
     ``monitors``
         Runtime invariant monitors to attach (conservation/containment;
         see :meth:`attach_monitor`).
-    ``backend``
-        Step-kernel backend name (see :mod:`repro.sim.backends`).
-        ``None`` selects the default ``numpy`` lockstep kernel; the
-        ``numba``/``python`` span kernels replay the same draw order and
-        arithmetic, so they stay count-identical to numpy (stronger than
-        the KS statistical contract requires).  Unavailable requests
-        fall back to numpy with a one-time warning.
     """
 
     def __init__(
@@ -276,7 +257,6 @@ class EnsembleMultisetSimulation:
         faults: "EnsembleFaults | None" = None,
         fault_seeds: "Sequence[int] | None" = None,
         monitors=(),
-        backend: "str | None" = None,
     ):
         self.protocol = protocol
         if (input_counts is None) == (state_counts is None):
@@ -347,25 +327,19 @@ class EnsembleMultisetSimulation:
         self._rp = self._rflat // k
         self._rq = self._rflat % k
         self._rself = (self._rp == self._rq).astype(np.int64)
-        #: Effective kernel backend name and the lockstep kernel object
-        #: (requesting an unavailable backend falls back to numpy with a
-        #: one-time warning; see repro.sim.backends).
-        self.backend, self._kernels = select_kernels(backend, "ensemble")
-        if track_outputs:
-            m = len(compiled.output_symbols)
-            onehot = np.zeros((k, m), dtype=np.int64)
-            onehot[np.arange(k), self._out_ids] = 1
-            #: ``(T, m)`` per-trial output histograms (incremental), or
-            #: ``None`` when output tracking is off.
-            self.output_hist = self.counts @ onehot
-        else:
-            self.output_hist = None
+        #: ``(k, m)`` state-to-output indicator: ``counts @ _onehot`` is
+        #: the output histogram.
+        self._onehot = np.zeros((k, len(compiled.output_symbols)),
+                                dtype=np.int64)
+        self._onehot[np.arange(k), self._out_ids] = 1
+        #: ``(T, m)`` per-trial output histograms (incremental), or
+        #: ``None`` when output tracking is off.
+        self.output_hist = (self.counts @ self._onehot if track_outputs
+                            else None)
         #: Off-diagonal reactive matrix (silence checks; the diagonal
         #: needs the count >= 2 qualifier, handled separately).
         self._react_off = self._react2d & ~np.eye(k, dtype=bool)
         self._react_diag = np.diag(self._react2d).copy()
-        #: EMA of interactions per reactive event (lockstep/jump controller).
-        self._gap = 2.0
 
         # -- Fault state.  The per-trial clocks below are allocated
         # unconditionally (they are T-sized and the drivers read them);
@@ -461,9 +435,7 @@ class EnsembleMultisetSimulation:
         """Trial ``t``'s output histogram (on demand if tracking is off)."""
         if self.output_hist is not None:
             return self.output_hist[t]
-        m = len(self._compiled.output_symbols)
-        return np.bincount(self._out_ids, weights=self.counts[t],
-                           minlength=m).astype(np.int64)
+        return self.counts[t] @ self._onehot
 
     def output_counts(self, t: int) -> dict:
         """Histogram of trial ``t``'s outputs."""
@@ -526,8 +498,8 @@ class EnsembleMultisetSimulation:
 
         The ensemble supports the two structural invariants —
         conservation and containment — checked vectorized across the
-        whole fleet at chunk boundaries (every lockstep chunk or
-        jump), not per interaction; a monitor's
+        whole fleet at chunk boundaries (every jump or faulted chunk),
+        not per interaction; a monitor's
         ``check_every`` is not consulted here.  A violating trial is
         recorded in :attr:`violations` and deactivated instead of
         raising, so one broken trial cannot take down the other
@@ -606,18 +578,11 @@ class EnsembleMultisetSimulation:
     def run_to(self, targets) -> None:
         """Advance each active trial to its absolute interaction target.
 
-        Each engine round picks one of three vectorized modes:
-
-        * while a crash-rate, corruption-rate or crash-at fault can still
-          fire (or a trial holds crashed agents), the fault-aware
-          lockstep mode (:meth:`_faulted_chunk`) — every step boundary
-          must be offered to the fault sampler;
-        * otherwise, fault-free runs whose running no-op-gap estimate
-          says the regime is reactive-dense step one interaction per
-          round in lockstep (the backend's ``lockstep_chunk`` kernel);
-        * everything else — sparse fault-free regimes, and omission-rate
-          runs in every regime — jumps each trial to its next reactive
-          encounter (:meth:`_jump`).
+        While a crash-rate, corruption-rate or crash-at fault can still
+        fire (or a trial holds crashed agents), every step boundary must
+        be offered to the fault sampler, so the engine steps round by
+        round (:meth:`_faulted_chunk`).  Fault-free and omission-rate runs
+        jump each trial to its next reactive encounter (:meth:`_jump`).
 
         Attached monitors sweep the fleet after every round.
         """
@@ -632,7 +597,7 @@ class EnsembleMultisetSimulation:
         first grid point after any change of its counts, so the driver
         checks it there.  A jump that lands a transition at ``t`` lowers
         the trial's target to the first grid point at or after ``t``;
-        lockstep rounds apply several transitions per chunk, so they
+        faulted chunks apply several transitions per chunk, so they
         lower every stepped trial's target to its next grid point.
         """
         while True:
@@ -640,10 +605,8 @@ class EnsembleMultisetSimulation:
                                  & (self.interactions < targets))
             if idx.size == 0:
                 return
-            faulted = (self._faults is not None and not self._omission
-                       and self._faults_pending())
-            if faulted or (not self._omission
-                           and self._gap < _GAP_LOCKSTEP):
+            if (self._faults is not None and not self._omission
+                    and self._faults_pending()):
                 if check_every:
                     o = origin[idx]
                     targets[idx] = np.minimum(
@@ -652,11 +615,8 @@ class EnsembleMultisetSimulation:
                              + 1) * check_every)
                 rounds = min(int((targets[idx]
                                   - self.interactions[idx]).min()),
-                             _LOCKSTEP_CHUNK)
-                if faulted:
-                    self._faulted_chunk(idx, rounds)
-                else:
-                    self._kernels.lockstep_chunk(self, idx, rounds)
+                             _FAULTED_CHUNK)
+                self._faulted_chunk(idx, rounds)
             else:
                 rows = self._jump(idx, targets[idx] - self.interactions[idx])
                 if check_every and rows.size:
@@ -672,8 +632,8 @@ class EnsembleMultisetSimulation:
         """True while any active trial still needs the fault-aware path.
 
         That is whenever a fault event can still fire, and also for as
-        long as any active trial holds crashed agents: the fault-free
-        paths resolve agent indices against live mass only and cannot
+        long as any active trial holds crashed agents: the jump's pair
+        law divides by ``n (n - 1)`` with every agent live, so it cannot
         represent the dead sentinel bin.  Rate faults are always pending
         (omission-rate runs never ask: the jump thins its reactive
         rounds with the omission faults itself).
@@ -700,22 +660,20 @@ class EnsembleMultisetSimulation:
             hist[rows, self._out_ids[v]] -= 1
 
     def _faulted_chunk(self, idx: np.ndarray, rounds: int) -> None:
-        """``rounds`` lockstep rounds with per-round fault sampling.
+        """``rounds`` rounds with per-round fault sampling: every trial in
+        ``idx`` advances exactly one interaction per round.
 
-        The faulted twin of the fault-free lockstep kernel
-        (:func:`repro.sim.backends.numpy_backend.ensemble_lockstep_chunk`);
-        it always runs here, backend-independent, and feeds the same
-        no-op-gap estimate.  Crash-rate, corruption-rate and crash-at
-        runs take every round here while a fault can still fire (or a
-        trial holds crashed agents); omission-rate runs never come here,
-        because the jump (:meth:`_jump`) thins its reactive rounds
-        exactly.  Each round mirrors the scalar engines' faulted step
-        order exactly: step-boundary faults first (crash / corruption),
-        then the scheduled pair — drawn over all ``n`` sensors, dead
-        ones included, so the global clock matches the scalar engines —
-        with dead-party encounters inert.  Fault randomness comes from
-        the dedicated fault stream, never the engine stream (the scalar
-        ``FaultPlan.rng`` split).
+        The engine's only round-by-round mode.  Crash-rate,
+        corruption-rate and crash-at runs take every round here while a
+        fault can still fire (or a trial holds crashed agents);
+        fault-free and omission-rate runs never come here, because the
+        jump (:meth:`_jump`) samples them exactly.  Each round mirrors
+        the scalar engines' faulted step order exactly: step-boundary
+        faults first (crash / corruption), then the scheduled pair —
+        drawn over all ``n`` sensors, dead ones included, so the global
+        clock matches the scalar engines — with dead-party encounters
+        inert.  Fault randomness comes from the dedicated fault stream,
+        never the engine stream (the scalar ``FaultPlan.rng`` split).
 
         Dead agents are represented *positionally*: a trial's live
         agents occupy the first ``n - dead`` index slots of the cumsum
@@ -759,7 +717,6 @@ class EnsembleMultisetSimulation:
         out = self._out_ids
         if fd.kind == "crash-at":
             fired = self._crashat_fired[idx].copy()
-        hits = 0
         for r in range(rounds):
             # -- Step-boundary faults (the scalar pre_step hook). --
             if fd.kind == "crash-rate":
@@ -806,10 +763,8 @@ class EnsembleMultisetSimulation:
             ps = np.where(livepair, p, 0)
             qs = np.where(livepair, q, 0)
             re = react2d[ps, qs] & livepair
-            nre = int(re.sum())
-            if nre == 0:
+            if not re.any():
                 continue
-            hits += nre
             # Dead-party encounters scatter as clamped identities, so
             # the unconditional arithmetic stays exact.
             p2 = np.where(re, tinit2d[ps, qs], ps)
@@ -841,12 +796,6 @@ class EnsembleMultisetSimulation:
             self.output_hist[idx] = hist
             so = lo_off >= 0
             self.last_output_change[idx[so]] = base[so] + lo_off[so]
-        # The gap EMA counts applied transitions, as the fault-free
-        # lockstep kernel does.
-        if hits:
-            self._gap = 0.7 * self._gap + 0.3 * (rounds * A / hits)
-        else:
-            self._gap = min(self._gap * 2.0 + 1.0, _GAP_CAP)
 
     def _jump(self, idx: np.ndarray, caps: np.ndarray) -> np.ndarray:
         """One jump: each trial in ``idx`` advances to its next reactive
@@ -896,7 +845,6 @@ class EnsembleMultisetSimulation:
         sel = np.flatnonzero(hit)
         rows = idx[sel]
         if not sel.size:
-            self._gap = min(self._gap * 2.0 + 1.0, _GAP_CAP)
             return rows
         # The pair: one uniform per hit trial, searched in the row's
         # cumulative reactive weights (zero-weight pairs are never hit).
@@ -929,7 +877,6 @@ class EnsembleMultisetSimulation:
                     | ((op == oq2) & (oq == op2)))
             changed = rows[~same]
             self.last_output_change[changed] = self.interactions[changed]
-        self._gap = 0.7 * self._gap + 0.3 * (int(steps.sum()) / sel.size)
         return rows
 
     def __repr__(self) -> str:
@@ -949,6 +896,9 @@ class _Driver:
     ens: EnsembleMultisetSimulation
     max_steps: int
     check_every: int
+    #: Per-trial clock reported as ``converged_at`` (``last_change`` or
+    #: ``last_output_change``; read once the run ends).
+    marker: np.ndarray
     #: Let a trial whose counts have not changed since its last check run
     #: past grid points (sound only for a rule whose verdict is a
     #: function of the counts alone: the silent rule).
@@ -965,8 +915,10 @@ class _Driver:
         ``skip_quiet`` a trial is checked only at the grid points where
         its counts may have changed since its previous check — the first
         grid point after each jump that changed them, or every grid point
-        while it steps in lockstep; the skipped checks would all have
-        repeated its previous verdict.
+        while it steps through faulted chunks; the skipped checks would
+        all have repeated its previous verdict.  The results are built
+        once at the end, every trial's unanimous output read in one pass
+        over the output histograms.
         """
         ens = self.ens
         stopped = np.zeros(ens.trials, dtype=bool)
@@ -992,14 +944,21 @@ class _Driver:
                                             + self.check_every,
                                             self.max_steps))
             ens._run_to(targets, self.check_every, origin)
+        hist = (ens.output_hist if ens.output_hist is not None
+                else ens.counts @ ens._onehot)
+        live = hist > 0
+        unanimous = (live.sum(axis=1) == 1).tolist()
+        symbols = ens.compiled.output_symbols
         return [
             ConvergenceResult(
-                interactions=int(ens.interactions[t]),
-                converged_at=int(ens.last_output_change[t]),
-                output=ens.unanimous_output(t),
-                stopped=bool(stopped[t]),
+                interactions=interactions,
+                converged_at=marker,
+                output=symbols[oid] if one else None,
+                stopped=done,
             )
-            for t in range(ens.trials)
+            for interactions, marker, oid, one, done in zip(
+                ens.interactions.tolist(), self.marker.tolist(),
+                live.argmax(axis=1).tolist(), unanimous, stopped.tolist())
         ]
 
 
@@ -1035,18 +994,8 @@ def run_ensemble_until_silent(
             checked_at[rows] = ens.last_change[rows]
         return verdict
 
-    results = _Driver(ens, max_steps, check_every,
-                      skip_quiet=True).run(silent)
-    # The multiset convergence marker is the last state change.
-    return [
-        ConvergenceResult(
-            interactions=r.interactions,
-            converged_at=int(ens.last_change[t]),
-            output=r.output,
-            stopped=r.stopped,
-        )
-        for t, r in enumerate(results)
-    ]
+    return _Driver(ens, max_steps, check_every, ens.last_change,
+                   skip_quiet=True).run(silent)
 
 
 def run_ensemble_until_quiescent(
@@ -1071,7 +1020,8 @@ def run_ensemble_until_quiescent(
         return (ens.interactions[idx] - ens.last_output_change[idx]
                 >= patience)
 
-    return _Driver(ens, max_steps, max(1, patience // 8)).run(quiet)
+    return _Driver(ens, max_steps, max(1, patience // 8),
+                   ens.last_output_change).run(quiet)
 
 
 def run_ensemble_until_correct_stable(
@@ -1111,4 +1061,5 @@ def run_ensemble_until_correct_stable(
                    >= settle_factor * ens.last_output_change[idx] + floor)
         return all_correct & settled
 
-    return _Driver(ens, max_steps, max(1, ens.n // 2)).run(done)
+    return _Driver(ens, max_steps, max(1, ens.n // 2),
+                   ens.last_output_change).run(done)

@@ -68,12 +68,12 @@ class TestGrids:
 
     def test_smoke_run_with_explicit_backend_records_it(self):
         # --backend python only applies to the engines that have a
-        # kernel seam; scalar reference engines stay numpy rows.
+        # kernel seam (the batched ones); every other row stays numpy.
         rows = run_kernel_benchmarks(smoke=True, repeats=1,
                                      backend="python")
         backends_seen = {r["engine"]: r["backend"] for r in rows}
         assert backends_seen["batched-multiset"] == "python"
-        assert backends_seen["ensemble-multiset"] == "python"
+        assert backends_seen["ensemble-multiset"] == "numpy"
         assert backends_seen["multiset"] == "numpy"
         assert "backend" in format_rows(rows).splitlines()[0]
 

@@ -99,20 +99,20 @@ GOLDEN = {
         "096e776815799c8d1cc2f6aa192d0508cccdb32e5d394fa587540afa5e8bf0d4",
         "871986914ae381eeb2571210d2ed3969e1270b2c73578ed2a9ac802de9dee162"),
     "ensemble": (
-        "ccc13989b9547d8abdff4e86923bc25d2625f5412eb70625f9511db94bfced8d",
-        "f3b2fedcbd21ff56f5f33ac983abe1b15a2f16502ab081861f9994762e786885"),
+        "30de9e6d103fea1d71be880f5fb1fca423f1cc86f45e88631858de59da04e87b",
+        "185c148720f1c0998b363298af2252cdb5eb96a72c4690490b85668659ef0ddc"),
     "ensemble-corruption-rate": (
         "52c7a4395b37a096472f8d55ad665011c8ebd6dae068c0e7e8c9ad71290216e1",
         "5585ea1ef5733268c7e10ecac549b52ea8e9088af359ab793701bf42a6b0b468"),
     "ensemble-crash-at": (
-        "c930193ea0792b792d683cc456d8230ba84ba86d63d1e0b9a71fdc97e52156a9",
-        "aa666a566bdfc3d1c1535599145fec04e8eb96ce659651b341065c97e8d79a2b"),
+        "74367d37023673a6b4b69b9b0600ac0770ea37f16be926c91804a3261adcca94",
+        "8d831c34460fdf7660dbaa19f895f65dd063f9619d044ee2f2421f8b54c2d4af"),
     "ensemble-crash-rate": (
-        "8bb2bcd86fc78a0a4b8ed450166f1ea0dfa9ccb4256efb3242bd08614cd0a4af",
-        "27a8bb40c26ac5f249f078e4d3af0f9e0b9f5194ae326a3cc6a34908348abcaa"),
+        "8f487fc409970c7319f853420589967ee5c22e82fbc35ebc4ae0461ce9592228",
+        "8d93ac3498725a961e0484f8fc1304205cb7c7eff09c8ef6d877a8f1ce6e1084"),
     "ensemble-monitor": (
-        "cd23878492e6de67d9fd2cf0bfa0fa471b957280a3808db0eab3e8ce29ac6671",
-        "65240ba9d93b464b86f0042d5556cef038080d5e8254d3a2dd3d5f67a7d3c099"),
+        "8f34dd07eea259d3f3b85537a48ce01962bf62e17af238a08aa4d80c447d6524",
+        "7eb0affc289ec6e7610e68845606997d5a915b1eb33817fa0cb53ac820a352c8"),
     "ensemble-omission-rate": (
         "990a9303f7ff49c0181e2a063e80be4727e8b082b9c00b994090e6168c6fc0cd",
         "c4173a459bd354c95832bfcc8acc3535448a2d5afca51f60a0f294bcbbb1297d"),

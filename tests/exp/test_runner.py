@@ -408,15 +408,6 @@ class TestBackendProvenance:
                 assert a == b
                 assert "backend" not in a
 
-    def test_ensemble_records_carry_backend(self):
-        spec = make_spec(ns=(8,), trials=2, engine="ensemble",
-                         backend="python")
-        result = run_experiment(spec)
-        assert all(r["backend"] == "python" for r in result.records)
-        default = run_experiment(make_spec(ns=(8,), trials=2,
-                                           engine="ensemble"))
-        assert all("backend" not in r for r in default.records)
-
     def test_fallback_records_stay_unmarked(self):
         # An unavailable backend falls back to numpy; the record then
         # reports what actually ran (nothing — numpy is the default),

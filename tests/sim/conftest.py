@@ -3,10 +3,9 @@
 ``kernel_backend`` parameterizes a test over every step-kernel backend
 available on this installation (see :mod:`repro.sim.backends`): always
 ``numpy`` and ``python``, plus ``numba`` when the ``[perf]`` extra is
-installed (the CI numba leg).  Threading it through the fingerprint and
-scalar-twin suites makes every backend inherit the full behavioral
-contract — bit identity for the batched engines, the statistical
-contract for the ensemble — with zero per-backend test code.
+installed (the CI numba leg).  Threading it through the fingerprint
+suites makes every backend inherit the full behavioral contract — bit
+identity for the batched engines — with zero per-backend test code.
 """
 
 import pytest

@@ -1,12 +1,12 @@
 """Tests for the step-kernel backend registry and its fallback contract.
 
-The engine-level behavioral contracts (bit identity for the batched
-engines, count identity for the ensemble) are inherited by every
-backend through the ``kernel_backend`` fixture in the fingerprint and
-scalar-twin suites; this module covers what those suites cannot — the
-registry API itself, and each fallback path: an unavailable backend
-(numba missing), a population shape with no block-decodable draw
-stream, and a kernel factory that raises mid-construction.  Every
+The engine-level behavioral contract (bit identity for the batched
+engines) is inherited by every backend through the ``kernel_backend``
+fixture in the fingerprint suites; this module covers what those
+suites cannot — the registry API itself, and each fallback path: an
+unavailable backend (numba missing), a population shape with no
+block-decodable draw stream, and a kernel factory that raises
+mid-construction.  Every
 fallback must (a) produce results bit-identical to the default numpy
 backend and (b) emit exactly one ``RuntimeWarning`` per
 (backend, reason) per process; the default backend must never warn.
@@ -119,7 +119,7 @@ class TestSelectKernels:
             assert name == "numpy"
 
     def test_explicit_python_selected(self):
-        name, kernels = select_kernels("python", "ensemble")
+        name, kernels = select_kernels("python", "batched-multiset")
         assert name == "python"
         assert kernels.name == "python"
 
@@ -134,14 +134,6 @@ class TestSelectKernels:
                                            decodable=False)
         assert name == "numpy"
         assert kernels.name == "numpy"
-
-    def test_ensemble_ignores_decodability(self):
-        # The ensemble draws through numpy's generator, not the decoded
-        # Mersenne Twister stream, so shape gating does not apply.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            name, _ = select_kernels("python", "ensemble", decodable=False)
-            assert name == "python"
 
     def test_factory_failure_falls_back_with_one_warning(self, monkeypatch):
         def exploding_factory(family):
@@ -258,25 +250,6 @@ class TestEngineFallback:
 
 
 class TestCrossBackendIdentity:
-    def test_ensemble_python_count_identical_to_numpy(self):
-        # The ensemble contract is only statistical, but the span kernel
-        # replays numpy's draws in the same order, so the shipped
-        # backends are in fact count-identical — including the gap EMA
-        # that steers the lockstep/windowed mode switch.
-        seeds = list(range(40, 56))
-        a = EnsembleMultisetSimulation(LeaderElection(), {1: 48},
-                                       trials=16, seeds=seeds)
-        b = EnsembleMultisetSimulation(LeaderElection(), {1: 48},
-                                       trials=16, seeds=seeds,
-                                       backend="python")
-        assert (a.backend, b.backend) == ("numpy", "python")
-        for _ in range(10):
-            a.run(2_000)
-            b.run(2_000)
-            assert (a.counts == b.counts).all()
-            assert (a.last_change == b.last_change).all()
-        assert a._gap == b._gap
-
     def test_batched_python_bit_identical_mid_run_interleave(self):
         # Alternate step() and run() so chunk boundaries differ from the
         # fingerprint suite's fixed schedule.

@@ -1,4 +1,4 @@
-"""Tests for the lockstep ensemble engine.
+"""Tests for the many-trial ensemble engine.
 
 The ensemble engine's contract is *statistical* equivalence with the
 scalar multiset engine: same protocol, same inputs, same stopping rules,
@@ -78,8 +78,8 @@ class TestConstruction:
 
 class TestAdvancement:
     def test_population_conserved_across_modes(self, seed):
-        # Leader election starts reactive-dense (lockstep mode) and ends
-        # silent (windowed mode); the run crosses both inner loops.
+        # Leader election starts reactive-dense and ends silent; the run
+        # jumps through both regimes.
         ens = EnsembleMultisetSimulation(LeaderElection(), {1: 64},
                                          trials=8, seed=seed)
         ens.run(8_000)
@@ -112,6 +112,40 @@ class TestAdvancement:
         ens.run(500)
         assert ens.interactions[1] == 0
         assert ens.interactions[0] == ens.interactions[2] == 500
+
+    @pytest.mark.parametrize("faults, faulted", [
+        (None, False),
+        (EnsembleFaults("omission-rate", 0.05), False),
+        (EnsembleFaults("crash-rate", 0.001), True),
+    ])
+    def test_only_faults_that_fire_step_round_by_round(self, seed, faults,
+                                                       faulted):
+        # Fault-free and omission-rate runs jump every round; a crash
+        # rate must offer every step boundary to the fault sampler.
+        from repro.sim.monitors import ConservationMonitor
+
+        ens = EnsembleMultisetSimulation(LeaderElection(), {1: 32},
+                                         trials=8, seed=seed, faults=faults,
+                                         monitors=[ConservationMonitor()])
+        calls = {"round": 0, "jump": 0, "faulted": 0}
+
+        def counting(name, method):
+            def wrapped(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapped
+
+        # The monitor sweep runs once after every round.
+        ens._check_monitors = counting("round", ens._check_monitors)
+        ens._jump = counting("jump", ens._jump)
+        ens._faulted_chunk = counting("faulted", ens._faulted_chunk)
+        ens.run(3_000)
+        assert (ens.interactions == 3_000).all()
+        if faulted:
+            assert calls["faulted"] > 0
+        else:
+            assert calls["faulted"] == 0
+            assert calls["jump"] == calls["round"] > 0
 
     def test_trial_rows_diverge(self, seed):
         # Independent trials must not mirror each other's trajectories.
@@ -250,14 +284,12 @@ class TestOutputTracking:
 
 
 class TestScalarReplay:
-    def test_twin_reaches_same_verdict(self, seed, kernel_backend):
+    def test_twin_reaches_same_verdict(self, seed):
         # The replay contract: an ensemble trial's seed, fed back through
         # the scalar MultisetSimulation, reproduces the trial's verdict
         # (statistically equivalent trajectory, same stopped/output).
         ens = EnsembleMultisetSimulation(CountToK(3), {1: 5, 0: 11},
-                                         trials=8, seed=seed,
-                                         backend=kernel_backend)
-        assert ens.backend == kernel_backend
+                                         trials=8, seed=seed)
         results = run_ensemble_until_silent(ens, max_steps=500_000)
         for t in (0, 3, 7):
             twin = ens.scalar_twin(t)
@@ -303,28 +335,26 @@ class TestStatisticalEquivalence:
             times.append(result.converged_at)
         return times
 
-    def _ensemble_times(self, protocol_factory, counts, seeds, max_steps,
-                        backend=None):
+    def _ensemble_times(self, protocol_factory, counts, seeds, max_steps):
         ens = EnsembleMultisetSimulation(protocol_factory(), counts,
-                                         trials=len(seeds), seeds=seeds,
-                                         backend=backend)
+                                         trials=len(seeds), seeds=seeds)
         results = run_ensemble_until_silent(ens, max_steps=max_steps)
         assert all(r.stopped for r in results)
         return [r.converged_at for r in results]
 
-    def test_leader_election_hitting_times(self, kernel_backend):
+    def test_leader_election_hitting_times(self):
         from scipy.stats import ks_2samp
 
         n, trials, budget = 48, 128, 1_000_000
         fast = self._ensemble_times(LeaderElection, {1: n},
                                     list(range(1_000, 1_000 + trials)),
-                                    budget, backend=kernel_backend)
+                                    budget)
         slow = self._scalar_times(LeaderElection, {1: n},
                                   list(range(2_000, 2_000 + trials)),
                                   budget)
         assert ks_2samp(fast, slow).pvalue > 1e-3
 
-    def test_threshold_predicate_times(self, kernel_backend):
+    def test_threshold_predicate_times(self):
         from scipy.stats import ks_2samp
 
         # CountToK(3) is the Sect. 4 threshold predicate "x_1 >= 3".
@@ -332,7 +362,7 @@ class TestStatisticalEquivalence:
         trials, budget = 96, 1_000_000
         fast = self._ensemble_times(lambda: CountToK(3), counts,
                                     list(range(3_000, 3_000 + trials)),
-                                    budget, backend=kernel_backend)
+                                    budget)
         slow = self._scalar_times(lambda: CountToK(3), counts,
                                   list(range(4_000, 4_000 + trials)),
                                   budget)
@@ -576,11 +606,8 @@ class TestSilentGrid:
         # Leader election at n = 32 applies n - 1 = 31 transitions per
         # trial but spends ~(n-1)^2 = 961 interactions, about 30 check
         # grid points, on them.  A jump per transition plus one to reach
-        # each check keeps the engine rounds near 2 (n - 1) (fewer
-        # without faults, whose dense start steps in lockstep); rounds
+        # each check keeps the engine rounds near 2 (n - 1); rounds
         # capped by the check grid take 140 to 210 on this case.
-        import types
-
         n = 32
         rounds = []
 
@@ -596,8 +623,6 @@ class TestSilentGrid:
             faults=(EnsembleFaults("omission-rate", omission) if omission
                     else None))
         ens._jump = counting(ens._jump)
-        ens._kernels = types.SimpleNamespace(
-            lockstep_chunk=counting(ens._kernels.lockstep_chunk))
         results = run_ensemble_until_silent(ens, max_steps=10_000_000)
         assert all(r.stopped for r in results)
         assert len(rounds) <= 3 * (n - 1)

@@ -1,11 +1,11 @@
-"""Compiled-kernel benchmarks: reference engines vs. batched fast paths.
+"""Compiled-kernel benchmarks: reference engines vs. their fast paths.
 
 One benchmark per (workload, engine) cell of the ``repro bench`` smoke
-grid, so the pytest-benchmark report shows the reference engine and its
-bit-identical compiled twin side by side:
+grid, so the pytest-benchmark report shows each reference engine and
+its fast path side by side:
 
-* ``multiset`` vs ``batched-multiset`` — counted-multiset stepping;
-* ``agent`` vs ``batched-agent`` — agent-array stepping;
+* ``agent`` vs ``batched-agent`` — agent-array stepping, and its
+  bit-identical compiled twin;
 * ``skipping-rebuild`` vs ``skipping-incremental`` — reactive-table
   maintenance in the no-op-skipping engine;
 * ``multiset`` vs ``ensemble-multiset`` — scalar trials vs the many-trial
@@ -13,7 +13,7 @@ bit-identical compiled twin side by side:
   interactions, so throughputs stay per-interaction).
 
 Timing includes engine construction (and protocol compilation for the
-batched engines), matching what a cold caller pays; the committed
+compiled engines), matching what a cold caller pays; the committed
 full-size numbers live in ``BENCH_engines.json`` at the repo root.
 """
 

@@ -695,7 +695,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
     print(f"  start method   {fleet['start_method']}")
     numba = fleet["numba"]
     if numba["available"]:
-        warm = (", ".join("/".join(pair) for pair in numba["warm_kernels"])
+        warm = (", ".join(numba["warm_kernels"])
                 or "none yet (JIT paid on first kernel use, once per "
                    "fleet lifetime)")
         print(f"  numba warm     {warm}")

@@ -103,8 +103,8 @@ class PopulationProtocol(ABC):
         process.
 
         Returns a :class:`~repro.sim.compiled.CompiledProtocol` — the
-        interned-state/flat-table form the batched engines
-        (:mod:`repro.sim.batched`) consume.  ``key``, when given, is a
+        interned-state/flat-table form the compiled engines (batched,
+        ensemble, fluid) consume.  ``key``, when given, is a
         stable cross-instance identity (e.g. a registry name plus
         parameters) letting equal protocols built repeatedly — one per
         experiment trial, say — share a single compilation per process.

@@ -15,17 +15,16 @@ Every row runs one untimed warm-up repeat before its timed repeats, so
 one-time costs — JIT compilation on the ``numba`` kernel backend, numpy
 buffer allocation, import latency — never contaminate a throughput
 number.  ``--backend`` threads a step-kernel backend through the
-batched rows (the only engines with a kernel seam; every other row
+batched-agent rows (the only engine with a kernel seam; every other row
 ignores it), each row records the *effective* backend after any
 fallback, and the baseline gate keys on it, so numpy rows are only ever
 compared against numpy rows and numba rows against numba rows.
 
 Workloads:
 
-* ``leader-election`` (paper Sect. 4) on the multiset engines — the
-  canonical two-state protocol at large ``n``, where the batched
-  multiset engine's advantage is the headline number;
-* ``leader-election`` on the agent-array engines at moderate ``n``;
+* ``leader-election`` (paper Sect. 4) on the agent-array engines at
+  moderate ``n`` — the canonical two-state protocol, reference engine
+  against the batched fast path;
 * ``threshold-mixed`` — a Lemma 5 threshold protocol with mixed-sign
   weights (``ThresholdProtocol({1: 20, 0: -19}, 0)``) whose live state
   set stays wide (~20-30 states), the regime separating the skipping
@@ -63,8 +62,6 @@ import time
 #: Benchmark seed (the paper's publication date, like the test suites).
 BENCH_SEED = 20040725
 
-#: Engines timed per workload; reference first, fast path second, so a
-#: grid row's speedup reads fast/reference.
 #: Cold-vs-warm sweep pairs produced by :func:`run_fleet_benchmarks`,
 #: not by the kernel grids.
 FLEET_PAIRS = (
@@ -72,8 +69,9 @@ FLEET_PAIRS = (
     ("sweep-startup-cold", "sweep-startup-warm"),
 )
 
+#: Engines timed per workload; reference first, fast path second, so a
+#: grid row's speedup reads fast/reference.
 ENGINE_PAIRS = (
-    ("multiset", "batched-multiset"),
     ("agent", "batched-agent"),
     ("skipping-rebuild", "skipping-incremental"),
     ("multiset", "ensemble-multiset"),
@@ -103,8 +101,6 @@ _GATED_REPEATS = 30
 #: Monte-Carlo sweep shape), while the scalar reference runs ``steps``;
 #: throughputs are per-interaction either way, so the ratio is fair.
 FULL_GRID = (
-    {"protocol": "leader-election", "n": 100_000, "steps": 2_000_000,
-     "engines": ("multiset", "batched-multiset")},
     {"protocol": "leader-election", "n": 10_000, "steps": 500_000,
      "engines": ("agent", "batched-agent", "batched-agent-faulted")},
     {"protocol": "threshold-mixed", "n": 5_000, "steps": 4_000,
@@ -117,8 +113,6 @@ FULL_GRID = (
 
 #: The smoke grid (CI sizes; a few seconds total).
 SMOKE_GRID = (
-    {"protocol": "leader-election", "n": 1_000, "steps": 50_000,
-     "engines": ("multiset", "batched-multiset")},
     {"protocol": "leader-election", "n": 500, "steps": 25_000,
      "engines": ("agent", "batched-agent")},
     # The faulted-overhead gate needs enough batched work that timer
@@ -174,8 +168,8 @@ def _time_engine(engine: str, protocol, counts, steps: int,
     and fault-plan building — to the run, since that is what a caller
     actually pays; ``construct_seconds`` is the part of it spent
     constructing.  ``backend`` threads a step-kernel backend through
-    the batched rows (every other engine reports ``numpy``, having no
-    kernel seam); the returned effective backend reflects any fallback.
+    the batched-agent rows (every other engine reports ``numpy``, having
+    no kernel seam); the returned effective backend reflects any fallback.
     """
     build, run = _engine_workload(engine, protocol, counts, steps, seed,
                                   trials=trials, trial_steps=trial_steps,
@@ -218,12 +212,6 @@ def _engine_workload(engine: str, protocol, counts, steps: int, seed: int,
         from repro.sim.multiset_engine import MultisetSimulation
 
         return (lambda: MultisetSimulation(protocol, counts, seed=seed),
-                lambda sim: sim.run(steps))
-    if engine == "batched-multiset":
-        from repro.sim.batched import BatchedMultisetSimulation
-
-        return (lambda: BatchedMultisetSimulation(protocol, counts,
-                                                  seed=seed, backend=backend),
                 lambda sim: sim.run(steps))
     if engine == "agent":
         from repro.sim.engine import simulate_counts
@@ -292,8 +280,8 @@ def run_kernel_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,
     faulted row of a :data:`FAULT_OVERHEAD_PAIRS` pair also carries
     ``overhead_median``, the median over rounds of its time over its
     fault-free twin's time in the same round.
-    ``backend`` selects the step-kernel backend for the batched
-    engines; each row records the effective backend.
+    ``backend`` selects the step-kernel backend for the batched agent
+    engine; each row records the effective backend.
     """
     grid = SMOKE_GRID if smoke else FULL_GRID + SMOKE_GRID
     rows: list[dict] = []
@@ -364,8 +352,8 @@ def speedup_summary(rows: list[dict]) -> list[dict]:
     :data:`ENGINE_PAIRS`; ``ips`` is already per-unit, so the pair may
     run different step counts (the ensemble rows do).  The reported
     ``steps`` is the reference row's.  These ratios are what the
-    acceptance targets (batched multiset >= 5x, incremental skipping
-    >= 3x, ensemble >= 10x) read off.
+    acceptance targets (incremental skipping >= 3x, ensemble >= 10x)
+    read off.
     """
     by_key = {(r["protocol"], r["n"], r["engine"]): r for r in rows}
     summary = []
@@ -434,7 +422,7 @@ def faulted_overhead_check(rows: list[dict],
 
 
 def run_supervision_benchmark(*, smoke: bool = False, seed: int = BENCH_SEED,
-                              repeats: int = 3) -> dict:
+                              repeats: int = 5) -> dict:
     """Supervision tax on healthy trials: one sweep timed plain vs
     supervised.
 
@@ -444,14 +432,18 @@ def run_supervision_benchmark(*, smoke: bool = False, seed: int = BENCH_SEED,
     10-20%.  So the overhead is measured where it actually lives, per
     *task*: a calibration sweep of many near-instant trials is run both
     plain and supervised, and the per-task supervision cost is the
-    difference of the best-of-``repeats`` times divided by the trial
-    count (minima are robust here because timing noise is one-sided —
-    interference only ever adds time, and the machinery cost itself is
-    deterministic).  That per-task cost — fork amortized across the
-    sweep, pipe IPC, deadline bookkeeping — is then expressed relative
-    to the duration of a representative *healthy* trial (the bench
-    workload, also best-of-``repeats``), which is what the gate
-    ``repro bench --max-supervision-overhead`` bounds.
+    difference of the two times divided by the trial count.  That
+    per-task cost — fork amortized across the sweep, pipe IPC, deadline
+    bookkeeping — is then expressed relative to the duration of a
+    representative *healthy* trial (the bench workload), which is what
+    the gate ``repro bench --max-supervision-overhead`` bounds.
+
+    Each of ``repeats`` rounds times the plain sweep, the supervised
+    sweep and the healthy trials back to back, so a stretch of machine
+    load lands on all three alike, and the overhead is the median of the
+    rounds' ratios.  The other timings are medians over the rounds too.
+    A ratio of best-of times compares rare minima, which one lucky
+    plain repeat moves; the median of paired rounds does not.
     """
     from repro.exp.runner import run_experiment
     from repro.exp.spec import ExecutionPolicy, ExperimentSpec, StopRule
@@ -479,33 +471,35 @@ def run_supervision_benchmark(*, smoke: bool = False, seed: int = BENCH_SEED,
                                max_steps=max_steps))
 
     def timed(spec: ExperimentSpec) -> float:
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            result = run_experiment(spec, store=None, workers=1)
-            best = min(best, time.perf_counter() - start)
-            if result.failures:
-                raise RuntimeError(
-                    "supervision benchmark quarantined a healthy trial: "
-                    f"{result.failures[0].get('message')}")
-        return best
+        start = time.perf_counter()
+        result = run_experiment(spec, store=None, workers=1)
+        seconds = time.perf_counter() - start
+        if result.failures:
+            raise RuntimeError(
+                "supervision benchmark quarantined a healthy trial: "
+                f"{result.failures[0].get('message')}")
+        return seconds
 
     run_experiment(calib_plain, store=None, workers=1)  # warmup, untimed
-    plain_s = timed(calib_plain)
-    supervised_s = timed(calib_supervised)
-    per_task_s = max(0.0, supervised_s - plain_s) / calibration_trials
-    trial_s = timed(work) / work_trials
-    return {
+    rounds = []
+    for _ in range(max(1, repeats)):
+        plain_s = timed(calib_plain)
+        supervised_s = timed(calib_supervised)
+        trial_s = timed(work) / work_trials
+        per_task_s = max(0.0, supervised_s - plain_s) / calibration_trials
+        rounds.append({"plain_s": plain_s, "supervised_s": supervised_s,
+                       "per_task_s": per_task_s, "trial_s": trial_s,
+                       "overhead": 1.0 + per_task_s / trial_s})
+    result = {
         "protocol": "leader-election",
         "n": n,
         "trials": calibration_trials,
         "steps": max_steps,
-        "plain_s": round(plain_s, 6),
-        "supervised_s": round(supervised_s, 6),
-        "per_task_s": round(per_task_s, 6),
-        "trial_s": round(trial_s, 6),
-        "overhead": round(1.0 + per_task_s / trial_s, 4),
     }
+    for key in rounds[0]:
+        result[key] = round(statistics.median(r[key] for r in rounds),
+                            4 if key == "overhead" else 6)
+    return result
 
 
 def run_fleet_benchmarks(*, smoke: bool = False, seed: int = BENCH_SEED,

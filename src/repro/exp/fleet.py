@@ -94,7 +94,7 @@ def fleet_report() -> dict:
         "start_method": "fork" if "fork" in methods else methods[0],
         "numba": {
             "available": bool(numba_row and numba_row["available"]),
-            "warm_kernels": [list(pair) for pair in warmed_kernels()],
+            "warm_kernels": warmed_kernels(),
         },
     }
 
@@ -123,9 +123,7 @@ def _warm_spec(spec) -> None:
     compile_for(spec, registry.get(spec.protocol).build(**spec.params))
     if spec.engine != "batched":
         return
-    requested = None if spec.backend == "numpy" else spec.backend
-    for family in ("batched-agent", "batched-multiset"):
-        select_kernels(requested, family)
+    select_kernels(None if spec.backend == "numpy" else spec.backend)
 
 
 def _error_detail(exc: BaseException) -> tuple:
@@ -146,7 +144,7 @@ def _worker_stats_payload(installed: "OrderedDict") -> dict:
         "pid": os.getpid(),
         "installed": list(installed),
         "compile_cache": compile_cache_stats(),
-        "warm_kernels": [list(pair) for pair in warmed_kernels()],
+        "warm_kernels": warmed_kernels(),
     }
 
 

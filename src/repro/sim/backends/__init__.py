@@ -1,19 +1,18 @@
-"""Pluggable step-kernel backends for the batched engines.
+"""Pluggable step-kernel backends for the batched agent engine.
 
-The batched engines (:mod:`repro.sim.batched`) drive their inner
-interaction loops through a small kernel object selected here.  (The
-ensemble engine has no kernel seam: it jumps each trial to its next
-reactive encounter, see :mod:`repro.sim.ensemble`.)  Three backends
-ship:
+The batched agent engine (:class:`repro.sim.batched.BatchedSimulation`)
+drives its inner interaction loop through a small kernel object
+selected here.  (No other engine has a kernel seam: the ensemble engine
+jumps each trial to its next reactive encounter, see
+:mod:`repro.sim.ensemble`.)  Three backends ship:
 
 ``numpy`` (default)
-    The adaptive scalar-chunk / vectorized-window hybrid stepper, with
-    conflict-free prefix rounds for the agent engine
-    (:mod:`repro.sim.backends.numpy_backend`).  Always available; the
-    behavioral reference.
+    The adaptive scalar-chunk / first-hit-window / conflict-free
+    prefix-round stepper (:mod:`repro.sim.backends.numpy_backend`).
+    Always available; the behavioral reference.
 
 ``numba``
-    The same per-interaction law as one fused loop per engine,
+    The same per-interaction law as one fused loop,
     ``@njit(cache=True)``-compiled over the dense compiled tables
     (:mod:`repro.sim.backends.numba_backend`).  Eligible when numba is
     importable (``pip install -e ".[perf]"``); its kernels stay
@@ -26,7 +25,7 @@ ship:
     installations, and how the kernels stay debuggable under pdb and
     coverage.
 
-Selection: the batched engines take ``backend=`` (``None`` means the
+Selection: the batched engine takes ``backend=`` (``None`` means the
 default), :class:`repro.exp.spec.ExperimentSpec` has a hash-stable
 ``backend`` field, and ``exp run`` / ``chaos run`` / ``bench`` take
 ``--backend``.
@@ -47,7 +46,6 @@ from repro.sim.backends import numpy_backend
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "FAMILIES",
     "KernelBackend",
     "available_backends",
     "backend_names",
@@ -61,18 +59,15 @@ __all__ = [
 
 #: The always-available fallback backend.
 DEFAULT_BACKEND = "numpy"
-#: Engine families a backend can serve kernels for.
-FAMILIES = ("batched-agent", "batched-multiset")
 
 
 class KernelBackend:
     """One registered step-kernel implementation.
 
     ``probe`` returns an ineligibility reason (or None when the backend
-    can run here) without importing anything heavy; ``factory`` builds
-    the kernel object for one engine family and may raise — the
-    registry treats a raising factory as an eligibility failure and
-    falls back.
+    can run here) without importing anything heavy; ``factory()``
+    builds the kernel object and may raise — the registry treats a
+    raising factory as an eligibility failure and falls back.
     """
 
     def __init__(self, name: str, factory, *, probe=None):
@@ -88,12 +83,9 @@ class KernelBackend:
     def available(self) -> bool:
         return self.ineligible_reason() is None
 
-    def make_kernels(self, family: str):
-        """Build the kernel object for one engine family."""
-        if family not in FAMILIES:
-            raise ValueError(
-                f"unknown engine family {family!r}; known: {FAMILIES}")
-        return self._factory(family)
+    def make_kernels(self):
+        """Build the kernel object."""
+        return self._factory()
 
     def __repr__(self) -> str:
         return f"<KernelBackend {self.name!r}>"
@@ -147,15 +139,15 @@ def backend_report() -> list:
 
 # -- Warm-kernel tracking ------------------------------------------------------
 
-#: ``(backend, family)`` pairs whose kernels were constructed in this
-#: process.  For the numba backend, construction *is* JIT compilation
-#: (eager ``@njit`` at build), so membership here means the JIT price
-#: has been paid; ``repro doctor`` and the fleet worker stats report it.
+#: Names of the backends whose kernels were constructed in this process.
+#: For the numba backend, construction *is* JIT compilation (eager
+#: ``@njit`` at build), so membership here means the JIT price has been
+#: paid; ``repro doctor`` and the fleet worker stats report it.
 _warm_kernels: set = set()
 
 
 def warmed_kernels() -> list:
-    """Sorted ``(backend, family)`` pairs built in this process."""
+    """Sorted names of the backends whose kernels were built here."""
     return sorted(_warm_kernels)
 
 
@@ -180,14 +172,13 @@ def _warn_fallback(requested: str, reason: str) -> None:
         RuntimeWarning, stacklevel=4)
 
 
-def select_kernels(requested: "str | None", family: str, *,
-                   decodable: bool = True):
+def select_kernels(requested: "str | None", *, decodable: bool = True):
     """Resolve a backend request to ``(effective_name, kernel_object)``.
 
     ``requested=None`` (or the default name) selects numpy directly —
     no probing, no warnings, byte-for-byte the pre-backend behavior.
     An explicit non-default request is checked for eligibility: the
-    backend's own probe, then the engine shape (the batched kernel
+    backend's own probe, then the engine shape (the non-default
     backends consume the block-decoded draw stream, so populations
     without one — ``decodable=False`` — cannot use them), then kernel
     construction itself.  Any failure warns once and falls back to
@@ -196,8 +187,8 @@ def select_kernels(requested: "str | None", family: str, *,
     name = requested or DEFAULT_BACKEND
     backend = get_backend(name)
     if name == DEFAULT_BACKEND:
-        kernels = backend.make_kernels(family)
-        _warm_kernels.add((name, family))
+        kernels = backend.make_kernels()
+        _warm_kernels.add(name)
         return name, kernels
     reason = backend.ineligible_reason()
     if reason is None and not decodable:
@@ -206,15 +197,15 @@ def select_kernels(requested: "str | None", family: str, *,
                   "of equal bit length, and a stock random.Random)")
     if reason is None:
         try:
-            kernels = backend.make_kernels(family)
+            kernels = backend.make_kernels()
         except Exception as exc:
             reason = f"kernel construction failed: {exc}"
         else:
-            _warm_kernels.add((name, family))
+            _warm_kernels.add(name)
             return name, kernels
     _warn_fallback(name, reason)
-    kernels = get_backend(DEFAULT_BACKEND).make_kernels(family)
-    _warm_kernels.add((DEFAULT_BACKEND, family))
+    kernels = get_backend(DEFAULT_BACKEND).make_kernels()
+    _warm_kernels.add(DEFAULT_BACKEND)
     return DEFAULT_BACKEND, kernels
 
 
@@ -229,16 +220,16 @@ def _numba_probe() -> "str | None":
     return None
 
 
-def _numba_factory(family: str):
+def _numba_factory():
     from repro.sim.backends import numba_backend
 
-    return numba_backend.make_kernels(family)
+    return numba_backend.make_kernels()
 
 
-def _python_factory(family: str):
+def _python_factory():
     from repro.sim.backends import kernels
 
-    return kernels.make_kernels(family, kernels.SPANS, name="python")
+    return kernels.make_kernels(kernels.agent_span, name="python")
 
 
 register_backend(KernelBackend("numpy", numpy_backend.make_kernels))

@@ -1,28 +1,27 @@
-"""Fused per-interaction span kernels in nopython-compatible Python.
+"""The fused per-interaction span kernel in nopython-compatible Python.
 
-The numpy backend splits each batched engine's hot loop into a scalar
-chunk and vectorized windows (for the agent engine, first-hit windows
-and conflict-free prefix rounds) and lets a gap controller interleave
-them.
+The numpy backend splits the batched agent engine's hot loop into
+scalar chunks, first-hit windows and conflict-free prefix rounds, and
+lets a gap controller interleave them.
 That split exists purely to amortize *interpreter* cost; the trajectory
 is the same either way, because every path consumes the decoded draw
 stream in order and applies every reactive transition at its exact
 interaction index, reading the states the sequential step would read.
 A compiled kernel has no interpreter cost to amortize, so the
-``numba`` and ``python`` backends use one fused loop per engine instead:
-process every buffered draw scalar-style, in stream order.  Bit
-identity with the numpy backend (and hence with the reference engines)
-follows from the draw stream and the per-draw arithmetic being
-identical — the backend-parameterized fingerprint suite pins it down.
+``numba`` and ``python`` backends use one fused loop instead: process
+every buffered draw scalar-style, in stream order.  Bit identity with
+the numpy backend (and hence with the reference engine) follows from
+the draw stream and the per-draw arithmetic being identical — the
+backend-parameterized fingerprint suite pins it down.
 
-Every ``*_span`` function below is written in the numba ``nopython``
-subset (plain loops over typed arrays, no Python objects), so the same
-source runs three ways: interpreted as the ``python`` debugging
-backend, ``@njit``-compiled by :mod:`repro.sim.backends.numba_backend`,
-and — because it is plain Python — under coverage and pdb.
+:func:`agent_span` is written in the numba ``nopython`` subset (plain
+loops over typed arrays, no Python objects), so the same source runs
+three ways: interpreted as the ``python`` debugging backend,
+``@njit``-compiled by :mod:`repro.sim.backends.numba_backend`, and —
+because it is plain Python — under coverage and pdb.
 
-The wrapper classes adapt the spans to the engines' state layout: the
-engines keep Python lists as their canonical hot-path state for the
+The adapter class fits the span to the engine's state layout: the
+engine keeps Python lists as its canonical hot-path state for the
 numpy backend, so each chunk copies list state into typed arrays, runs
 the span, and writes back.  The copies are O(n + k) per span of up to
 ``_SPAN_CHUNK`` interactions — amortized noise.
@@ -81,98 +80,19 @@ def agent_span(pv, qv, sarr, agent_out, out_hist,
     return lc, lo
 
 
-def multiset_span(pv, qv, counts, order, olen, tinit, tresp, reactive, k):
-    """Apply ``len(pv)`` interactions to the multiset state in place.
+def exercise(span) -> None:
+    """Run the span once on tiny inputs.
 
-    Replicates ``BatchedMultisetSimulation._apply_pair`` exactly: the
-    cumulative scan over the insertion-ordered live states, the
-    responder exclude-shift, and the reference decrement/increment
-    order with its remove-on-zero / append-on-first bookkeeping (the
-    ``order`` array is the engine's ``_order`` list).  Returns
-    ``(olen, last_change)`` — the new live-state count and the 1-based
-    offset of the last reactive step (-1 if none).
-    """
-    lc = -1
-    for i in range(pv.shape[0]):
-        p_val = pv[i]
-        q_val = qv[i]
-        acc = 0
-        pid = 0
-        for oi in range(olen):
-            pid = order[oi]
-            acc += counts[pid]
-            if p_val < acc:
-                break
-        if q_val >= acc - 1:  # exclude-shift (see _apply_pair)
-            q_val += 1
-        acc = 0
-        qid = 0
-        for oi in range(olen):
-            qid = order[oi]
-            acc += counts[qid]
-            if q_val < acc:
-                break
-        flat = pid * k + qid
-        if not reactive[flat]:
-            continue
-        p2 = tinit[flat]
-        q2 = tresp[flat]
-        lc = i + 1
-        c = counts[pid] - 1
-        counts[pid] = c
-        if c == 0:
-            j = 0
-            while order[j] != pid:
-                j += 1
-            for m in range(j, olen - 1):
-                order[m] = order[m + 1]
-            olen -= 1
-        c = counts[qid] - 1
-        counts[qid] = c
-        if c == 0:
-            j = 0
-            while order[j] != qid:
-                j += 1
-            for m in range(j, olen - 1):
-                order[m] = order[m + 1]
-            olen -= 1
-        if counts[p2] == 0:
-            order[olen] = p2
-            olen += 1
-        counts[p2] += 1
-        if counts[q2] == 0:
-            order[olen] = q2
-            olen += 1
-        counts[q2] += 1
-    return olen, lc
-
-
-#: The raw span functions, keyed by engine family (the ``python``
-#: backend runs these as-is; the numba backend jits each one).
-SPANS = {
-    "batched-agent": agent_span,
-    "batched-multiset": multiset_span,
-}
-
-
-def exercise(spans) -> None:
-    """Run every span once on tiny inputs.
-
-    Forces lazily-compiled implementations (numba dispatchers) through
+    Forces a lazily-compiled implementation (a numba dispatcher) through
     compilation at backend construction, so a JIT failure surfaces as a
     catchable error during engine setup — the graceful-fallback hook —
     instead of mid-run.  The dummy argument types match the real call
-    sites exactly, so no second compilation happens later.
+    site exactly, so no second compilation happens later.
     """
     z1 = np.zeros(1, dtype=np.int64)
-    zk = np.zeros(1, dtype=np.int64)
-    spans["batched-agent"](
-        z1, z1, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
-        np.array([3], dtype=np.int64), zk, zk,
-        np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64), 1)
-    spans["batched-multiset"](
-        z1, z1, np.array([2], dtype=np.int64), np.zeros(1, dtype=np.int64),
-        1, zk, zk, np.zeros(1, dtype=bool), 1)
+    span(z1, z1, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
+         np.array([3], dtype=np.int64), z1, z1,
+         np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64), 1)
 
 
 # -- Engine adapters -----------------------------------------------------------
@@ -180,8 +100,6 @@ def exercise(spans) -> None:
 
 class AgentSpanKernels:
     """Adapter: fused agent span over the engine's list/array state."""
-
-    needs_typed_tables = True
 
     def __init__(self, name: str, span):
         self.name = name
@@ -211,45 +129,6 @@ class AgentSpanKernels:
             sim.last_output_change = base + lo
 
 
-class MultisetSpanKernels:
-    """Adapter: fused multiset span over the engine's list state."""
-
-    needs_typed_tables = True
-
-    def __init__(self, name: str, span):
-        self.name = name
-        self._span = span
-
-    def chunk(self, sim, remaining: int) -> None:
-        count = remaining if remaining < _SPAN_CHUNK else _SPAN_CHUNK
-        stream = sim._stream
-        stream.ensure(count)
-        i0 = stream.ptr
-        pv = stream.pv[i0:i0 + count]
-        qv = stream.qv[i0:i0 + count]
-        stream.ptr = i0 + count
-        k = sim._compiled.size
-        counts = np.asarray(sim._counts, dtype=np.int64)
-        order = np.zeros(k, dtype=np.int64)
-        olen = len(sim._order)
-        order[:olen] = sim._order
-        base = sim.interactions
-        olen, lc = self._span(pv, qv, counts, order, olen,
-                              sim._ktinit, sim._ktresp,
-                              sim._compiled.reactive_mask, k)
-        sim.interactions = base + count
-        if lc >= 0:
-            sim.last_change = base + lc
-            sim._counts = counts.tolist()
-            sim._order = order[:olen].tolist()
-            sim._dirty_counts = True
-            sim._dirty_struct = True
-
-
-def make_kernels(family: str, spans, *, name: str):
-    """Adapt one family's span function to its engine interface."""
-    if family == "batched-agent":
-        return AgentSpanKernels(name, spans[family])
-    if family == "batched-multiset":
-        return MultisetSpanKernels(name, spans[family])
-    raise ValueError(f"unknown engine family {family!r}")
+def make_kernels(span, *, name: str) -> AgentSpanKernels:
+    """Adapt a span function to the engine interface."""
+    return AgentSpanKernels(name, span)

@@ -1,32 +1,28 @@
 """The default ``numpy`` step-kernel backend.
 
-This module is the hybrid stepper that used to live inline in
-:class:`~repro.sim.batched.BatchedSimulation` /
-:class:`~repro.sim.batched.BatchedMultisetSimulation` (the adaptive
-scalar-chunk / vectorized-window controller), extracted verbatim behind
-the backend seam so alternative
-kernels — JIT-compiled (:mod:`repro.sim.backends.numba_backend`) or
-interpreted (the ``python`` backend) — can slot in behind the same
-calls.  It is the default backend and the behavioral reference: every
-other backend's batched kernels must reproduce these trajectories bit
-for bit (the backend-parameterized fingerprint suite enforces it).
+This module is the hybrid stepper of
+:class:`~repro.sim.batched.BatchedSimulation`, kept behind the backend
+seam so alternative kernels — JIT-compiled
+(:mod:`repro.sim.backends.numba_backend`) or interpreted (the ``python``
+backend) — can slot in behind the same calls.  It is the default
+backend and the behavioral reference: every other backend's kernel must
+reproduce these trajectories bit for bit (the backend-parameterized
+fingerprint suite enforces it).
 
-The agent engine's vectorized step is a three-way choice made per
-chunk from the mean no-op gap ``g`` and the population ``n``: scalar
-stepping while reactive encounters are dense and a prefix round would
-be short; a first-hit window (apply the window's first reactive
-encounter, gathering responders only for draws whose initiator can
-react) while they are sparse and few would share a prefix; and
-otherwise a *prefix round* (:func:`agent_prefix_round`), which applies
-every reactive encounter before the window's first conflicting read in
-one scatter.  The ``repro.sim.batched`` module docstring gives the
-argument that a prefix round is exact.  The multiset engine keeps one
-reactive event per vectorized round: each one moves the count cumsum
-that every later draw of the window is resolved against.
+The vectorized step is a three-way choice made per chunk from the mean
+no-op gap ``g`` and the population ``n``: scalar stepping while
+reactive encounters are dense and a prefix round would be short; a
+first-hit window (apply the window's first reactive encounter,
+gathering responders only for draws whose initiator can react) while
+they are sparse and few would share a prefix; and otherwise a *prefix
+round* (:func:`agent_prefix_round`), which applies every reactive
+encounter before the window's first conflicting read in one scatter.
+The ``repro.sim.batched`` module docstring gives the argument that a
+prefix round is exact.
 
 The functions take the engine instance and mutate its state exactly as
-the sequential step would; the engines own all bookkeeping that is not
-per-interaction (streams, fault plans, monitors, dirty flags).
+the sequential step would; the engine owns all bookkeeping that is not
+per-interaction (the stream, fault plan and monitors).
 """
 
 from __future__ import annotations
@@ -37,16 +33,15 @@ import numpy as np
 _SCALAR_CHUNK = 1024
 #: Mean no-op gap above which vectorized windows beat scalar stepping.
 _GAP_VECTOR_THRESHOLD = 24.0
-#: Hard cap on one vectorized window (batched engines).
+#: Hard cap on one vectorized window.
 _WINDOW_MAX = 1 << 16
 #: Gap estimates saturate here (treated as "effectively silent").
 _GAP_CAP = 1e9
-#: A prefix round of the agent engine runs about ``sqrt(n * gap / 2)``
-#: draws and applies about ``sqrt(n / (2 * gap))`` reactive encounters.
-#: Below the vector threshold it replaces scalar stepping once ``n * gap``
-#: reaches the first bound (long enough to repay its fixed numpy cost);
-#: above, it replaces first-hit windows once ``n / gap`` reaches the
-#: second.  Both bounds are measured, not derived (docs/PERFORMANCE.md,
+#: A prefix round runs about ``sqrt(n * gap / 2)`` draws and applies
+#: about ``sqrt(n / (2 * gap))`` reactive encounters.  Below the vector
+#: threshold it replaces scalar stepping once ``n * gap`` reaches the
+#: first bound (long enough to repay its fixed numpy cost); above, it
+#: replaces first-hit windows once ``n / gap`` reaches the second.  Both bounds are measured, not derived (docs/PERFORMANCE.md,
 #: "Choosing the agent engine's round").  A first-hit window gathers
 #: responders only for draws whose initiator state can react at all,
 #: which keeps it ahead in sparse tails like leader election's.
@@ -54,124 +49,7 @@ _PREFIX_SPAN2 = 131072.0
 _PREFIX_HITS2 = 16.0
 
 
-# -- Batched multiset kernels --------------------------------------------------
-
-
-def multiset_scalar_chunk(sim, count: int) -> None:
-    stream = sim._stream
-    stream.ensure(count)
-    i0 = stream.ptr
-    p_vals = stream.pv[i0:i0 + count].tolist()
-    q_vals = stream.qv[i0:i0 + count].tolist()
-    stream.ptr = i0 + count
-    counts = sim._counts
-    order = sim._order
-    pairs = sim._compiled.pair_table
-    k = sim._compiled.size
-    base = sim.interactions
-    idx = 0
-    reactive = 0
-    struct = False
-    for p_val, q_val in zip(p_vals, q_vals):
-        idx += 1
-        acc = 0
-        for pid in order:
-            acc += counts[pid]
-            if p_val < acc:
-                break
-        if q_val >= acc - 1:  # exclude-shift (see BatchedMultisetSimulation)
-            q_val += 1
-        acc = 0
-        for qid in order:
-            acc += counts[qid]
-            if q_val < acc:
-                break
-        result = pairs[pid * k + qid]
-        if result is None:
-            continue
-        reactive += 1
-        p2, q2 = result
-        c = counts[pid] - 1
-        counts[pid] = c
-        if not c:
-            order.remove(pid)
-            struct = True
-        c = counts[qid] - 1
-        counts[qid] = c
-        if not c:
-            order.remove(qid)
-            struct = True
-        if not counts[p2]:
-            order.append(p2)
-            struct = True
-        counts[p2] += 1
-        if not counts[q2]:
-            order.append(q2)
-            struct = True
-        counts[q2] += 1
-        sim.last_change = base + idx
-    sim.interactions = base + idx
-    if reactive:
-        sim._dirty_counts = True
-        if struct:
-            sim._dirty_struct = True
-        sim._gap = 0.6 * sim._gap + 0.4 * (idx / reactive)
-    else:
-        sim._gap = min(sim._gap * 2.0 + 1.0, _GAP_CAP)
-
-
-def multiset_vector_round(sim, remaining: int) -> None:
-    if sim._dirty_struct:
-        sim._refresh_struct()
-    if sim._dirty_counts:
-        sim._refresh_cum()
-    gap = sim._gap
-    window = int(gap * 6.0) + 8
-    if window > remaining:
-        window = remaining
-    if window > _WINDOW_MAX:
-        window = _WINDOW_MAX
-    stream = sim._stream
-    stream.ensure(window)
-    i0 = stream.ptr
-    pv = stream.pv[i0:i0 + window]
-    cum = sim._cum
-    ppos = cum.searchsorted(pv, side="right")
-    candidates = sim._row_any[ppos].nonzero()[0]
-    if candidates.size == 0:
-        stream.ptr = i0 + window
-        sim.interactions += window
-        sim._gap = min(gap * 2.0 + 1.0, _GAP_CAP)
-        return
-    # Responder draw over n - 1 with the initiator's state excluded:
-    # shifting the draw past the excluded unit re-aligns it with the
-    # unadjusted cumsum (the vectorized form of the reference scan).
-    # Only candidate positions can be reactive, so only they need the
-    # responder side resolved.
-    qv = stream.qv[i0:i0 + window][candidates]
-    ppos_c = ppos[candidates]
-    shifted = qv + (qv >= sim._cum_m1[ppos_c])
-    qpos_c = cum.searchsorted(shifted, side="right")
-    hit = sim._react_live[ppos_c, qpos_c]
-    m = int(hit.argmax())
-    if not hit[m]:
-        stream.ptr = i0 + window
-        sim.interactions += window
-        sim._gap = min(gap * 2.0 + 1.0, _GAP_CAP)
-        return
-    j0 = int(candidates[m])
-    stream.ptr = i0 + j0 + 1
-    sim.interactions += j0 + 1
-    order = sim._order
-    pid = order[int(ppos_c[m])]
-    qid = order[int(qpos_c[m])]
-    result = sim._compiled.pair_table[pid * sim._compiled.size + qid]
-    sim._apply_transition(pid, qid, result)
-    sim.last_change = sim.interactions
-    sim._gap = 0.75 * gap + 0.25 * (j0 + 1)
-
-
-# -- Batched agent kernels -----------------------------------------------------
+# -- Step functions ------------------------------------------------------------
 
 
 def agent_scalar_chunk(sim, count: int) -> None:
@@ -366,27 +244,11 @@ def _scatter_hits(sim, base: int, hits, agents, flat) -> None:
 # -- Kernel objects ------------------------------------------------------------
 
 
-class NumpyMultisetKernels:
-    """Hybrid scalar/vector stepper for the batched multiset engine."""
-
-    name = "numpy"
-    needs_typed_tables = False
-
-    @staticmethod
-    def chunk(sim, remaining: int) -> None:
-        if sim._gap < _GAP_VECTOR_THRESHOLD:
-            multiset_scalar_chunk(sim, remaining if remaining < _SCALAR_CHUNK
-                                  else _SCALAR_CHUNK)
-        else:
-            multiset_vector_round(sim, remaining)
-
-
 class NumpyAgentKernels:
     """Scalar / first-hit / prefix-round stepper for the batched agent
-    engine (the prefix-round scatter reads the typed tables)."""
+    engine."""
 
     name = "numpy"
-    needs_typed_tables = True
 
     @staticmethod
     def chunk(sim, remaining: int) -> None:
@@ -403,12 +265,9 @@ class NumpyAgentKernels:
         agent_prefix_round(sim, remaining)
 
 
-_KERNELS = {
-    "batched-multiset": NumpyMultisetKernels(),
-    "batched-agent": NumpyAgentKernels(),
-}
+_KERNELS = NumpyAgentKernels()
 
 
-def make_kernels(family: str):
-    """The numpy kernels for one engine family (stateless singletons)."""
-    return _KERNELS[family]
+def make_kernels() -> NumpyAgentKernels:
+    """The numpy kernels (a stateless singleton)."""
+    return _KERNELS

@@ -1,22 +1,21 @@
-"""Batched fast-path engines: same process law, amortized interpreter cost.
+"""Batched fast-path agent engine: same process law, amortized interpreter cost.
 
-:class:`BatchedMultisetSimulation` and :class:`BatchedSimulation` execute
-**exactly** the stochastic process of their reference engines
-(:class:`~repro.sim.multiset_engine.MultisetSimulation` and
-:class:`~repro.sim.engine.Simulation` under uniform pairing) — not merely
-the same law in distribution, but the *same trajectory for the same seed*.
-The fixed-seed fingerprint tests pin this down.
+:class:`BatchedSimulation` executes **exactly** the stochastic process of
+its reference engine (:class:`~repro.sim.engine.Simulation` under
+uniform pairing) — not merely the same law in distribution, but the
+*same trajectory for the same seed*.  The fixed-seed fingerprint tests
+pin this down.
 
 How bit-identical batching works
 --------------------------------
 
-Both reference engines consume their ``random.Random`` in a rigid pattern:
+The reference engine consumes its ``random.Random`` in a rigid pattern:
 ``randrange(n)`` for the initiator draw, then ``randrange(n - 1)`` for the
 responder draw, alternating forever.  CPython's ``randrange(m)`` is
 rejection sampling over ``getrandbits(m.bit_length())``, and each
 ``getrandbits(k)`` with ``k <= 32`` consumes exactly one 32-bit Mersenne
 Twister word (truncated to its top ``k`` bits).  So when ``n`` and
-``n - 1`` have the same bit length, the engines' entire draw stream is a
+``n - 1`` have the same bit length, the engine's entire draw stream is a
 pure function of the raw word stream: a word ``w`` yields the value
 ``w >> (32 - k)``, which is *rejected* when ``>= bound`` and *accepted*
 otherwise.  CPython's ``random.Random`` and numpy's ``MT19937`` are the
@@ -36,17 +35,14 @@ strictly alternate roles, the role at any ambiguous word is determined by
 the parity of accepted draws before it, which a short sequential fix-up
 over only the ambiguous positions resolves.
 
-On top of the decoded stream each engine drives a swappable step kernel
+On top of the decoded stream the engine drives a swappable step kernel
 (see :mod:`repro.sim.backends`; select with ``backend=``).  The default
 ``numpy`` backend is an adaptive hybrid stepper: while reactive
 encounters are frequent it steps scalar over compiled integer tables (no
 hashing, no dict lookups); once the mean no-op gap grows it switches to
-vectorized windows.  The multiset engine's window is ``searchsorted``
-over the count cumsum plus a reactive mask, and it pays one numpy round
-per *reactive* event: every reactive event moves the cumsum, so no later
-draw of the window can be resolved before it is applied.
+vectorized windows.
 
-The agent engine's windows are *prefix rounds*.  A window of draws is
+Those windows are mostly *prefix rounds*.  A window of draws is
 gathered from the state array at once and masked for reactive pairs.
 Let ``j`` be the first position whose initiator or responder a reactive
 encounter earlier in the window changed.  Every read before ``j`` sees
@@ -63,14 +59,15 @@ window instead.
 
 The ``numba`` backend JIT-compiles one fused per-interaction loop over
 the same tables and stream, bit-identical by construction; requesting it
-where it cannot run falls back to ``numpy`` with a one-time warning.  Populations where ``n`` and ``n - 1`` differ in bit
-length (``n`` or ``n - 1`` a power of two, or ``n == 2``), ``n > 2**31``,
-or a non-stdlib RNG fall back to a compiled scalar path that calls
-``rng.randrange`` like the reference engines — still bit-identical, still
+where it cannot run falls back to ``numpy`` with a one-time warning.
+Populations where ``n`` and ``n - 1`` differ in bit length (``n`` or
+``n - 1`` a power of two, or ``n == 2``), ``n > 2**31``, or a
+non-stdlib RNG fall back to a compiled scalar path that calls
+``rng.randrange`` like the reference engine — still bit-identical, still
 faster than the reference, just not block-decoded.
 
-Faults and monitors on the batched agent engine
------------------------------------------------
+Faults and monitors
+-------------------
 
 :class:`BatchedSimulation` accepts the same ``faults=`` /``monitors=``
 arguments as the reference engine and stays **bit-identical** to it under
@@ -91,9 +88,8 @@ faulted path); fairness and watchdog monitors need per-step ``changed``
 bookkeeping and stay reference-engine-only.  Unmonitored, fault-free
 simulations run the exact pre-fault-layer hot path.
 
-:class:`BatchedMultisetSimulation`, restricted interaction graphs, and
-custom schedulers remain fault-free — use the reference engines for
-those.  See ``docs/PERFORMANCE.md`` for the selection guide.
+Restricted interaction graphs and custom schedulers remain
+reference-only.  See ``docs/PERFORMANCE.md`` for the selection guide.
 """
 
 from __future__ import annotations
@@ -106,18 +102,11 @@ import numpy as np
 from repro.core.configuration import AgentConfiguration
 from repro.core.protocol import PopulationProtocol, State, Symbol
 from repro.sim.backends import select_kernels
-from repro.sim.backends.numpy_backend import (  # noqa: F401 (back-compat)
-    _GAP_CAP,
-    _GAP_VECTOR_THRESHOLD,
-    _SCALAR_CHUNK,
-    _WINDOW_MAX,
-)
 from repro.sim.compiled import CompiledProtocol, compile_protocol
 from repro.util.multiset import FrozenMultiset
 from repro.util.rng import resolve_rng
 
 __all__ = [
-    "BatchedMultisetSimulation",
     "BatchedSimulation",
     "batched_simulate_counts",
 ]
@@ -141,8 +130,8 @@ class _PairDrawStream:
     buffered, and ``rng`` itself only learns the source's position when
     :meth:`sync` copies it back (the owning engine's ``rng`` property
     does, lazily).  Drawing from ``rng`` mid-run would therefore neither
-    advance nor be seen by the stream, which is why the batched engines
-    own their RNG exclusively.
+    advance nor be seen by the stream, which is why the batched engine
+    owns its RNG exclusively.
     """
 
     __slots__ = ("rng", "n", "shift", "block_words", "pv", "qv", "ptr",
@@ -269,269 +258,6 @@ def _make_stream(rng, n: int) -> "_PairDrawStream | None":
     if type(rng) is random.Random and _PairDrawStream.supported(n):
         return _PairDrawStream(rng, n)
     return None
-
-
-class BatchedMultisetSimulation:
-    """Batched twin of :class:`~repro.sim.multiset_engine.MultisetSimulation`.
-
-    Same constructor shape (minus ``faults``/``monitors``), same
-    inspection API, and — for the same seed — the same
-    ``(multiset, interactions, last_change)`` trajectory, verified by the
-    fingerprint tests.  Pass a pre-built ``compiled`` table (or rely on
-    the process-level memo in :func:`~repro.sim.compiled.compile_protocol`)
-    to amortize compilation across many simulations.
-
-    The engine owns its RNG: nothing else may draw from it mid-run.  A
-    ``random.Random`` passed as ``seed=`` shows the advanced state once
-    :attr:`rng` is read, exactly as if the reference engine had drawn
-    from it.
-    """
-
-    def __init__(
-        self,
-        protocol: PopulationProtocol,
-        input_counts: "Mapping[Symbol, int] | None" = None,
-        *,
-        state_counts: "Mapping[State, int] | None" = None,
-        seed: "int | None" = None,
-        compiled: "CompiledProtocol | None" = None,
-        backend: "str | None" = None,
-    ):
-        self.protocol = protocol
-        if (input_counts is None) == (state_counts is None):
-            raise ValueError("pass exactly one of input_counts= or state_counts=")
-        if compiled is None:
-            compiled = compile_protocol(protocol)
-        if state_counts is not None:
-            unknown = [s for s in state_counts if s not in compiled.index]
-            if unknown:
-                compiled = compile_protocol(protocol, extra_states=unknown)
-        self._compiled = compiled
-        k = compiled.size
-        counts = [0] * k
-        order: list[int] = []
-        if input_counts is not None:
-            for symbol, count in input_counts.items():
-                if symbol not in protocol.input_alphabet:
-                    raise ValueError(f"symbol {symbol!r} not in input alphabet")
-                if count < 0:
-                    raise ValueError("counts must be non-negative")
-                if count:
-                    sid = compiled.initial_ids[symbol]
-                    if not counts[sid]:
-                        order.append(sid)
-                    counts[sid] += count
-        else:
-            for state, count in state_counts.items():
-                if count < 0:
-                    raise ValueError("counts must be non-negative")
-                if count:
-                    sid = compiled.index[state]
-                    if not counts[sid]:
-                        order.append(sid)
-                    counts[sid] += count
-        self._counts = counts
-        self._order = order
-        self.n = sum(counts)
-        if self.n < 2:
-            raise ValueError("a population needs at least two agents")
-        self._rng = resolve_rng(seed)
-        self.interactions = 0
-        self.last_change = 0
-        self.dead = 0  # API parity: this engine never crashes agents
-        self._stream = _make_stream(self._rng, self.n)
-        #: Effective kernel backend name (after any fallback) and the
-        #: kernel object the run loop drives.
-        self.backend, self._kernels = select_kernels(
-            backend, "batched-multiset",
-            decodable=self._stream is not None)
-        if getattr(self._kernels, "needs_typed_tables", False):
-            self._ktinit, self._ktresp, _ = compiled.typed_arrays()
-        #: EMA of interactions per reactive step (mode controller).
-        self._gap = 2.0
-        #: Counts changed since the cumsum was built (every reactive step).
-        self._dirty_counts = True
-        #: The live-state *set or order* changed (much rarer), invalidating
-        #: the live reactive matrix as well.
-        self._dirty_struct = True
-        self._cum: "np.ndarray | None" = None
-        self._cum_m1: "np.ndarray | None" = None
-        self._react_live: "np.ndarray | None" = None
-        self._row_any: "np.ndarray | None" = None
-        self._react2d = compiled.reactive_mask.reshape(k, k)
-
-    # -- Introspection ---------------------------------------------------------
-
-    @property
-    def rng(self) -> random.Random:
-        """The engine's ``random.Random``, read-only.
-
-        The same object passed as ``seed=`` (or built from it).  Reading
-        it first copies the pair stream's word position back, so it
-        stands where the decoded words left it.
-        """
-        if self._stream is not None:
-            self._stream.sync()
-        return self._rng
-
-    @property
-    def n_alive(self) -> int:
-        return self.n
-
-    @property
-    def counts(self) -> dict:
-        """Live state counts, in the reference engine's dict order."""
-        state_of = self._compiled.states
-        return {state_of[sid]: self._counts[sid] for sid in self._order}
-
-    @property
-    def compiled(self) -> CompiledProtocol:
-        """The compiled tables driving this simulation."""
-        return self._compiled
-
-    def multiset(self) -> FrozenMultiset:
-        return FrozenMultiset(self.counts)
-
-    def output_counts(self) -> dict:
-        outputs: dict = {}
-        compiled = self._compiled
-        for sid in self._order:
-            out = compiled.output_symbols[compiled.output_ids[sid]]
-            outputs[out] = outputs.get(out, 0) + self._counts[sid]
-        return outputs
-
-    def unanimous_output(self) -> "Symbol | None":
-        outputs = self.output_counts()
-        if len(outputs) == 1:
-            return next(iter(outputs))
-        return None
-
-    def unanimous_surviving_output(self) -> "Symbol | None":
-        return self.unanimous_output()
-
-    # -- Stepping --------------------------------------------------------------
-
-    def step(self) -> bool:
-        """One interaction; True iff the configuration changed."""
-        stream = self._stream
-        if stream is None:
-            p_val = self._rng.randrange(self.n)
-            q_val = self._rng.randrange(self.n - 1)
-        else:
-            stream.ensure(1)
-            i = stream.ptr
-            p_val = int(stream.pv[i])
-            q_val = int(stream.qv[i])
-            stream.ptr = i + 1
-        return self._apply_pair(p_val, q_val)
-
-    def _apply_pair(self, p_val: int, q_val: int) -> bool:
-        counts = self._counts
-        order = self._order
-        acc = 0
-        for pid in order:
-            acc += counts[pid]
-            if p_val < acc:
-                break
-        # Exclude-shift: the responder draw is over n - 1 with one unit of
-        # the initiator's state removed; shifting the draw past that unit
-        # re-aligns it with the unadjusted cumulative scan.
-        if q_val >= acc - 1:
-            q_val += 1
-        acc = 0
-        for qid in order:
-            acc += counts[qid]
-            if q_val < acc:
-                break
-        self.interactions += 1
-        result = self._compiled.pair_table[pid * self._compiled.size + qid]
-        if result is None:
-            return False
-        self._apply_transition(pid, qid, result)
-        self.last_change = self.interactions
-        return True
-
-    def _apply_transition(self, pid: int, qid: int, result) -> None:
-        # Reference op order: decrement p, decrement q, then increments.
-        counts = self._counts
-        order = self._order
-        p2, q2 = result
-        struct = False
-        c = counts[pid] - 1
-        counts[pid] = c
-        if not c:
-            order.remove(pid)
-            struct = True
-        c = counts[qid] - 1
-        counts[qid] = c
-        if not c:
-            order.remove(qid)
-            struct = True
-        if not counts[p2]:
-            order.append(p2)
-            struct = True
-        counts[p2] += 1
-        if not counts[q2]:
-            order.append(q2)
-            struct = True
-        counts[q2] += 1
-        self._dirty_counts = True
-        if struct:
-            self._dirty_struct = True
-
-    def run(self, steps: int) -> None:
-        if steps <= 0:
-            return
-        if self._stream is None:
-            for _ in range(steps):
-                self.step()
-            return
-        target = self.interactions + steps
-        kernels = self._kernels
-        while self.interactions < target:
-            kernels.chunk(self, target - self.interactions)
-
-    def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
-        """Run until ``condition(self)`` holds or ``max_steps`` pass.
-
-        Checked at the same interaction counts as the reference engine's
-        ``run_until``, so stopping decisions agree trajectory-for-
-        trajectory.
-        """
-        if condition(self):
-            return True
-        remaining = max_steps
-        while remaining > 0:
-            chunk = min(check_every, remaining)
-            self.run(chunk)
-            remaining -= chunk
-            if condition(self):
-                return True
-        return False
-
-    # -- Kernel support --------------------------------------------------------
-
-    def _refresh_cum(self) -> None:
-        counts = self._counts
-        acc = 0
-        partial = []
-        for sid in self._order:
-            acc += counts[sid]
-            partial.append(acc)
-        cum = np.asarray(partial, dtype=np.int64)
-        self._cum = cum
-        self._cum_m1 = cum - 1
-        self._dirty_counts = False
-
-    def _refresh_struct(self) -> None:
-        idx = np.asarray(self._order, dtype=np.int64)
-        live = self._react2d[idx][:, idx]
-        self._react_live = live
-        #: Per live position: does this initiator have *any* reactive
-        #: partner?  Windows whose initiators all fail this 1-D test are
-        #: resolved without touching the responder side at all.
-        self._row_any = live.any(axis=1)
-        self._dirty_struct = False
 
 
 def _check_alphabet(protocol: PopulationProtocol, symbols) -> None:
@@ -662,22 +388,21 @@ class BatchedSimulation:
         #: Effective kernel backend name (after any fallback) and the
         #: kernel object the run loops drive.
         self.backend, self._kernels = select_kernels(
-            backend, "batched-agent", decodable=self._stream is not None)
-        if getattr(self._kernels, "needs_typed_tables", False):
-            tinit, tresp, out_arr = compiled.typed_arrays()
-            self._kout_ids = out_arr
-            if faults is None:
-                self._ktinit, self._ktresp = tinit, tresp
-            else:
-                # Mirror the pair-table augmentation for the typed
-                # tables: one extra dead row/column, never read because
-                # the augmented reactive mask is False there.
-                ka = self._k
-                tinit_aug = np.zeros(ka * ka, dtype=np.int64)
-                tresp_aug = np.zeros(ka * ka, dtype=np.int64)
-                tinit_aug.reshape(ka, ka)[:k, :k] = tinit.reshape(k, k)
-                tresp_aug.reshape(ka, ka)[:k, :k] = tresp.reshape(k, k)
-                self._ktinit, self._ktresp = tinit_aug, tresp_aug
+            backend, decodable=self._stream is not None)
+        tinit, tresp, out_arr = compiled.typed_arrays()
+        self._kout_ids = out_arr
+        if faults is None:
+            self._ktinit, self._ktresp = tinit, tresp
+        else:
+            # Mirror the pair-table augmentation for the typed tables:
+            # one extra dead row/column, never read because the
+            # augmented reactive mask is False there.
+            ka = self._k
+            tinit_aug = np.zeros(ka * ka, dtype=np.int64)
+            tresp_aug = np.zeros(ka * ka, dtype=np.int64)
+            tinit_aug.reshape(ka, ka)[:k, :k] = tinit.reshape(k, k)
+            tresp_aug.reshape(ka, ka)[:k, :k] = tresp.reshape(k, k)
+            self._ktinit, self._ktresp = tinit_aug, tresp_aug
         self._gap = 2.0
         #: Per-agent stamp array of the numpy prefix rounds (allocated
         #: on first use there).

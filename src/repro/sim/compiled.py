@@ -10,7 +10,7 @@ closure) into dense integer ids ``0..k-1`` and precomputes flat tables
 * ``delta_init[p*k + q]`` / ``delta_resp[p*k + q]`` — the transition
   function as two flat integer arrays;
 * ``pair_table[p*k + q]`` — ``None`` for no-ops, else the ``(p2, q2)``
-  id pair (the batched engines' single-lookup hot path);
+  id pair (the batched engine's single-lookup hot path);
 * ``reactive_mask`` — a flat numpy boolean mask of state-changing pairs;
 * ``output_ids`` / ``output_symbols`` — the output function as an id map.
 

@@ -5,7 +5,7 @@ interactions, the ``Theta(n^2 log n)`` coupon-collector bound, Theorem 8's
 ``O(n^2 log n)`` convergence) are verified empirically by sweeps of many
 independent trials, and :mod:`repro.exp.runner` executed those trials one
 at a time — each one paying full Python dispatch per interaction even on
-the batched engines.  :class:`EnsembleMultisetSimulation` instead advances
+the batched engine.  :class:`EnsembleMultisetSimulation` instead advances
 ``T`` independent trials of the *same* compiled protocol simultaneously:
 the fleet is a ``(T, |states|)`` count matrix, and every numpy operation
 amortizes its interpreter overhead across the whole trial axis.

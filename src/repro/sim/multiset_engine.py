@@ -8,9 +8,11 @@ the agent-level dynamics projected through the counting map: an ordered
 state pair ``(p, q)`` is drawn with probability proportional to
 ``c_p * (c_q - [p == q])``.
 
-For fault-free runs at large ``n``, the batched twin
-:class:`~repro.sim.batched.BatchedMultisetSimulation` executes the same
-trajectory (bit-identical for the same seed) several times faster; see
+This engine is the reference for the count-level engines.  Runs to
+silence skip the no-op encounters on
+:class:`~repro.sim.skipping.SkippingSimulation`, and many trials of one
+point run together, equal in law, on
+:class:`~repro.sim.ensemble.EnsembleMultisetSimulation`; see
 ``docs/PERFORMANCE.md`` for the engine selection guide.
 """
 

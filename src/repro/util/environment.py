@@ -28,16 +28,25 @@ def package_versions(packages) -> dict:
 def git_commit() -> "str | None":
     """The commit of the checkout this package runs from.
 
-    None when the package is not inside a git checkout or git is not
-    installed.
+    ``<commit>-dirty`` when tracked files differ from that commit, so a
+    measurement taken on uncommitted changes does not name a commit that
+    lacks them.  None when the package is not inside a git checkout or
+    git is not installed.
     """
+    def git(*args) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+            check=True).stdout.strip()
+
     try:
-        result = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10, check=True)
+        commit = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.SubprocessError):
         return None
-    return result.stdout.strip() or None
+    if not commit:
+        return None
+    return commit + ("-dirty" if dirty else "")
 
 
 def bench_environment() -> dict:

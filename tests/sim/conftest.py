@@ -5,7 +5,7 @@ available on this installation (see :mod:`repro.sim.backends`): always
 ``numpy`` and ``python``, plus ``numba`` when the ``[perf]`` extra is
 installed (the CI numba leg).  Threading it through the fingerprint
 suites makes every backend inherit the full behavioral contract — bit
-identity for the batched engines — with zero per-backend test code.
+identity for the batched agent engine — with zero per-backend test code.
 """
 
 import pytest

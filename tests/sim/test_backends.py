@@ -1,7 +1,7 @@
 """Tests for the step-kernel backend registry and its fallback contract.
 
 The engine-level behavioral contract (bit identity for the batched
-engines) is inherited by every backend through the ``kernel_backend``
+agent engine) is inherited by every backend through the ``kernel_backend``
 fixture in the fingerprint suites; this module covers what those
 suites cannot — the registry API itself, and each fallback path: an
 unavailable backend (numba missing), a population shape with no
@@ -21,7 +21,6 @@ from repro.protocols.majority import majority_protocol
 from repro.sim import backends
 from repro.sim.backends import (
     DEFAULT_BACKEND,
-    FAMILIES,
     KernelBackend,
     available_backends,
     backend_names,
@@ -31,7 +30,7 @@ from repro.sim.backends import (
     reset_backend_warnings,
     select_kernels,
 )
-from repro.sim.batched import BatchedMultisetSimulation, BatchedSimulation
+from repro.sim.batched import BatchedSimulation, batched_simulate_counts
 from repro.sim.ensemble import EnsembleMultisetSimulation
 
 
@@ -72,11 +71,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(KernelBackend("numpy", lambda family: None))
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine family"):
-            get_backend("numpy").make_kernels("gpu-agent")
+            register_backend(KernelBackend("numpy", lambda: None))
 
     def test_report_rows(self):
         rows = {row["name"]: row for row in backend_report()}
@@ -90,11 +85,9 @@ class TestRegistry:
         if _numba_missing():
             assert "numba is not importable" in numba_row["reason"]
 
-    def test_every_family_served_by_numpy_and_python(self):
-        for family in FAMILIES:
-            for name in ("numpy", "python"):
-                kernels = get_backend(name).make_kernels(family)
-                assert kernels.name == name
+    def test_numpy_and_python_build_kernels(self):
+        for name in ("numpy", "python"):
+            assert get_backend(name).make_kernels().name == name
 
 
 # -- select_kernels resolution -------------------------------------------------
@@ -105,7 +98,7 @@ class TestSelectKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for requested in (None, "numpy"):
-                name, kernels = select_kernels(requested, "batched-agent")
+                name, kernels = select_kernels(requested)
                 assert name == "numpy"
                 assert kernels.name == "numpy"
 
@@ -114,54 +107,51 @@ class TestSelectKernels:
         # the default must not probe, warn, or fall anywhere.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            name, _ = select_kernels(None, "batched-multiset",
-                                     decodable=False)
+            name, _ = select_kernels(None, decodable=False)
             assert name == "numpy"
 
     def test_explicit_python_selected(self):
-        name, kernels = select_kernels("python", "batched-multiset")
+        name, kernels = select_kernels("python")
         assert name == "python"
         assert kernels.name == "python"
 
     def test_unknown_name_raises_not_warns(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            select_kernels("cuda", "batched-agent")
+            select_kernels("cuda")
 
     def test_undecodable_shape_falls_back_with_one_warning(self):
         with pytest.warns(RuntimeWarning,
                           match="no block-decodable draw stream"):
-            name, kernels = select_kernels("python", "batched-agent",
-                                           decodable=False)
+            name, kernels = select_kernels("python", decodable=False)
         assert name == "numpy"
         assert kernels.name == "numpy"
 
     def test_factory_failure_falls_back_with_one_warning(self, monkeypatch):
-        def exploding_factory(family):
+        def exploding_factory():
             raise RuntimeError("LLVM went home")
 
         broken = KernelBackend("python", exploding_factory)
         monkeypatch.setitem(backends._REGISTRY, "python", broken)
         with pytest.warns(RuntimeWarning,
                           match="kernel construction failed: LLVM went home"):
-            name, kernels = select_kernels("python", "batched-agent")
+            name, kernels = select_kernels("python")
         assert name == "numpy"
         assert kernels.name == "numpy"
 
     def test_warning_fires_once_per_backend_and_reason(self):
         with pytest.warns(RuntimeWarning) as caught:
-            select_kernels("python", "batched-agent", decodable=False)
-            select_kernels("python", "batched-agent", decodable=False)
-            select_kernels("python", "batched-multiset", decodable=False)
+            select_kernels("python", decodable=False)
+            select_kernels("python", decodable=False)
         assert len(caught) == 1
         reset_backend_warnings()
         with pytest.warns(RuntimeWarning):
-            select_kernels("python", "batched-agent", decodable=False)
+            select_kernels("python", decodable=False)
 
     @pytest.mark.skipif(not _numba_missing(),
                         reason="numba is installed here")
     def test_missing_numba_falls_back_with_one_warning(self):
         with pytest.warns(RuntimeWarning, match="numba is not importable"):
-            name, kernels = select_kernels("numba", "batched-agent")
+            name, kernels = select_kernels("numba")
         assert name == "numpy"
         assert kernels.name == "numpy"
 
@@ -169,11 +159,11 @@ class TestSelectKernels:
         # The numba-missing path, simulated so it also runs on the CI
         # leg where numba *is* installed: a probe that reports the
         # backend ineligible must divert to numpy with one warning.
-        gated = KernelBackend("numba", lambda family: None,
+        gated = KernelBackend("numba", lambda: None,
                               probe=lambda: "numba is not importable (test)")
         monkeypatch.setitem(backends._REGISTRY, "numba", gated)
         with pytest.warns(RuntimeWarning, match="numba is not importable"):
-            name, kernels = select_kernels("numba", "batched-multiset")
+            name, kernels = select_kernels("numba")
         assert name == "numpy"
         assert kernels.name == "numpy"
 
@@ -218,30 +208,31 @@ class TestEngineFallback:
         assert fell.last_output_change == ref.last_output_change
 
     def test_jit_failure_mid_construction_matches_numpy(self, monkeypatch):
-        def exploding_factory(family):
+        def exploding_factory():
             raise RuntimeError("typing error in nopython frontend")
 
-        ref = BatchedMultisetSimulation(majority_protocol(),
-                                        {1: 40, 0: 61}, seed=7)
+        ref = batched_simulate_counts(majority_protocol(), {1: 40, 0: 61},
+                                      seed=7)
         ref.run(5_000)
         monkeypatch.setitem(
             backends._REGISTRY, "python",
             KernelBackend("python", exploding_factory))
         with pytest.warns(RuntimeWarning,
                           match="kernel construction failed"):
-            fell = BatchedMultisetSimulation(majority_protocol(),
-                                             {1: 40, 0: 61}, seed=7,
-                                             backend="python")
+            fell = batched_simulate_counts(majority_protocol(),
+                                           {1: 40, 0: 61}, seed=7,
+                                           backend="python")
         fell.run(5_000)
         assert fell.backend == "numpy"
-        assert list(fell.counts.items()) == list(ref.counts.items())
+        assert fell.states == ref.states
+        assert fell.last_change == ref.last_change
 
     def test_default_engines_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             BatchedSimulation(LeaderElection(), [1] * 512, seed=3).run(200)
-            BatchedMultisetSimulation(majority_protocol(), {1: 9, 0: 4},
-                                      seed=3).run(200)
+            batched_simulate_counts(majority_protocol(), {1: 9, 0: 4},
+                                    seed=3).run(200)
             EnsembleMultisetSimulation(LeaderElection(), {1: 16},
                                        trials=4, seed=3).run(200)
 
@@ -253,13 +244,15 @@ class TestCrossBackendIdentity:
     def test_batched_python_bit_identical_mid_run_interleave(self):
         # Alternate step() and run() so chunk boundaries differ from the
         # fingerprint suite's fixed schedule.
-        ref = BatchedMultisetSimulation(majority_protocol(), {1: 60, 0: 41},
-                                        seed=11)
-        alt = BatchedMultisetSimulation(majority_protocol(), {1: 60, 0: 41},
-                                        seed=11, backend="python")
+        ref = batched_simulate_counts(majority_protocol(), {1: 60, 0: 41},
+                                      seed=11)
+        alt = batched_simulate_counts(majority_protocol(), {1: 60, 0: 41},
+                                      seed=11, backend="python")
+        assert alt.backend == "python"
         for chunk in (1, 3, 500, 1, 10_000, 7):
             ref.run(chunk)
             alt.run(chunk)
-            assert list(ref.counts.items()) == list(alt.counts.items())
+            assert ref.states == alt.states
             assert ref.interactions == alt.interactions
             assert ref.last_change == alt.last_change
+            assert ref.last_output_change == alt.last_output_change

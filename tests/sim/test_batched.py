@@ -1,11 +1,11 @@
-"""Fixed-seed equivalence of the batched engines with their references.
+"""Fixed-seed equivalence of the batched agent engine with its reference.
 
-The batched engines claim more than distributional equality: for the
-same seed they replay *exactly* the reference engines' RNG law, so every
-trajectory statistic — the multiset, the interaction clock, the change
-trackers, even the insertion order of the counts dict — must match
-step for step.  These fingerprints are what licenses `exp run
---engine batched` to reuse agent-engine seeds and baselines.
+The batched engine claims more than distributional equality: for the
+same seed it replays *exactly* the reference engine's RNG law, so every
+trajectory statistic — the agent states, the interaction clock, the
+change trackers, the output counts — must match step for step.  These
+fingerprints are what licenses `exp run --engine batched` to reuse
+agent-engine seeds and baselines.
 """
 
 import random
@@ -16,11 +16,7 @@ import pytest
 from repro.protocols import registry
 from repro.protocols.counting import CountToK
 from repro.sim.backends import numpy_backend
-from repro.sim.batched import (
-    BatchedMultisetSimulation,
-    BatchedSimulation,
-    batched_simulate_counts,
-)
+from repro.sim.batched import BatchedSimulation, batched_simulate_counts
 from repro.sim.convergence import run_until_correct_stable
 from repro.sim.engine import Simulation, simulate_counts
 from repro.sim.faults import (
@@ -37,16 +33,9 @@ from repro.sim.monitors import (
     OutputFlickerMonitor,
     StateContainmentMonitor,
 )
-from repro.sim.multiset_engine import MultisetSimulation
 
 #: (registry name, params, input counts) — n chosen so the block-decoded
 #: fast path is active (bit widths of n and n-1 agree).
-MULTISET_CASES = [
-    ("leader-election", {}, {1: 601}),
-    ("majority", {}, {1: 260, 0: 341}),
-    ("count-to-k", {"k": 7}, {1: 9, 0: 292}),
-]
-
 AGENT_CASES = [
     ("leader-election", {}, {1: 300}),
     ("majority", {}, {1: 120, 0: 181}),
@@ -58,20 +47,6 @@ CHUNKS = (1, 7, 400, 5_000, 20_000)
 
 def _build(name, params):
     return registry.get(name).build(**params)
-
-
-def _assert_multiset_state_equal(fast, ref):
-    assert fast.interactions == ref.interactions
-    assert fast.n == ref.n
-    assert fast.n_alive == ref.n_alive
-    assert fast.last_change == ref.last_change
-    # Insertion order included: the batched engine mimics the reference
-    # dict's scan order exactly, not just its contents.
-    assert list(fast.counts.items()) == list(ref.counts.items())
-    assert fast.multiset() == ref.multiset()
-    assert fast.output_counts() == ref.output_counts()
-    assert fast.unanimous_output() == ref.unanimous_output()
-    assert fast.unanimous_surviving_output() == ref.unanimous_surviving_output()
 
 
 def _assert_agent_state_equal(fast, ref):
@@ -96,87 +71,6 @@ def _assert_faulted_agent_state_equal(fast, ref):
     assert fast.unanimous_surviving_output() == \
         ref.unanimous_surviving_output()
     assert fast.faults.rng.getstate() == ref.faults.rng.getstate()
-
-
-class TestMultisetFingerprint:
-    @pytest.mark.parametrize("name,params,counts", MULTISET_CASES,
-                             ids=[c[0] for c in MULTISET_CASES])
-    def test_trajectory_identical(self, name, params, counts, seed,
-                                  kernel_backend):
-        protocol = _build(name, params)
-        ref = MultisetSimulation(protocol, counts, seed=seed)
-        fast = BatchedMultisetSimulation(protocol, counts, seed=seed,
-                                         backend=kernel_backend)
-        assert fast.backend == kernel_backend
-        for chunk in CHUNKS:
-            ref.run(chunk)
-            fast.run(chunk)
-            _assert_multiset_state_equal(fast, ref)
-
-    def test_single_steps_identical(self, seed, kernel_backend):
-        protocol = _build("majority", {})
-        ref = MultisetSimulation(protocol, {1: 40, 0: 61}, seed=seed)
-        fast = BatchedMultisetSimulation(protocol, {1: 40, 0: 61}, seed=seed,
-                                         backend=kernel_backend)
-        for _ in range(600):
-            assert fast.step() == ref.step()
-            assert list(fast.counts.items()) == list(ref.counts.items())
-
-    def test_run_until_identical(self, seed, kernel_backend):
-        protocol = _build("leader-election", {})
-        ref = MultisetSimulation(protocol, {1: 601}, seed=seed)
-        fast = BatchedMultisetSimulation(protocol, {1: 601}, seed=seed,
-                                         backend=kernel_backend)
-        condition = (lambda s: len(s.counts) == 2
-                     and min(s.counts.values()) <= 3)
-        assert (fast.run_until(condition, max_steps=500_000, check_every=64)
-                == ref.run_until(condition, max_steps=500_000,
-                                 check_every=64))
-        _assert_multiset_state_equal(fast, ref)
-
-    def test_fallback_when_bit_widths_differ(self, seed):
-        # n = 512: randrange(512) consumes ten-bit draws, randrange(511)
-        # nine-bit draws, so block decoding is off — the scalar fallback
-        # must still be bit-identical.
-        protocol = _build("majority", {})
-        ref = MultisetSimulation(protocol, {1: 200, 0: 312}, seed=seed)
-        fast = BatchedMultisetSimulation(protocol, {1: 200, 0: 312},
-                                         seed=seed)
-        ref.run(20_000)
-        fast.run(20_000)
-        _assert_multiset_state_equal(fast, ref)
-
-    def test_minimal_population(self, seed):
-        protocol = CountToK(2)
-        ref = MultisetSimulation(protocol, {1: 2}, seed=seed)
-        fast = BatchedMultisetSimulation(protocol, {1: 2}, seed=seed)
-        ref.run(50)
-        fast.run(50)
-        _assert_multiset_state_equal(fast, ref)
-
-    def test_state_counts_start(self, seed):
-        protocol = CountToK(3)
-        start = {protocol.initial_state(1): 5, protocol.initial_state(0): 8}
-        ref = MultisetSimulation(protocol, state_counts=start, seed=seed)
-        fast = BatchedMultisetSimulation(protocol, state_counts=start,
-                                         seed=seed)
-        ref.run(2_000)
-        fast.run(2_000)
-        _assert_multiset_state_equal(fast, ref)
-
-    def test_constructor_contract_matches_reference(self):
-        protocol = _build("majority", {})
-        with pytest.raises(ValueError):
-            BatchedMultisetSimulation(protocol)
-        with pytest.raises(ValueError):
-            BatchedMultisetSimulation(protocol, {1: 10},
-                                      state_counts={protocol.initial_state(1): 3})
-        with pytest.raises(ValueError):
-            BatchedMultisetSimulation(protocol, {"bogus": 4})
-        with pytest.raises(ValueError):
-            BatchedMultisetSimulation(protocol, {1: -1})
-        with pytest.raises(ValueError):
-            BatchedMultisetSimulation(protocol, {1: 1})
 
 
 class TestAgentFingerprint:
@@ -235,11 +129,11 @@ class TestAgentFingerprint:
         protocol = _build("leader-election", {})
         for seed in range(12):
             for n in (3, 5, 33, 100):
-                ref = MultisetSimulation(protocol, {1: n}, seed=seed)
-                fast = BatchedMultisetSimulation(protocol, {1: n}, seed=seed)
+                ref = simulate_counts(protocol, {1: n}, seed=seed)
+                fast = batched_simulate_counts(protocol, {1: n}, seed=seed)
                 ref.run(3_000)
                 fast.run(3_000)
-                _assert_multiset_state_equal(fast, ref)
+                _assert_agent_state_equal(fast, ref)
 
     def test_faulted_trajectory_identical(self, seed):
         # The full sweep lives in TestFaultedAgentFingerprint; this is
@@ -533,12 +427,10 @@ def _count_blocks(monkeypatch):
     return blocks
 
 
-#: (engine factory, input counts): one case per batched engine, both
+#: (engine factory, input counts): the batched agent engine,
 #: block-decoded.
 HAND_BACK_CASES = {
     "agent": (lambda protocol, counts, seed: batched_simulate_counts(
-        protocol, counts, seed=seed), {1: 3_000, 0: 3_001}),
-    "multiset": (lambda protocol, counts, seed: BatchedMultisetSimulation(
         protocol, counts, seed=seed), {1: 3_000, 0: 3_001}),
 }
 
@@ -588,17 +480,13 @@ class TestRngHandBack:
                              ids=["decoded", "fallback"])
     def test_rng_is_the_given_generator_and_read_only(self, counts, seed):
         protocol = _build("majority", {})
-        for make in (lambda r: batched_simulate_counts(protocol, counts,
-                                                       seed=r),
-                     lambda r: BatchedMultisetSimulation(protocol, counts,
-                                                         seed=r)):
-            r = random.Random(seed)
-            sim = make(r)
-            sim.run(5_000)
-            assert sim.rng is r
-            with pytest.raises(AttributeError):
-                sim.rng = random.Random(seed)
-            assert sim.rng is r
+        r = random.Random(seed)
+        sim = batched_simulate_counts(protocol, counts, seed=r)
+        sim.run(5_000)
+        assert sim.rng is r
+        with pytest.raises(AttributeError):
+            sim.rng = random.Random(seed)
+        assert sim.rng is r
 
 
 class TestAgentConstruction:

@@ -15,8 +15,9 @@ import pytest
 from repro.protocols.counting import CountToK, Epidemic, count_to_five
 from repro.protocols.leader import FOLLOWER, LEADER, LeaderElection
 from repro.protocols.majority import majority_protocol
-from repro.sim.batched import BatchedMultisetSimulation
+from repro.sim.batched import batched_simulate_counts
 from repro.sim.convergence import run_until_silent
+from repro.sim.engine import simulate_counts
 from repro.sim.ensemble import (
     EnsembleFaults,
     EnsembleMultisetSimulation,
@@ -289,9 +290,9 @@ class TestScalarReplay:
         # The replay contract: an ensemble trial's seed, fed back through
         # the scalar MultisetSimulation, reproduces the trial's verdict
         # (statistically equivalent trajectory, same stopped/output).
-        # The scalar engine's batched twin on each kernel backend replays
-        # the same seed to the identical result (n = 15 and n - 1 share a
-        # bit length, so every backend decodes the pair stream).
+        # The agent-level engines replay the same seed too: the batched
+        # agent engine on each kernel backend reaches the identical result
+        # as the reference agent engine, with the same verdict.
         ens = EnsembleMultisetSimulation(CountToK(3), {1: 5, 0: 10},
                                          trials=8, seed=seed)
         results = run_ensemble_until_silent(ens, max_steps=500_000)
@@ -302,11 +303,17 @@ class TestScalarReplay:
             assert replay.stopped == results[t].stopped
             assert replay.output == results[t].output
             assert replay.output == 1  # five ones >= 3: predicate true
-            batched = BatchedMultisetSimulation(
+            agent = run_until_silent(
+                simulate_counts(CountToK(3), {1: 5, 0: 10},
+                                seed=ens.seeds[t]),
+                max_steps=500_000)
+            batched = batched_simulate_counts(
                 CountToK(3), {1: 5, 0: 10}, seed=ens.seeds[t],
                 backend=kernel_backend)
             assert batched.backend == kernel_backend
-            assert run_until_silent(batched, max_steps=500_000) == replay
+            assert run_until_silent(batched, max_steps=500_000) == agent
+            assert agent.stopped == replay.stopped
+            assert agent.output == replay.output
 
     def test_twin_preserves_state_counts_construction(self):
         ens = EnsembleMultisetSimulation(
@@ -335,17 +342,27 @@ class TestStatisticalEquivalence:
     ``repro/sim/ensemble.py``'s docstring.
     """
 
-    def _scalar_times(self, protocol_factory, counts, seeds, max_steps,
-                      backend):
-        # The scalar engine's sample, checked against its bit-identical
-        # batched twin on the given kernel backend.
+    def _scalar_times(self, protocol_factory, counts, seeds, max_steps):
         times = []
         for s in seeds:
             sim = MultisetSimulation(protocol_factory(), counts, seed=s)
             result = run_until_silent(sim, max_steps=max_steps)
             assert result.stopped
-            twin = BatchedMultisetSimulation(protocol_factory(), counts,
-                                             seed=s, backend=backend)
+            times.append(result.converged_at)
+        return times
+
+    def _agent_times(self, protocol_factory, counts, seeds, max_steps,
+                     backend):
+        # The agent-level sample, checked against its bit-identical
+        # batched twin on the given kernel backend.
+        times = []
+        for s in seeds:
+            result = run_until_silent(
+                simulate_counts(protocol_factory(), counts, seed=s),
+                max_steps=max_steps)
+            assert result.stopped
+            twin = batched_simulate_counts(protocol_factory(), counts,
+                                           seed=s, backend=backend)
             assert twin.backend == backend
             assert run_until_silent(twin, max_steps=max_steps) == result
             times.append(result.converged_at)
@@ -367,14 +384,17 @@ class TestStatisticalEquivalence:
                                     budget)
         slow = self._scalar_times(LeaderElection, {1: n},
                                   list(range(2_000, 2_000 + trials)),
-                                  budget, kernel_backend)
+                                  budget)
         assert ks_2samp(fast, slow).pvalue > 1e-3
+        agent = self._agent_times(LeaderElection, {1: n},
+                                  list(range(2_000, 2_000 + trials)),
+                                  budget, kernel_backend)
+        assert ks_2samp(fast, agent).pvalue > 1e-3
 
     def test_threshold_predicate_times(self, kernel_backend):
         from scipy.stats import ks_2samp
 
-        # CountToK(3) is the Sect. 4 threshold predicate "x_1 >= 3".  At
-        # n = 31 every kernel backend decodes the batched twin's draws.
+        # CountToK(3) is the Sect. 4 threshold predicate "x_1 >= 3".
         counts = {1: 5, 0: 26}
         trials, budget = 96, 1_000_000
         fast = self._ensemble_times(lambda: CountToK(3), counts,
@@ -382,8 +402,12 @@ class TestStatisticalEquivalence:
                                     budget)
         slow = self._scalar_times(lambda: CountToK(3), counts,
                                   list(range(4_000, 4_000 + trials)),
-                                  budget, kernel_backend)
+                                  budget)
         assert ks_2samp(fast, slow).pvalue > 1e-3
+        agent = self._agent_times(lambda: CountToK(3), counts,
+                                  list(range(4_000, 4_000 + trials)),
+                                  budget, kernel_backend)
+        assert ks_2samp(fast, agent).pvalue > 1e-3
 
 
 class TestEnsembleFaults:

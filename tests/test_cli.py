@@ -463,7 +463,7 @@ class TestBenchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["regressions"] == []
         assert {r["engine"] for r in payload["rows"]} >= {
-            "multiset", "batched-multiset", "agent", "batched-agent"}
+            "multiset", "agent", "batched-agent"}
         assert all(s["speedup"] > 0 for s in payload["speedups"])
 
     def test_missing_baseline_is_clean_error(self, capsys):

@@ -143,6 +143,8 @@ class DynamicSimulation:
             self.step()
 
     def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
+        if check_every < 1:
+            raise ValueError("check_every must be positive")
         if condition(self):
             return True
         remaining = max_steps

@@ -8,7 +8,7 @@ These helpers define the step relation used by both the exact analysis
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 
 from repro.core.protocol import PopulationProtocol, State
 from repro.util.multiset import FrozenMultiset
@@ -67,16 +67,26 @@ def successors(
     return result
 
 
-def is_silent(protocol: PopulationProtocol, configuration: FrozenMultiset) -> bool:
+def is_silent(protocol: PopulationProtocol,
+              configuration: Mapping[State, int]) -> bool:
     """True iff no enabled encounter changes any state.
 
-    Silence is a strong, locally-checkable form of stability: a silent
+    ``configuration`` is any mapping from state to agent count: a
+    :class:`FrozenMultiset` or an engine's plain ``state_counts()`` dict
+    (states with count 0 hold no agent and enable nothing).  Silence is
+    a strong, locally-checkable form of stability: a silent
     configuration is trivially output-stable.
     """
     delta = protocol.delta
-    for p, q in enabled_state_pairs(configuration):
-        if delta(p, q) != (p, q):
-            return False
+    items = configuration.items()
+    for p, count in items:
+        if count < 1:
+            continue
+        for q, other in items:
+            if other < 1 or (p == q and count < 2):
+                continue
+            if delta(p, q) != (p, q):
+                return False
     return True
 
 

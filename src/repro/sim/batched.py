@@ -509,7 +509,18 @@ class BatchedSimulation:
         return AgentConfiguration(self.states)
 
     def multiset(self) -> FrozenMultiset:
-        return FrozenMultiset(self.states)
+        return FrozenMultiset(self.state_counts())
+
+    def state_counts(self) -> dict:
+        """A fresh dict of state -> agent count, crashed agents under
+        their frozen state, counted with one ``np.bincount`` over the
+        state-id array (no n-element state list)."""
+        hist = np.bincount(self._sarr, minlength=self._k).tolist()
+        for sid in self._frozen.values():
+            hist[sid] += 1
+        return {state: count
+                for state, count in zip(self._compiled.states, hist)
+                if count}
 
     def output_counts(self) -> dict:
         symbols = self._compiled.output_symbols
@@ -865,6 +876,8 @@ class BatchedSimulation:
 
     def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
         """Run until ``condition(self)`` holds or ``max_steps`` pass."""
+        if check_every < 1:
+            raise ValueError("check_every must be positive")
         if condition(self):
             return True
         remaining = max_steps

@@ -5,7 +5,8 @@ locally that the computation has converged.  Experiments therefore use one
 of three observers:
 
 * **silence** — no enabled encounter changes any state; a silent
-  configuration is trivially output-stable (checkable from the multiset);
+  configuration is trivially output-stable (checkable from the state
+  counts alone);
 * **output quiescence** — the output assignment has not changed for a long
   patience window (a heuristic, sound w.h.p. under random pairing when the
   window is large relative to the protocol's mixing time);
@@ -54,11 +55,13 @@ class ConvergenceResult:
 def run_until_silent(sim: Simulation, max_steps: int, check_every: int = 0) -> ConvergenceResult:
     """Run until the configuration is silent (or the budget is exhausted).
 
-    Silence is checked on the multiset snapshot every ``check_every``
-    interactions (default: every ``n`` interactions) — but only when the
-    engine's ``last_change`` tracker advanced since the previous check:
-    an unchanged multiset cannot change the verdict, so windows of pure
-    no-ops skip the snapshot and the full O(|live|^2) silence scan.
+    Silence is decided from the engine's ``state_counts()`` every
+    ``check_every`` interactions (default: every ``n`` interactions) —
+    but only when the engine's ``last_change`` tracker advanced since the
+    previous check: unchanged counts cannot change the verdict, so
+    windows of pure no-ops skip both the count and the O(|states|^2)
+    silence scan.  On the agent engine the check grid runs inside its
+    one stepping loop (:meth:`~repro.sim.engine.Simulation.run_until`).
     """
     check_every = check_every or max(sim.n, 1)
     # last_change value at the previous evaluated check, and its verdict.
@@ -69,7 +72,7 @@ def run_until_silent(sim: Simulation, max_steps: int, check_every: int = 0) -> C
         nonlocal checked_at, verdict
         marker = getattr(s, "last_change", None)
         if marker is None or marker != checked_at:
-            verdict = is_silent(s.protocol, s.multiset())
+            verdict = is_silent(s.protocol, s.state_counts())
             checked_at = marker
         return verdict
 

@@ -9,10 +9,11 @@ the stopping rules in :mod:`repro.sim.convergence`.
 Every entry point — :meth:`~Simulation.step`, :meth:`~Simulation.run`,
 :meth:`~Simulation.run_until` — steps through one loop,
 :meth:`Simulation._advance`, which hoists its attribute lookups once per
-call.  Under the default uniform scheduler and a plain ``random.Random``
-it draws each pair inline with ``getrandbits``, replaying CPython's
-``randrange`` rejection sampling, so the RNG stream (and every trajectory)
-is the one ``randrange`` would have produced.
+call and evaluates a ``run_until`` condition between its chunks.  Under
+the default uniform scheduler and a plain ``random.Random`` it draws
+each pair inline with ``getrandbits``, replaying CPython's ``randrange``
+rejection sampling, so the RNG stream (and every trajectory) is the one
+``randrange`` would have produced.
 
 For fault-free runs under the default uniform scheduler, the batched twin
 :class:`~repro.sim.batched.BatchedSimulation` executes the same trajectory
@@ -23,6 +24,7 @@ For fault-free runs under the default uniform scheduler, the batched twin
 from __future__ import annotations
 
 import random
+from collections import _count_elements
 from collections.abc import Mapping, Sequence
 
 from repro.core.configuration import AgentConfiguration
@@ -178,6 +180,13 @@ class Simulation:
     def multiset(self) -> FrozenMultiset:
         """Snapshot of the current multiset configuration."""
         return FrozenMultiset(self.states)
+
+    def state_counts(self) -> dict[State, int]:
+        """A fresh dict of state -> number of agents in it (crashed agents
+        count with their frozen state, as in :meth:`multiset`)."""
+        counts: dict[State, int] = {}
+        _count_elements(counts, self.states)
+        return counts
 
     def output_counts(self) -> dict[Symbol, int]:
         """Histogram of current agent outputs."""
@@ -356,15 +365,25 @@ class Simulation:
         """
         return self._advance(1)
 
-    def _advance(self, k: int) -> bool:
-        """Run ``k`` interactions; True iff the last one changed a state.
+    def _advance(self, k: int, condition=None, check_every: int = 0) -> bool:
+        """Run ``k`` interactions, or until ``condition`` holds.
+
+        Without a ``condition``, returns True iff the last interaction
+        changed a state.  With one, the ``k`` interactions run in chunks
+        of ``check_every``; after each chunk ``self.interactions`` is
+        written and ``condition(self)`` evaluated, and the call returns
+        True as soon as it holds, False once the budget is spent.  The
+        condition may read the simulation and change agents in place
+        (``set_state``, ``crash``), but not step it or rebind its state
+        (``restore``).
 
         The engine's one stepping loop.  Attribute lookups are hoisted
-        into locals once per call, and the interaction counter lives in
-        a local that is written back on exit (also when the protocol or
-        scheduler raises).  Fault models read ``self.interactions``, so
-        with a plan attached it is written before ``pre_step`` and again
-        before ``drop_encounter``.
+        into locals once per call, so a whole ``run_until`` pays them
+        once, and the interaction counter lives in a local that is
+        written back on exit (also when the protocol, the scheduler or
+        the condition raises).  Fault models read ``self.interactions``,
+        so with a plan attached it is written before ``pre_step`` and
+        again before ``drop_encounter``.
 
         Under the exact :class:`UniformPairScheduler` and an exact
         ``random.Random``, the ``randrange(n), randrange(n - 1)`` pair is
@@ -396,53 +415,63 @@ class Simulation:
             next_encounter = scheduler.next_encounter
         t = self.interactions
         changed = False
+        if condition is None:
+            check_every = k
+        remaining = k
         try:
-            for _ in range(k):
-                changed = False
-                if plan is not None:
-                    self.interactions = t
-                    plan.pre_step(self)
-                if inline:
-                    i = getrandbits(bits_n)
-                    while i >= n:
+            while remaining > 0:
+                chunk = check_every if check_every < remaining else remaining
+                remaining -= chunk
+                for _ in range(chunk):
+                    changed = False
+                    if plan is not None:
+                        self.interactions = t
+                        plan.pre_step(self)
+                    if inline:
                         i = getrandbits(bits_n)
-                    j = getrandbits(bits_m)
-                    while j >= m:
+                        while i >= n:
+                            i = getrandbits(bits_n)
                         j = getrandbits(bits_m)
-                    if j >= i:
-                        j += 1
-                else:
-                    i, j = next_encounter(states, rng)
-                t += 1
-                if crashed and (i in crashed or j in crashed):
-                    continue
-                if plan is not None:
-                    self.interactions = t
-                    if plan.drop_encounter(self):
+                        while j >= m:
+                            j = getrandbits(bits_m)
+                        if j >= i:
+                            j += 1
+                    else:
+                        i, j = next_encounter(states, rng)
+                    t += 1
+                    if crashed and (i in crashed or j in crashed):
                         continue
-                p = states[i]
-                q = states[j]
-                result = cache.get((p, q))
-                if result is None:
-                    result = cache[p, q] = delta(p, q)
-                p2, q2 = result
-                if p2 == p and q2 == q:
-                    continue
-                states[i] = p2
-                states[j] = q2
-                self.last_change = t
-                changed = True
-                out_p = output(p2)
-                out_q = output(q2)
-                if out_p != outputs[i]:
-                    outputs[i] = out_p
-                    self.last_output_change = t
-                if out_q != outputs[j]:
-                    outputs[j] = out_q
-                    self.last_output_change = t
+                    if plan is not None:
+                        self.interactions = t
+                        if plan.drop_encounter(self):
+                            continue
+                    p = states[i]
+                    q = states[j]
+                    result = cache.get((p, q))
+                    if result is None:
+                        result = cache[p, q] = delta(p, q)
+                    p2, q2 = result
+                    if p2 == p and q2 == q:
+                        continue
+                    states[i] = p2
+                    states[j] = q2
+                    self.last_change = t
+                    changed = True
+                    out_p = output(p2)
+                    out_q = output(q2)
+                    if out_p != outputs[i]:
+                        outputs[i] = out_p
+                        self.last_output_change = t
+                    if out_q != outputs[j]:
+                        outputs[j] = out_q
+                        self.last_output_change = t
+                if condition is not None:
+                    self.interactions = t
+                    if condition(self):
+                        return True
         finally:
             self.interactions = t
-        return changed
+        return changed if condition is None else False
 
     def run(self, steps: int) -> None:
         """Run a fixed number of interactions: one :meth:`_advance` call,
@@ -459,12 +488,17 @@ class Simulation:
 
         Returns True iff the condition was met.  ``condition`` is evaluated
         every ``check_every`` interactions (and before the first step).
-        Each chunk of ``check_every`` interactions is one :meth:`run`:
-        one :meth:`_advance` call, or, with monitors attached, that many
-        calls of the monitored :meth:`step`.
+        Without monitors the whole budget is one :meth:`_advance` call,
+        which evaluates the condition between its chunks; with monitors
+        attached each chunk is one :meth:`run`, that many calls of the
+        monitored :meth:`step`.
         """
+        if check_every < 1:
+            raise ValueError("check_every must be positive")
         if condition(self):
             return True
+        if not self.monitors:
+            return self._advance(max_steps, condition, check_every)
         remaining = max_steps
         while remaining > 0:
             chunk = min(check_every, remaining)

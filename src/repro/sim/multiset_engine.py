@@ -119,6 +119,11 @@ class MultisetSimulation:
         """Snapshot of the live agents' multiset configuration."""
         return FrozenMultiset(self.counts)
 
+    def state_counts(self) -> dict[State, int]:
+        """A fresh dict of live state -> count (the :meth:`multiset`
+        view, without the snapshot)."""
+        return dict(self.counts)
+
     def crashed_multiset(self) -> FrozenMultiset:
         """Snapshot of the crashed agents' frozen states."""
         return FrozenMultiset(self.crashed_counts)
@@ -295,6 +300,8 @@ class MultisetSimulation:
 
     def run_until(self, condition, max_steps: int, check_every: int = 1) -> bool:
         """Run until ``condition(self)`` holds or ``max_steps`` pass."""
+        if check_every < 1:
+            raise ValueError("check_every must be positive")
         if condition(self):
             return True
         remaining = max_steps

@@ -3,7 +3,9 @@
 Generates random small :class:`DictProtocol` instances and checks, for
 each, that the Theorem 11 analysis and plain simulation tell the same
 story: row-stochastic chains, convergence probabilities that bound the
-sampled frequencies, and agreement of expected convergence times.
+sampled frequencies, and agreement of expected convergence times.  The
+silence test on state counts is checked against the enabled
+transitions on the same protocols.
 """
 
 import random
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 from repro.analysis.markov import MarkovAnalysis
 from repro.core.protocol import DictProtocol
+from repro.core.semantics import enabled_transitions, is_silent
 from repro.sim.engine import simulate_counts
+from repro.util.multiset import FrozenMultiset
 from repro.util.rng import spawn_seeds
 
 
@@ -83,6 +87,25 @@ def test_sampled_stable_hits_match_exact_probability(master_seed):
     sigma = (max(exact * (1 - exact), 0.25 / trials) / trials) ** 0.5
     # The finite horizon can only undershoot the exact probability.
     assert rate <= exact + 5 * sigma + 0.02
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10_000), st.integers(1, 4),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4))
+def test_silence_on_counts_agrees_with_enabled_transitions(master_seed,
+                                                           n_states,
+                                                           counts):
+    """``is_silent`` gives one verdict on a plain count dict (zeros
+    included, as a caller may pass them), on the same configuration as a
+    ``FrozenMultiset``, and by listing the enabled state changes."""
+    rng = random.Random(master_seed)
+    protocol = random_protocol(rng, n_states=n_states,
+                               density=rng.random())
+    config = dict(zip(range(n_states), counts))
+    multiset = FrozenMultiset(config)
+    verdict = is_silent(protocol, config)
+    assert is_silent(protocol, multiset) == verdict
+    assert (enabled_transitions(protocol, multiset) == []) == verdict
 
 
 def test_known_protocol_sanity():

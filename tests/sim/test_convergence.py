@@ -3,7 +3,10 @@
 import pytest
 
 import repro.sim.convergence as convergence
+from repro.core.dynamic import DynamicSimulation, annihilation_majority
+from repro.core.multiway import GroupCountToK, MultiwaySimulation
 from repro.protocols.counting import CountToK, Epidemic, count_to_five
+from repro.protocols.leader import LeaderElection
 from repro.protocols.majority import majority_protocol
 from repro.sim.batched import BatchedSimulation, batched_simulate_counts
 from repro.sim.convergence import (
@@ -13,8 +16,10 @@ from repro.sim.convergence import (
     run_until_silent,
 )
 from repro.sim.engine import Simulation, simulate_counts
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import CrashAt, FaultPlan
 from repro.sim.multiset_engine import MultisetSimulation
+from repro.sim.skipping import SkippingSimulation
+from repro.util.multiset import FrozenMultiset
 
 
 class TestRunUntilSilent:
@@ -63,6 +68,94 @@ class TestRunUntilSilent:
         assert result.stopped
         checkpoints = sim.interactions // 5
         assert 0 < calls["n"] < checkpoints
+
+
+class TestSilenceFromStateCounts:
+    """``run_until_silent`` decides silence from each engine's
+    ``state_counts()``: a plain dict of the counts its ``multiset()``
+    view holds."""
+
+    @pytest.mark.parametrize("n", [3, 33, 100])
+    def test_batched_matches_agent(self, n):
+        for seed in range(8):
+            agent = simulate_counts(LeaderElection(), {1: n}, seed=seed)
+            batched = batched_simulate_counts(LeaderElection(), {1: n},
+                                              seed=seed)
+            result = run_until_silent(agent, max_steps=500_000)
+            assert result.stopped
+            assert run_until_silent(batched, max_steps=500_000) == result
+            assert batched.states == agent.states
+
+    def test_batched_matches_agent_with_crashes(self):
+        # Crashed agents count under their frozen state on both engines.
+        def plan():
+            return FaultPlan([CrashAt(5), CrashAt(40), CrashAt(300)],
+                             seed=11)
+
+        agent = simulate_counts(LeaderElection(), {1: 33}, seed=4,
+                                faults=plan())
+        batched = batched_simulate_counts(LeaderElection(), {1: 33}, seed=4,
+                                          faults=plan())
+        result = run_until_silent(agent, max_steps=200_000)
+        assert run_until_silent(batched, max_steps=200_000) == result
+        assert len(batched.crashed) == 3
+        assert batched.state_counts() == agent.state_counts()
+
+    @pytest.mark.parametrize("make", [
+        lambda faults: simulate_counts(count_to_five(), {1: 7, 0: 9},
+                                       seed=2, faults=faults),
+        lambda faults: batched_simulate_counts(count_to_five(),
+                                               {1: 7, 0: 9}, seed=2,
+                                               faults=faults),
+        lambda faults: MultisetSimulation(count_to_five(), {1: 7, 0: 9},
+                                          seed=2, faults=faults),
+        # Skipping runs refuse fault plans.
+        lambda faults: SkippingSimulation(count_to_five(), {1: 7, 0: 9},
+                                          seed=2),
+    ], ids=["agent", "batched", "multiset", "skipping"])
+    def test_counts_equal_the_multiset_view(self, make):
+        sim = make(FaultPlan([CrashAt(3), CrashAt(20)], seed=5))
+        for _ in range(30):
+            sim.run(4)
+            counts = sim.state_counts()
+            assert type(counts) is dict
+            # The agent-indexed engines list every agent, crashed ones
+            # under their frozen state; the multiset engines count the
+            # live agents.
+            agents = getattr(sim, "states", None)
+            assert FrozenMultiset(counts) == (
+                sim.multiset() if agents is None else FrozenMultiset(agents))
+        counts[-1] = 1  # a fresh dict each call
+        assert -1 not in sim.state_counts()
+
+
+def _never_called(sim):
+    raise AssertionError("the check grid started")
+
+
+class TestCheckEveryValidated:
+    """A non-positive ``check_every`` used to spin forever: each chunk of
+    ``min(check_every, remaining)`` interactions never shrank the budget.
+    Every engine now rejects it before evaluating the condition."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: simulate_counts(LeaderElection(), {1: 5}, seed=1),
+        lambda: batched_simulate_counts(LeaderElection(), {1: 5}, seed=1),
+        lambda: MultisetSimulation(LeaderElection(), {1: 5}, seed=1),
+        lambda: SkippingSimulation(LeaderElection(), {1: 5}, seed=1),
+        lambda: MultiwaySimulation(GroupCountToK(3, arity=3), [1] * 5,
+                                   seed=1),
+        lambda: DynamicSimulation(annihilation_majority(),
+                                  ["x"] * 3 + ["y"] * 2, seed=1),
+    ], ids=["agent", "batched", "multiset", "skipping", "multiway",
+            "dynamic"])
+    @pytest.mark.parametrize("check_every", [0, -2])
+    def test_non_positive_check_every_rejected(self, make, check_every):
+        sim = make()
+        with pytest.raises(ValueError, match="check_every"):
+            sim.run_until(_never_called, max_steps=100,
+                          check_every=check_every)
+        assert sim.interactions == 0
 
 
 class TestRunUntilQuiescent:

@@ -394,3 +394,131 @@ class TestSteppingOracle:
             while True:
                 reference_step(oracle)
         assert _observe(sim) == _observe(oracle)
+
+
+# -- Fused check grid oracle -------------------------------------------------
+#
+# ``_chunked_run_until`` and ``_chunked_run_until_silent`` are
+# ``Simulation.run_until`` and ``run_until_silent`` as they stood before
+# the check grid moved inside ``_advance``: one ``run`` call per chunk of
+# ``check_every`` interactions, and silence decided by the generator
+# ``is_silent`` on a ``FrozenMultiset`` snapshot of every agent.  The fused
+# grid must reproduce them exactly: results, states, clocks, fault
+# counters and the RNG state.
+
+
+def _chunked_is_silent(protocol, configuration) -> bool:
+    from repro.core.semantics import enabled_state_pairs
+
+    delta = protocol.delta
+    for p, q in enabled_state_pairs(configuration):
+        if delta(p, q) != (p, q):
+            return False
+    return True
+
+
+def _chunked_run_until(sim, condition, max_steps: int,
+                       check_every: int = 1) -> bool:
+    if condition(sim):
+        return True
+    remaining = max_steps
+    while remaining > 0:
+        chunk = min(check_every, remaining)
+        sim.run(chunk)
+        remaining -= chunk
+        if condition(sim):
+            return True
+    return False
+
+
+def _chunked_run_until_silent(sim, max_steps: int, check_every: int = 0):
+    from repro.sim.convergence import ConvergenceResult, _verdict
+
+    check_every = check_every or max(sim.n, 1)
+    # last_change value at the previous evaluated check, and its verdict.
+    checked_at = None
+    verdict = False
+
+    def silent(s) -> bool:
+        nonlocal checked_at, verdict
+        marker = getattr(s, "last_change", None)
+        if marker is None or marker != checked_at:
+            verdict = _chunked_is_silent(s.protocol, s.multiset())
+            checked_at = marker
+        return verdict
+
+    stopped = _chunked_run_until(sim, silent, max_steps=max_steps,
+                                 check_every=check_every)
+    # Agent engines report convergence via the output assignment; the
+    # multiset engines track state changes instead.
+    converged = getattr(sim, "last_output_change", None)
+    if converged is None:
+        converged = sim.last_change
+    return ConvergenceResult(
+        interactions=sim.interactions,
+        converged_at=converged,
+        output=_verdict(sim),
+        stopped=stopped,
+    )
+
+
+#: Registry protocol -> its 1-input count at n = 9 (the rest input 0).
+_FUSED_PROTOCOLS = {"leader-election": 9, "majority": 5, "count-to-k": 6}
+
+
+class TestFusedCheckGrid:
+    N = 9
+
+    def _pair(self, name: str, seed: int, faults):
+        from repro.protocols import registry
+
+        protocol = registry.get(name).build()
+        counts = {1: _FUSED_PROTOCOLS[name], 0: self.N - _FUSED_PROTOCOLS[name]}
+
+        def make():
+            plan = None if faults is None else _plan(faults, seed)
+            return simulate_counts(protocol, counts, seed=seed, faults=plan)
+
+        return make(), make()
+
+    @pytest.mark.parametrize("faults", [None, "crash-at", "corruption",
+                                        "omission"])
+    @pytest.mark.parametrize("check_every", [1, 7, N])
+    @pytest.mark.parametrize("name", sorted(_FUSED_PROTOCOLS))
+    def test_silent_rule_matches_chunked_oracle(self, name, check_every,
+                                                faults):
+        from repro.sim.convergence import run_until_silent
+
+        # 1000 is a multiple of neither 7 nor 9, so the last chunk is
+        # short; 103 leaves most runs on the budget.
+        for seed in (1, 2, 3):
+            for max_steps in (103, 1000):
+                engine, oracle = self._pair(name, seed, faults)
+                got = run_until_silent(engine, max_steps=max_steps,
+                                       check_every=check_every)
+                want = _chunked_run_until_silent(
+                    oracle, max_steps=max_steps, check_every=check_every)
+                assert got == want, (seed, max_steps)
+                assert _observe(engine) == _observe(oracle), (seed, max_steps)
+
+    @pytest.mark.parametrize("faults", [None, "corruption"])
+    def test_condition_raising_mid_run_writes_the_clock_back(self, faults):
+        def raising(log):
+            def condition(s):
+                log.append(s.interactions)
+                if len(log) == 4:
+                    raise RuntimeError("stop")
+                return False
+            return condition
+
+        engine, oracle = self._pair("majority", 5, faults)
+        logs: dict = {"engine": [], "oracle": []}
+        with pytest.raises(RuntimeError, match="stop"):
+            engine.run_until(raising(logs["engine"]), max_steps=1000,
+                             check_every=7)
+        with pytest.raises(RuntimeError, match="stop"):
+            _chunked_run_until(oracle, raising(logs["oracle"]),
+                               max_steps=1000, check_every=7)
+        assert logs["engine"] == logs["oracle"] == [0, 7, 14, 21]
+        assert engine.interactions == 21
+        assert _observe(engine) == _observe(oracle)

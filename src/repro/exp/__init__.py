@@ -55,6 +55,8 @@ from repro.exp.runner import (
     run_trial,
     sweep_points,
     trial_id,
+    trial_ids,
+    trial_keys,
     trial_seeds,
 )
 from repro.exp.spec import (
@@ -64,7 +66,7 @@ from repro.exp.spec import (
     InputGrid,
     StopRule,
 )
-from repro.exp.store import ResultStore, StoreMismatch
+from repro.exp.store import ResultStore, StoreMismatch, encode_record
 from repro.exp.supervise import (
     SupervisionStats,
     TrialExecutionError,
@@ -80,6 +82,8 @@ __all__ = [
     "SweepPoint",
     "sweep_points",
     "trial_id",
+    "trial_ids",
+    "trial_keys",
     "trial_seeds",
     "run_trial",
     "run_experiment",
@@ -87,6 +91,7 @@ __all__ = [
     "plan_size",
     "ResultStore",
     "StoreMismatch",
+    "encode_record",
     "SupervisionStats",
     "TrialExecutionError",
     "TrialTimeout",

@@ -158,9 +158,11 @@ def _fleet_worker_main(conn) -> None:
       alarm), remember it by hash; ack ``(seq, "installed", hash, s)``.
     * ``("task", seq, spec_hash, point, trials, timeout_s)`` — run one
       task through :func:`repro.exp.runner.run_task` against the
-      installed spec; reply ``(seq, "ok", records, s)``, ``(seq, "timeout",
-      message, s)`` or ``(seq, "error", detail, s)`` with ``detail``
-      from :func:`_error_detail`.
+      installed spec; reply ``(seq, "ok", (records, lines), s)`` with
+      each record's store line from
+      :func:`repro.exp.store.encode_record`, ``(seq, "timeout", message,
+      s)`` or ``(seq, "error", detail, s)`` with ``detail`` from
+      :func:`_error_detail`.
     * ``("stats", seq)`` — cache observability for tests and doctor.
     * ``None`` — exit.
 
@@ -169,6 +171,7 @@ def _fleet_worker_main(conn) -> None:
     """
     from repro.exp import runner
     from repro.exp.spec import ExperimentSpec
+    from repro.exp.store import encode_record
 
     if hasattr(signal, "SIGALRM"):
         def _on_alarm(signum, frame):
@@ -232,7 +235,9 @@ def _fleet_worker_main(conn) -> None:
                                                    spec_hash))
                 finally:
                     disarm()
-                reply = (seq, "ok", records, time.perf_counter() - start)
+                lines = [encode_record(record) for record in records]
+                reply = (seq, "ok", (records, lines),
+                         time.perf_counter() - start)
             except TrialTimeout as exc:
                 reply = (seq, "timeout", str(exc),
                          time.perf_counter() - start)
@@ -447,11 +452,13 @@ class WorkerFleet:
     # -- Execution -------------------------------------------------------------
 
     def run_tasks(self, spec, tasks, spec_hash: str, *,
-                  on_record, on_failure) -> tuple:
+                  on_records, on_failure) -> tuple:
         """Execute a sweep's ``(point, trials)`` tasks (from
         :func:`repro.exp.runner.build_tasks`); the runner's entry point.
 
-        Installs the spec and runs the tasks under ``spec.execution``.
+        Installs the spec and runs the tasks under ``spec.execution``;
+        each finished task is handed over in one ``on_records(records,
+        lines)`` call, ``lines`` being the records' encoded store lines.
         Returns ``(SupervisionStats, per-run info dict)``.
         """
         self._check_open()
@@ -461,12 +468,12 @@ class WorkerFleet:
             self.install(spec, spec_hash)
 
         stats = self.execute(tasks, policy=spec.execution,
-                             spec_hash=spec_hash, on_record=on_record,
+                             spec_hash=spec_hash, on_records=on_records,
                              on_failure=on_failure)
         return stats, {"workers": self.size,
                        "respawns": self.stats.respawns - respawns}
 
-    def execute(self, tasks, *, policy, spec_hash: str, on_record=None,
+    def execute(self, tasks, *, policy, spec_hash: str, on_records=None,
                 on_failure=None, poll_s: float = 0.05) -> SupervisionStats:
         """The supervision loop: run ``tasks`` across the workers.
 
@@ -475,7 +482,7 @@ class WorkerFleet:
         parent-side deadline kills, deterministic-jitter retry and the
         raise/skip/quarantine disposition follow ``policy`` (see
         :mod:`repro.exp.supervise`).  Freed workers are re-dispatched
-        before ``on_record`` runs, so they never idle while the caller
+        before ``on_records`` runs, so they never idle while the caller
         stores results.  Under the default policy a raising trial
         re-raises its original exception; otherwise an exhausted task
         under ``on_error="raise"`` raises :class:`TrialExecutionError`
@@ -634,10 +641,9 @@ class WorkerFleet:
 
                 if finished:
                     dispatch_idle()
-                    if on_record is not None:
-                        for records in finished:
-                            for record in records:
-                                on_record(record)
+                    if on_records is not None:
+                        for records, lines in finished:
+                            on_records(records, lines)
                 for task, outcome, blob in failed:
                     outcome = {"attempt": len(task.attempts) + 1, **outcome}
                     note_failed_attempt(task, outcome, blob)

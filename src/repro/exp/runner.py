@@ -10,20 +10,24 @@ bit-identical whether the sweep ran on one worker or sixteen, forwards
 or backwards — the determinism invariant the test suite pins down.
 
 With a :class:`~repro.exp.store.ResultStore` attached, each record is
-appended as it completes and already-stored trials are skipped up front,
-making interrupted sweeps resumable at trial granularity.
+stored as it completes (a fleet task's records together, in one write)
+and already-stored trials are skipped up front, making interrupted
+sweeps resumable at trial granularity.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ResultStore
-from repro.util.rng import derive_seed
+# Collaborators that can be wrapped (layer timing, test doubles) are
+# called through their module attribute, so a wrapper installed after
+# this import is what runs.
+from repro.sim import monitors as sim_monitors
 
 #: Upper bound on the fleet's trial chunk size (default policy).  The
 #: load-balancing formula (tasks / workers / 4) makes very large chunks
@@ -78,22 +82,60 @@ def sweep_points(spec: ExperimentSpec) -> list[SweepPoint]:
             for scheduler in schedulers]
 
 
+def trial_ids(spec_hash: str, point: SweepPoint,
+              trials: Iterable[int]) -> list[str]:
+    """The store ids of ``point``'s ``trials``, from one prefix hash.
+
+    Each id is the first 16 hex digits of ``sha256("<spec_hash>|<point
+    key>|trial=<trial>")``, the store's resume key; the constant prefix
+    is hashed once and its digest copied per trial.
+    """
+    prefix = hashlib.sha256(f"{spec_hash}|{point.key}|trial=".encode())
+    ids = []
+    for trial in trials:
+        digest = prefix.copy()
+        digest.update(str(trial).encode())
+        ids.append(digest.hexdigest()[:16])
+    return ids
+
+
+def trial_keys(spec_hash: str, point: SweepPoint,
+               trials: Sequence[int]) -> tuple[list, list[str]]:
+    """Seeds and ids of ``point``'s ``trials``, from one prefix hash.
+
+    Returns ``(seeds, ids)``: each trial's ``(engine_seed, fault_seed)``
+    pair and its :func:`trial_ids` identity.  This is the
+    seed-derivation contract: both streams are pure functions of the
+    spec hash, the point label, and the trial index — never of worker
+    count, scheduling order, or how many trials ran before.  The seeds
+    are :func:`repro.util.rng.derive_seed` of ``(spec_hash, point key,
+    trial, "engine" | "fault")``, hashed from a prefix digest taken once
+    per point.
+    """
+    prefix = hashlib.sha256(f"{spec_hash}\x1f{point.key}\x1f".encode())
+    seed_of = int.from_bytes
+    seeds = []
+    for trial in trials:
+        engine = prefix.copy()
+        engine.update(f"{trial}\x1fengine".encode())
+        fault = prefix.copy()
+        fault.update(f"{trial}\x1ffault".encode())
+        seeds.append((seed_of(engine.digest()[:8], "big") >> 1,
+                      seed_of(fault.digest()[:8], "big") >> 1))
+    return seeds, trial_ids(spec_hash, point, trials)
+
+
 def trial_id(spec_hash: str, point: SweepPoint, trial: int) -> str:
     """Stable 16-hex identity of one trial (the store's resume key)."""
-    text = f"{spec_hash}|{point.key}|trial={trial}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return trial_ids(spec_hash, point, (trial,))[0]
 
 
 def trial_seeds(spec_hash: str, point: SweepPoint, trial: int) -> tuple[int, int]:
     """The ``(engine_seed, fault_seed)`` pair of one trial.
 
-    This is the seed-derivation contract: both streams are pure functions
-    of the spec hash, the point label, and the trial index — never of
-    worker count, scheduling order, or how many trials ran before.
+    A one-trial call of :func:`trial_keys`.
     """
-    engine = derive_seed(spec_hash, point.key, trial, "engine")
-    fault = derive_seed(spec_hash, point.key, trial, "fault")
-    return engine, fault
+    return trial_keys(spec_hash, point, (trial,))[0][0]
 
 
 def _jsonable(value):
@@ -131,8 +173,6 @@ def run_to_stop(sim, stop, expected, runners, protocol: str,
     and is returned, with ``result`` None when it tripped before the
     stopping rule fired.
     """
-    from repro.sim.monitors import MonitorViolation, OutputFlickerMonitor
-
     until_quiescent, until_silent, until_correct_stable = runners
     result = None
     try:
@@ -153,10 +193,10 @@ def run_to_stop(sim, stop, expected, runners, protocol: str,
             raise ValueError(f"unknown stopping rule {stop.rule!r}")
         if confirm and result.stopped:
             for monitor in monitors:
-                if isinstance(monitor, OutputFlickerMonitor):
+                if isinstance(monitor, sim_monitors.OutputFlickerMonitor):
                     monitor.arm(sim)
             sim.run(confirm)
-    except MonitorViolation as tripped:
+    except sim_monitors.MonitorViolation as tripped:
         return result, tripped
     return result, None
 
@@ -171,10 +211,17 @@ class _PointSetup:
     trials: Sequence[int]
     #: ``(engine_seed, fault_seed)`` per trial.
     seeds: list
+    #: Trial id per trial.
+    ids: list
     protocol: object
     counts: dict
     #: Ground-truth output, or None for a protocol without a predicate.
     expected: "int | None"
+    #: Agent and batched engines only: ``construct(engine_seed, plan,
+    #: monitors)`` builds one trial's simulation, and ``runners`` are the
+    #: engine's stop-rule drivers (see :func:`run_to_stop`).
+    construct: "Callable | None" = None
+    runners: tuple = ()
 
     def context(self, engine_seed: int = 0, fault_seed: int = 0) -> dict:
         """The reproduction context of one trial (a chaos-case dict)."""
@@ -198,7 +245,7 @@ class _PointSetup:
         crashes, corruptions, omissions = faults
         record = {
             "kind": "trial",
-            "id": trial_id(self.spec_hash, point, trial),
+            "id": self.ids[slot],
             "n": point.n,
             "intensity": point.intensity,
             "trial": trial,
@@ -230,7 +277,8 @@ class _PointSetup:
 
 def _setup(spec: ExperimentSpec, point: SweepPoint, trials: Sequence[int],
            spec_hash: "str | None") -> _PointSetup:
-    """Build the protocol, input counts, ground truth and trial seeds."""
+    """Build the protocol, input counts, ground truth and trial keys, and
+    for the per-trial engines the point's constructor and stop drivers."""
     from repro.protocols import registry
 
     spec_hash = spec_hash or spec.content_hash()
@@ -241,10 +289,54 @@ def _setup(spec: ExperimentSpec, point: SweepPoint, trials: Sequence[int],
     expected = None
     if entry.truth is not None:
         expected = int(entry.evaluate_truth(counts, **params))
-    return _PointSetup(
+    seeds, ids = trial_keys(spec_hash, point, trials)
+    setup = _PointSetup(
         spec=spec, spec_hash=spec_hash, point=point, trials=trials,
-        seeds=[trial_seeds(spec_hash, point, trial) for trial in trials],
-        protocol=protocol, counts=counts, expected=expected)
+        seeds=seeds, ids=ids, protocol=protocol, counts=counts,
+        expected=expected)
+    if spec.engine not in POINT_ENGINES:
+        # Resolved once per point, here rather than at import, so a
+        # wrapper installed on a module attribute sees every trial.
+        from repro.sim import convergence
+
+        setup.construct = _trial_constructor(spec, point, protocol, counts)
+        setup.runners = (convergence.run_until_quiescent,
+                         convergence.run_until_silent,
+                         convergence.run_until_correct_stable)
+    return setup
+
+
+def _trial_constructor(spec: ExperimentSpec, point: SweepPoint, protocol,
+                       counts: dict) -> Callable:
+    """``construct(engine_seed, plan, monitors)`` for one point's trials
+    on the agent or batched engine.
+
+    The point's scheduler string is parsed here, once; ``uniform`` gives
+    the engine's default scheduler, and any other kind is built fresh
+    for every trial, since schedulers carry state across a run.
+    """
+    if spec.engine == "batched":
+        from repro.sim.batched import batched_simulate_counts
+
+        def construct(engine_seed, plan, monitors):
+            return batched_simulate_counts(
+                protocol, counts, seed=engine_seed,
+                compiled=compile_for(spec, protocol), faults=plan,
+                monitors=monitors, backend=spec.backend)
+        return construct
+
+    from repro.sim.engine import simulate_counts
+    from repro.sim.schedulers import scheduler_builder
+
+    make_scheduler = scheduler_builder(point.scheduler or spec.scheduler,
+                                       n=point.n, protocol=protocol)
+
+    def construct(engine_seed, plan, monitors):
+        return simulate_counts(
+            protocol, counts, seed=engine_seed, faults=plan,
+            scheduler=make_scheduler() if make_scheduler else None,
+            monitors=monitors)
+    return construct
 
 
 def run_trial(spec: ExperimentSpec, point: SweepPoint, trial: int,
@@ -266,38 +358,18 @@ def run_trial(spec: ExperimentSpec, point: SweepPoint, trial: int,
 def _run_slot(setup: _PointSetup, slot: int) -> dict:
     """Execute trial ``setup.trials[slot]`` on the agent or batched
     engine (see :func:`run_trial`) and return its record."""
-    from repro.sim import convergence
-    from repro.sim.monitors import build_monitors
-
     spec, point = setup.spec, setup.point
     engine_seed, fault_seed = setup.seeds[slot]
     plan = None
     if spec.faults is not None:
         plan = spec.faults.build_plan(point.intensity, fault_seed)
-    monitors = build_monitors(spec.monitors)
-    if spec.engine == "batched":
-        from repro.sim.batched import batched_simulate_counts
-
-        sim = batched_simulate_counts(
-            setup.protocol, setup.counts, seed=engine_seed,
-            compiled=compile_for(spec, setup.protocol), faults=plan,
-            monitors=monitors, backend=spec.backend)
-    else:
-        from repro.sim.engine import simulate_counts
-        from repro.sim.schedulers import scheduler_from_spec
-
-        scheduler = scheduler_from_spec(point.scheduler or spec.scheduler,
-                                        n=point.n, protocol=setup.protocol)
-        sim = simulate_counts(setup.protocol, setup.counts, seed=engine_seed,
-                              faults=plan, scheduler=scheduler,
-                              monitors=monitors)
+    monitors = sim_monitors.build_monitors(spec.monitors)
+    sim = setup.construct(engine_seed, plan, monitors)
     if monitors:
         sim.monitor_context = setup.context(engine_seed, fault_seed)
     result, violation = run_to_stop(
-        sim, spec.stop, setup.expected,
-        (convergence.run_until_quiescent, convergence.run_until_silent,
-         convergence.run_until_correct_stable),
-        spec.protocol, spec.confirm, monitors)
+        sim, spec.stop, setup.expected, setup.runners, spec.protocol,
+        spec.confirm, monitors)
     faults = (0, 0, 0)
     if plan is not None:
         faults = (plan.crashes, plan.corruptions, plan.omissions)
@@ -325,14 +397,13 @@ def run_ensemble_point(spec: ExperimentSpec, point: SweepPoint,
     records its violation exactly like :func:`run_trial`.
     """
     from repro.sim import ensemble
-    from repro.sim.monitors import build_monitors
 
     setup = _setup(spec, point, trials, spec_hash)
     faults = None
     if spec.faults is not None:
         faults = ensemble.EnsembleFaults.from_axis(spec.faults,
                                                    point.intensity)
-    monitors = build_monitors(spec.monitors)
+    monitors = sim_monitors.build_monitors(spec.monitors)
     ens = ensemble.EnsembleMultisetSimulation(
         setup.protocol, setup.counts, trials=len(trials),
         seeds=[engine_seed for engine_seed, _ in setup.seeds],
@@ -533,12 +604,15 @@ def run_experiment(
             done_failures = store.failures()
             quarantined_ids = store.quarantined_ids()
 
+    # Trial ids are hashed only when the store holds some to skip.
     pending: list[tuple] = []
     for point in sweep_points(spec):
-        for trial in range(spec.trials):
-            tid = trial_id(spec_hash, point, trial)
-            if tid not in done_ids and tid not in quarantined_ids:
-                pending.append((point, trial))
+        trials = range(spec.trials)
+        if done_ids or quarantined_ids:
+            trials = [trial for trial, tid in zip(
+                trials, trial_ids(spec_hash, point, trials))
+                if tid not in done_ids and tid not in quarantined_ids]
+        pending.extend((point, trial) for trial in trials)
 
     fresh: list[dict] = []
     fresh_failures: list[dict] = []
@@ -549,6 +623,16 @@ def run_experiment(
         fresh.append(record)
         if progress is not None:
             progress(record)
+
+    def collect_task(records: list, lines: list) -> None:
+        # A fleet task's records reach the store in one write, before
+        # any of them is reported as progress.
+        if store is not None:
+            store.extend(records, lines)
+        fresh.extend(records)
+        if progress is not None:
+            for record in records:
+                progress(record)
 
     def collect_failure(record: dict) -> None:
         if store is not None:
@@ -565,7 +649,7 @@ def run_experiment(
     supervision = info = None
     if fleet is not None:
         stats, info = fleet.run_tasks(spec, tasks, spec_hash,
-                                      on_record=collect,
+                                      on_records=collect_task,
                                       on_failure=collect_failure)
         supervision = stats.to_dict()
     elif spec.execution.is_default() and (workers == 1 or len(tasks) <= 1):
@@ -580,7 +664,7 @@ def run_experiment(
         if pending:
             with WorkerFleet(min(workers, len(tasks))) as temporary:
                 stats, _ = temporary.run_tasks(
-                    spec, tasks, spec_hash, on_record=collect,
+                    spec, tasks, spec_hash, on_records=collect_task,
                     on_failure=collect_failure)
         if not spec.execution.is_default():
             supervision = stats.to_dict()

@@ -9,9 +9,13 @@ as its filesystem: killing a sweep mid-run loses at most the record
 being written, and re-running the same spec against the store skips
 every trial whose id is already present (resume).  The file is opened in
 append mode on the first write and the handle is held until
-:meth:`ResultStore.close`; every line is flushed before the append
-returns, so the record is in the OS (and visible to any other reader)
-as soon as the caller moves on.
+:meth:`ResultStore.close`; every write is flushed before it returns, so
+a record is in the OS (and visible to any other reader) as soon as the
+caller moves on.  An in-process sweep writes one record per
+:meth:`ResultStore.append`; a fleet task's records arrive together,
+already encoded by the worker (:func:`encode_record`), and
+:meth:`ResultStore.extend` hands all of their lines to the OS in one
+write, before the sweep reports any of them as progress.
 
 A truncated final line (the usual crash artifact) is detected at open
 and cut back to the last complete record, so resume works even when the
@@ -33,9 +37,21 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping, Sequence
 
 from repro.exp.spec import ExperimentSpec
+
+#: The one line encoding of every store record: sorted keys, no spaces.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def encode_record(record: Mapping) -> str:
+    """One store line for ``record``, without its newline.
+
+    Equal to ``json.dumps(record, sort_keys=True, separators=(",",
+    ":"))``, on one encoder reused across calls.
+    """
+    return _ENCODER.encode(record)
 
 
 class StoreMismatch(ValueError):
@@ -141,17 +157,23 @@ class ResultStore:
 
     # -- Writing ---------------------------------------------------------------
 
-    def _append_line(self, record: Mapping, *, fsync: bool = False) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    def _write(self, text: str, *, fsync: bool = False) -> None:
+        """Write ``text`` (whole lines) with one write and one flush."""
         handle = self._handle
         if handle is None:
             handle = self._handle = open(self.path, "a", encoding="utf-8")
-        handle.write(line + "\n")
-        # Flushed per line: the record is in the OS before the caller
+        handle.write(text)
+        # Flushed per write: the lines are in the OS before the caller
         # moves on, and a forked worker inherits no buffered bytes.
         handle.flush()
         if fsync:
             os.fsync(handle.fileno())
+
+    def _index(self, record: Mapping) -> None:
+        copy = dict(record)
+        self._records.append(copy)
+        self._ids.add(record["id"])
+        self._by_id[record["id"]] = copy
 
     def close(self) -> None:
         """Close the append handle (reopened by the next append)."""
@@ -174,20 +196,16 @@ class ResultStore:
                     "use a fresh store per spec")
             return
         header = {"kind": "spec", "hash": spec_hash, "spec": spec.to_dict()}
-        self._append_line(header)
+        self._write(encode_record(header) + "\n")
         self._spec_header = header
 
     def append(self, record: Mapping) -> None:
         """Persist one completed trial record (idempotent by id)."""
-        if record.get("kind") != "trial" or "id" not in record:
-            raise ValueError("records must have kind='trial' and an id")
+        _check_trial(record)
         if record["id"] in self._ids:
             return
-        self._append_line(record)
-        copy = dict(record)
-        self._records.append(copy)
-        self._ids.add(record["id"])
-        self._by_id[record["id"]] = copy
+        self._write(encode_record(record) + "\n")
+        self._index(record)
 
     def append_failure(self, record: Mapping) -> None:
         """Persist one quarantine record (idempotent by id, fsynced).
@@ -201,10 +219,32 @@ class ResultStore:
                 "failure records must have kind='trial-failure' and an id")
         if record["id"] in self._failure_ids:
             return
-        self._append_line(record, fsync=True)
+        self._write(encode_record(record) + "\n", fsync=True)
         self._failures.append(dict(record))
         self._failure_ids.add(record["id"])
 
-    def extend(self, records: Iterable[Mapping]) -> None:
-        for record in records:
-            self.append(record)
+    def extend(self, records: Sequence[Mapping],
+               lines: Sequence[str]) -> None:
+        """Persist a batch of completed trial records with one write.
+
+        ``lines`` are the records' :func:`encode_record` lines (a fleet
+        worker encodes its task's records).  Records whose id the store,
+        or an earlier record of the batch, already holds are skipped.
+        All new lines reach the OS in one write and one flush, then the
+        batch is indexed.
+        """
+        batch: dict = {}
+        for record, line in zip(records, lines, strict=True):
+            _check_trial(record)
+            if record["id"] not in self._ids and record["id"] not in batch:
+                batch[record["id"]] = (record, line)
+        if not batch:
+            return
+        self._write("".join(line + "\n" for _, line in batch.values()))
+        for record, _ in batch.values():
+            self._index(record)
+
+
+def _check_trial(record: Mapping) -> None:
+    if record.get("kind") != "trial" or "id" not in record:
+        raise ValueError("records must have kind='trial' and an id")

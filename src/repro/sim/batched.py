@@ -94,6 +94,7 @@ reference-only.  See ``docs/PERFORMANCE.md`` for the selection guide.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Mapping, Sequence
 
@@ -150,9 +151,10 @@ class _PairDrawStream:
         # CPython's random.Random and numpy's MT19937 are the same
         # generator: the 624-word key and the position carry over as is.
         # (The setter copies a plain tuple several times faster than an
-        # array.)
+        # array.)  The generator is seeded from a constant, not from OS
+        # entropy, since its state is overwritten at once.
         internal = rng.getstate()[1]
-        words = MT19937()
+        words = MT19937(_constant_seed())
         words.state = {"bit_generator": "MT19937",
                        "state": {"key": internal[:624],
                                  "pos": internal[624]}}
@@ -246,6 +248,24 @@ class _PairDrawStream:
             self._pending = int(vals[-1])
             vals = vals[:-1]
         return vals[0::2], vals[1::2]
+
+
+@functools.cache
+def _constant_seed():
+    """A numpy ``ISeedSequence`` whose state words are all zero.
+
+    ``MT19937()`` draws OS entropy through a ``SeedSequence`` to fill a
+    state :class:`_PairDrawStream` overwrites at once; seeding it from
+    this constant skips that work.  Built on first use, so numpy.random
+    is imported only by runs that decode.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _ConstantSeed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return _ConstantSeed()
 
 
 def _make_stream(rng, n: int) -> "_PairDrawStream | None":

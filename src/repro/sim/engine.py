@@ -521,12 +521,18 @@ def simulate_counts(
     """Build a :class:`Simulation` from symbol counts (symbol-count inputs).
 
     Agents are laid out symbol-by-symbol; under uniform random pairing the
-    layout is irrelevant.
+    layout is irrelevant.  The alphabet check and ``initial_state`` run
+    once per symbol with a non-zero count, not once per agent, so the
+    result equals ``Simulation(protocol, inputs)`` on the laid-out inputs.
     """
-    inputs: list[Symbol] = []
+    states: list[State] = []
     for symbol, count in sorted(input_counts.items(), key=lambda kv: repr(kv[0])):
         if count < 0:
             raise ValueError("counts must be non-negative")
-        inputs.extend([symbol] * count)
-    return Simulation(protocol, inputs, seed=seed, scheduler=scheduler,
+        if not count:
+            continue
+        if symbol not in protocol.input_alphabet:
+            raise ValueError(f"input symbol {symbol!r} not in alphabet")
+        states.extend([protocol.initial_state(symbol)] * count)
+    return Simulation(protocol, states=states, seed=seed, scheduler=scheduler,
                       faults=faults, monitors=monitors)

@@ -23,9 +23,10 @@ unfair adversary.  All are deterministic given the engine seed.
 
 from __future__ import annotations
 
+import functools
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.core.population import Population
 from repro.core.protocol import PopulationProtocol, State
@@ -443,6 +444,39 @@ def validate_scheduler_spec(text: str) -> None:
     _parse_scheduler_spec(text)
 
 
+def scheduler_builder(text: str, *, n: int,
+                      protocol: "PopulationProtocol | None" = None,
+                      ) -> "Callable[[], Scheduler] | None":
+    """Parse a scheduler spec string once into a scheduler factory.
+
+    Returns a zero-argument callable that builds a fresh scheduler per
+    call, or None for ``uniform``.  Schedulers carry state across a run
+    (a partition's heal clock, an adversary's budget), so a sweep point
+    parses its string once and calls the factory once per trial.  See
+    :func:`scheduler_from_spec` for the formats.
+    """
+    from repro.core.population import complete_population
+
+    kind, args = _parse_scheduler_spec(text)
+    if kind == "uniform":
+        return None
+    if kind == "partition":
+        return functools.partial(PartitionScheduler, n,
+                                 blocks=args.get("blocks", 2),
+                                 heal_after=args.get("heal", 10_000))
+    if kind == "eclipse":
+        return functools.partial(EclipseScheduler, n,
+                                 target=args.get("target", 0),
+                                 budget=args.get("budget", 1_000))
+    if protocol is None:
+        raise ValueError(f"scheduler {kind!r} needs a protocol")
+    if kind == "delay":
+        budget = args.get("budget", 1_000)
+        return lambda: AdversarialDelayScheduler(
+            complete_population(n), protocol, budget=budget)
+    return lambda: StallingScheduler(complete_population(n), protocol)
+
+
 def scheduler_from_spec(text: str, *, n: int,
                         protocol: "PopulationProtocol | None" = None,
                         ) -> "Scheduler | None":
@@ -455,20 +489,5 @@ def scheduler_from_spec(text: str, *, n: int,
     fall through to the engine's default scheduler (preserving
     bit-identical RNG streams for unscheduled runs).
     """
-    from repro.core.population import complete_population
-
-    kind, args = _parse_scheduler_spec(text)
-    if kind == "uniform":
-        return None
-    if kind == "partition":
-        return PartitionScheduler(n, blocks=args.get("blocks", 2),
-                                  heal_after=args.get("heal", 10_000))
-    if kind == "eclipse":
-        return EclipseScheduler(n, target=args.get("target", 0),
-                                budget=args.get("budget", 1_000))
-    if protocol is None:
-        raise ValueError(f"scheduler {kind!r} needs a protocol")
-    if kind == "delay":
-        return AdversarialDelayScheduler(
-            complete_population(n), protocol, budget=args.get("budget", 1_000))
-    return StallingScheduler(complete_population(n), protocol)
+    build = scheduler_builder(text, n=n, protocol=protocol)
+    return None if build is None else build()

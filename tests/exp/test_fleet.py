@@ -153,6 +153,44 @@ class TestByteIdentity:
         assert dumps(again.records) == dumps(serial.records)
 
 
+class TestStoreLines:
+    """A fleet task's records reach the store in one write of
+    worker-encoded lines; the store must hold exactly the lines an
+    in-process sweep writes one record at a time."""
+
+    @pytest.mark.parametrize("spec", [
+        # 40 pending trials on 2 workers: chunks of 5 trials per task.
+        make_spec(trials=20),
+        make_spec(engine="ensemble", ns=(16, 24), trials=6),
+        make_spec(trials=3, execution=QUARANTINE),
+    ], ids=["chunked-agent", "ensemble", "supervised"])
+    def test_worker_counts_leave_identical_store_lines(self, spec, tmp_path):
+        lines = {}
+        for workers in (1, 2):
+            path = tmp_path / f"workers-{workers}.jsonl"
+            store = ResultStore(path)
+            result = run_experiment(spec, store=store, workers=workers)
+            store.close()
+            assert result.executed == len(result.records) > 0
+            lines[workers] = sorted(path.read_text("utf-8").splitlines())
+        assert lines[1] == lines[2]
+        assert len(lines[1]) == 1 + len(result.records)
+
+    def test_task_lines_reach_the_store_before_progress(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        stored_first = []
+
+        def progress(record):
+            on_disk = {json.loads(line)["id"] for line
+                       in path.read_text("utf-8").splitlines()[1:]}
+            stored_first.append(record["id"] in on_disk)
+
+        result = run_experiment(make_spec(trials=20), store=ResultStore(path),
+                                workers=2, progress=progress)
+        assert len(stored_first) == len(result.records) == 40
+        assert all(stored_first)
+
+
 class TestWarmReuse:
     def test_second_sweep_reuses_workers_and_compile_cache(self):
         spec = make_spec(engine="batched", ns=(16,), trials=2)

@@ -8,6 +8,7 @@
    exact same record set.
 """
 
+import hashlib
 import json
 import os
 
@@ -18,13 +19,17 @@ from repro.exp.runner import (
     SweepPoint,
     plan_size,
     run_experiment,
+    run_task,
     run_trial,
     sweep_points,
     trial_id,
+    trial_ids,
+    trial_keys,
     trial_seeds,
 )
 from repro.exp.spec import ExperimentSpec, FaultAxis, InputGrid, StopRule
 from repro.exp.store import ResultStore
+from repro.util.rng import derive_seed
 
 
 def make_spec(**overrides) -> ExperimentSpec:
@@ -57,6 +62,52 @@ class TestSeedDerivation:
             trial_id("abc", SweepPoint(8), 1)
         assert trial_id("abc", SweepPoint(8), 1) != \
             trial_id("abc", SweepPoint(8), 2)
+
+
+def _keys_from_first_principles(spec_hash: str, point: SweepPoint,
+                                trial: int) -> tuple:
+    """One trial's ``((engine_seed, fault_seed), id)``, hashed whole."""
+    seeds = (derive_seed(spec_hash, point.key, trial, "engine"),
+             derive_seed(spec_hash, point.key, trial, "fault"))
+    text = f"{spec_hash}|{point.key}|trial={trial}"
+    return seeds, hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+class TestTrialKeys:
+    """The per-point helper hashes each constant prefix once; its seeds
+    and ids must equal the whole-label hashes bit for bit."""
+
+    HASHES = (make_spec().content_hash(), make_spec(seed=8).content_hash())
+    POINTS = (SweepPoint(8), SweepPoint(8, 0.25), SweepPoint(12, 0.0),
+              SweepPoint(6, None, "partition:blocks=2,heal=50"),
+              SweepPoint(5, 0.125, "eclipse:budget=3"))
+    TRIALS = list(range(2048)) + [10**6, 2**31 - 1, 2**31, 2**63 + 5]
+
+    @pytest.mark.parametrize("spec_hash", HASHES)
+    @pytest.mark.parametrize("point", POINTS, ids=lambda p: p.key)
+    def test_equal_the_whole_label_hashes(self, spec_hash, point):
+        seeds, ids = trial_keys(spec_hash, point, self.TRIALS)
+        assert len(seeds) == len(ids) == len(self.TRIALS)
+        assert trial_ids(spec_hash, point, self.TRIALS) == ids
+        for trial, seed_pair, tid in zip(self.TRIALS, seeds, ids):
+            assert (seed_pair, tid) == _keys_from_first_principles(
+                spec_hash, point, trial), trial
+
+    @pytest.mark.parametrize("point", POINTS, ids=lambda p: p.key)
+    def test_one_trial_calls_agree(self, point):
+        spec_hash = self.HASHES[0]
+        for trial in (0, 1, 2047, 10**6):
+            seed_pair, tid = _keys_from_first_principles(spec_hash, point,
+                                                         trial)
+            assert trial_seeds(spec_hash, point, trial) == seed_pair
+            assert trial_id(spec_hash, point, trial) == tid
+
+    def test_subset_of_trials_keeps_each_trials_keys(self):
+        spec_hash, point = self.HASHES[1], SweepPoint(8, 0.25)
+        all_seeds, all_ids = trial_keys(spec_hash, point, range(10))
+        seeds, ids = trial_keys(spec_hash, point, [7, 2, 9])
+        assert seeds == [all_seeds[7], all_seeds[2], all_seeds[9]]
+        assert ids == [all_ids[7], all_ids[2], all_ids[9]]
 
 
 class TestSweepPoints:
@@ -245,6 +296,38 @@ class TestSchedulerAxis:
         record = run_trial(make_spec(), SweepPoint(6), 0)
         assert "scheduler" not in record
         assert "violation" not in record
+
+    @pytest.mark.parametrize("scheduler", ["uniform",
+                                           "partition:blocks=2,heal=50"])
+    def test_scheduler_parsed_once_per_task(self, scheduler, monkeypatch):
+        import repro.sim.schedulers as schedulers
+
+        parse = schedulers._parse_scheduler_spec
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        spec = make_spec(scheduler=scheduler)
+        spec_hash = spec.content_hash()
+        monkeypatch.setattr(schedulers, "_parse_scheduler_spec", counting)
+        records = list(run_task(spec, SweepPoint(8), range(8), spec_hash))
+        assert len(records) == 8
+        assert calls == [scheduler]
+
+    def test_stateful_scheduler_is_fresh_for_every_trial(self):
+        # In-process chunks hold several trials of one point; a scheduler
+        # shared across them would carry its heal clock from trial to
+        # trial and change every record after the first.
+        spec = make_spec(trials=8, scheduler="partition:blocks=2,heal=50")
+        swept = run_experiment(spec)
+        alone = [run_trial(spec, point, trial)
+                 for point in sweep_points(spec)
+                 for trial in range(spec.trials)]
+        assert swept.records == alone
+        assert all(r["scheduler"] == "partition:blocks=2,heal=50"
+                   for r in alone)
 
     def test_scheduler_axis_is_deterministic(self):
         spec = make_spec(schedulers=("uniform", "partition:heal=200"))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.exp.spec import ExperimentSpec, InputGrid, StopRule
-from repro.exp.store import ResultStore, StoreMismatch
+from repro.exp.store import ResultStore, StoreMismatch, encode_record
 
 
 def make_spec(seed=7) -> ExperimentSpec:
@@ -262,3 +262,103 @@ class TestAppendHandle:
         assert ResultStore(path).completed_ids() == {
             trial(i)["id"] for i in range(4)}
         assert all(json.loads(line) for line in path.read_text().splitlines())
+
+
+class _CountingHandle:
+    """Wraps a store's held handle and counts its writes and flushes."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+        self.flushes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.handle.write(text)
+
+    def flush(self):
+        self.flushes += 1
+        self.handle.flush()
+
+    def fileno(self):
+        return self.handle.fileno()
+
+    def close(self):
+        self.handle.close()
+
+
+class TestBatchedExtend:
+    """``extend(records, lines)``: a fleet task's records in one write."""
+
+    def _store(self, path):
+        store = ResultStore(path)
+        store.bind_spec(make_spec())
+        counting = store._handle = _CountingHandle(store._handle)
+        return store, counting
+
+    def test_encode_record_is_the_canonical_dump(self):
+        record = {"b": [1, 2.5, None], "a": {"z": True, "y": "é"}}
+        assert encode_record(record) == json.dumps(
+            record, sort_keys=True, separators=(",", ":"))
+
+    def test_writes_exactly_the_encoded_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store, _ = self._store(path)
+        batch = [trial(i) for i in range(4)]
+        store.extend(batch, [encode_record(r) for r in batch])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [encode_record(r) for r in batch]
+        assert ResultStore(path).records() == batch
+        assert store.records() == batch
+
+    def test_skips_duplicates_within_and_across_batches(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store, counting = self._store(path)
+        first = [trial(0), trial(1), trial(0)]
+        store.extend(first, [encode_record(r) for r in first])
+        second = [trial(1), trial(2), trial(2)]
+        store.extend(second, [encode_record(r) for r in second])
+        store.extend([trial(2)], [encode_record(trial(2))])
+        assert counting.writes == 2  # the all-duplicate batch writes nothing
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [encode_record(trial(i)) for i in range(3)]
+        assert len(store) == 3
+        assert ResultStore(path).completed_ids() == {
+            trial(i)["id"] for i in range(3)}
+
+    def test_one_write_and_one_flush_per_call(self, tmp_path):
+        store, counting = self._store(tmp_path / "r.jsonl")
+        for start in (0, 10):
+            batch = [trial(start + i) for i in range(10)]
+            store.extend(batch, [encode_record(r) for r in batch])
+        assert (counting.writes, counting.flushes) == (2, 2)
+        store.append(trial(99))
+        assert (counting.writes, counting.flushes) == (3, 3)
+
+    def test_malformed_batch_writes_nothing(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store, counting = self._store(path)
+        bad = [trial(0), {"kind": "trial"}]
+        with pytest.raises(ValueError):
+            store.extend(bad, [encode_record(r) for r in bad])
+        with pytest.raises(ValueError):
+            store.extend([trial(0), trial(1)], [encode_record(trial(0))])
+        assert counting.writes == 0 and len(store) == 0
+
+    def test_batch_cut_mid_line_is_repaired_at_open(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        store, _ = self._store(path)
+        batch = [trial(i) for i in range(5)]
+        store.extend(batch, [encode_record(r) for r in batch])
+        lines = path.read_bytes().splitlines(keepends=True)
+        # Cut inside record 3's line, as a crash mid-write would.
+        cut = sum(len(line) for line in lines[:4]) + len(lines[4]) // 2
+        with open(path, "r+b") as handle:
+            handle.truncate(cut)
+
+        repaired = ResultStore(path)
+        assert repaired.records() == batch[:3]
+        assert path.read_bytes() == b"".join(lines[:4])
+        rest = batch[3:]
+        repaired.extend(rest, [encode_record(r) for r in rest])
+        assert ResultStore(path).records() == batch

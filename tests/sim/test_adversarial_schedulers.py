@@ -13,6 +13,7 @@ from repro.sim.schedulers import (
     EclipseScheduler,
     PartitionScheduler,
     StallingScheduler,
+    scheduler_builder,
     scheduler_from_spec,
     validate_scheduler_spec,
 )
@@ -146,6 +147,22 @@ class TestSpecStrings:
         assert sched.budget == 9
         stalling = scheduler_from_spec("stalling", n=4, protocol=Epidemic())
         assert isinstance(stalling, StallingScheduler)
+
+    @pytest.mark.parametrize("text", [
+        "partition:blocks=3,heal=42", "eclipse:target=2,budget=7",
+        "delay:budget=9", "stalling"])
+    def test_builder_makes_a_fresh_scheduler_per_call(self, text):
+        build = scheduler_builder(text, n=9, protocol=Epidemic())
+        first, second = build(), build()
+        assert first is not second
+        assert type(first) is type(scheduler_from_spec(
+            text, n=9, protocol=Epidemic()))
+        assert _trajectory(lambda: scheduler_builder(
+            text, n=6, protocol=Epidemic())(), 3) == _trajectory(
+            lambda: scheduler_from_spec(text, n=6, protocol=Epidemic()), 3)
+
+    def test_builder_of_uniform_is_none(self):
+        assert scheduler_builder("uniform", n=8) is None
 
     @pytest.mark.parametrize("bad", [
         "warp", "partition:heal", "eclipse:budget=x", "delay:target=1",

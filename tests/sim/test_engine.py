@@ -137,6 +137,33 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts(count_to_five(), {0: -1, 1: 3}, seed=seed)
 
+    def test_foreign_symbol_with_a_count_rejected(self, seed):
+        with pytest.raises(ValueError, match="not in alphabet"):
+            simulate_counts(count_to_five(), {0: 2, 1: 1, "x": 1}, seed=seed)
+
+    def test_foreign_symbol_with_zero_count_ignored(self, seed):
+        sim = simulate_counts(count_to_five(), {0: 2, 1: 1, "x": 0},
+                              seed=seed)
+        assert sorted(sim.states) == [0, 0, 1]
+
+    @pytest.mark.parametrize("name", ["epidemic", "leader-election",
+                                      "majority"])
+    def test_equals_the_per_agent_input_layout(self, name):
+        # One initial_state per symbol gives the run a per-agent input
+        # list gives, agent for agent.
+        from repro.protocols import registry
+
+        protocol = registry.get(name).build()
+        counts = {1: 4, 0: 5}
+        inputs = [0] * 5 + [1] * 4
+        for seed in (1, 2, 3):
+            by_counts = simulate_counts(protocol, counts, seed=seed)
+            by_inputs = Simulation(protocol, inputs, seed=seed)
+            assert _observe(by_counts) == _observe(by_inputs)
+            by_counts.run(300)
+            by_inputs.run(300)
+            assert _observe(by_counts) == _observe(by_inputs)
+
 
 # -- Stepping oracle ---------------------------------------------------------
 #

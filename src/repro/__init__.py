@@ -30,23 +30,20 @@ Subpackages
     process, and the Theorem 9/10 population simulation of counter machines.
 """
 
-from repro.core import (
-    DictProtocol,
-    Population,
-    PopulationProtocol,
-    complete_population,
-)
-from repro.sim import MultisetSimulation, Simulation, simulate_counts
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DictProtocol",
-    "PopulationProtocol",
-    "Population",
-    "complete_population",
-    "MultisetSimulation",
-    "Simulation",
-    "simulate_counts",
-    "__version__",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "DictProtocol": "repro.core",
+    "PopulationProtocol": "repro.core",
+    "Population": "repro.core",
+    "complete_population": "repro.core",
+    "MultisetSimulation": "repro.sim.multiset_engine",
+    "Simulation": "repro.sim.engine",
+    "simulate_counts": "repro.sim.engine",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -3,101 +3,53 @@ Markov chains over configurations (Theorems 6 and 11), empirical
 resilience measurement under injected faults (Sect. 8), and counterexample
 shrinking for chaos-harness monitor violations."""
 
-from repro.analysis.reachability import (
-    ConfigurationGraph,
-    is_reachable,
-    reachable_configurations,
-    witness_path,
-)
-from repro.analysis.scc import condensation, final_components, final_nodes, tarjan_scc
-from repro.analysis.stability import (
-    VerificationResult,
-    all_inputs_of_size,
-    is_output_stable,
-    verify_function_on_input,
-    verify_predicate_on_input,
-    verify_stable_computation,
-)
-from repro.analysis.graph_reachability import (
-    GraphConfigurationGraph,
-    verify_on_all_inputs,
-    verify_predicate_on_population,
-)
-from repro.analysis.minimize import (
-    equivalence_classes,
-    minimization_report,
-    minimize_protocol,
-)
-from repro.analysis.markov import (
-    ConvergenceDistribution,
-    MarkovAnalysis,
-    exact_output_distribution,
-)
-from repro.analysis.robustness import (
-    FaultScenario,
-    ResilienceCurve,
-    ResiliencePoint,
-    ResilienceRow,
-    format_rows,
-    measure_correctness,
-    resilience_curve,
-    run_robustness,
-    scenarios_for,
-)
-from repro.analysis.shrink import (
-    CaseOutcome,
-    ChaosCase,
-    ReplayResult,
-    ShrinkResult,
-    artifact_dict,
-    case_from_record,
-    replay_artifact,
-    run_case,
-    shrink_case,
-    shrink_violation,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ConfigurationGraph",
-    "is_reachable",
-    "reachable_configurations",
-    "witness_path",
-    "condensation",
-    "final_components",
-    "final_nodes",
-    "tarjan_scc",
-    "VerificationResult",
-    "all_inputs_of_size",
-    "is_output_stable",
-    "verify_function_on_input",
-    "verify_predicate_on_input",
-    "verify_stable_computation",
-    "GraphConfigurationGraph",
-    "verify_on_all_inputs",
-    "verify_predicate_on_population",
-    "equivalence_classes",
-    "minimization_report",
-    "minimize_protocol",
-    "ConvergenceDistribution",
-    "MarkovAnalysis",
-    "exact_output_distribution",
-    "FaultScenario",
-    "ResilienceCurve",
-    "ResiliencePoint",
-    "ResilienceRow",
-    "format_rows",
-    "measure_correctness",
-    "resilience_curve",
-    "run_robustness",
-    "scenarios_for",
-    "CaseOutcome",
-    "ChaosCase",
-    "ReplayResult",
-    "ShrinkResult",
-    "artifact_dict",
-    "case_from_record",
-    "replay_artifact",
-    "run_case",
-    "shrink_case",
-    "shrink_violation",
-]
+#: Public name -> defining module, imported on first access, so importing
+#: one analysis module does not load numpy through the Markov chains.
+_EXPORTS = {
+    "ConfigurationGraph": "repro.analysis.reachability",
+    "is_reachable": "repro.analysis.reachability",
+    "reachable_configurations": "repro.analysis.reachability",
+    "witness_path": "repro.analysis.reachability",
+    "condensation": "repro.analysis.scc",
+    "final_components": "repro.analysis.scc",
+    "final_nodes": "repro.analysis.scc",
+    "tarjan_scc": "repro.analysis.scc",
+    "VerificationResult": "repro.analysis.stability",
+    "all_inputs_of_size": "repro.analysis.stability",
+    "is_output_stable": "repro.analysis.stability",
+    "verify_function_on_input": "repro.analysis.stability",
+    "verify_predicate_on_input": "repro.analysis.stability",
+    "verify_stable_computation": "repro.analysis.stability",
+    "GraphConfigurationGraph": "repro.analysis.graph_reachability",
+    "verify_on_all_inputs": "repro.analysis.graph_reachability",
+    "verify_predicate_on_population": "repro.analysis.graph_reachability",
+    "equivalence_classes": "repro.analysis.minimize",
+    "minimization_report": "repro.analysis.minimize",
+    "minimize_protocol": "repro.analysis.minimize",
+    "ConvergenceDistribution": "repro.analysis.markov",
+    "MarkovAnalysis": "repro.analysis.markov",
+    "exact_output_distribution": "repro.analysis.markov",
+    "FaultScenario": "repro.analysis.robustness",
+    "ResilienceCurve": "repro.analysis.robustness",
+    "ResiliencePoint": "repro.analysis.robustness",
+    "ResilienceRow": "repro.analysis.robustness",
+    "format_rows": "repro.analysis.robustness",
+    "measure_correctness": "repro.analysis.robustness",
+    "resilience_curve": "repro.analysis.robustness",
+    "run_robustness": "repro.analysis.robustness",
+    "scenarios_for": "repro.analysis.robustness",
+    "CaseOutcome": "repro.analysis.shrink",
+    "ChaosCase": "repro.analysis.shrink",
+    "ReplayResult": "repro.analysis.shrink",
+    "ShrinkResult": "repro.analysis.shrink",
+    "artifact_dict": "repro.analysis.shrink",
+    "case_from_record": "repro.analysis.shrink",
+    "replay_artifact": "repro.analysis.shrink",
+    "run_case": "repro.analysis.shrink",
+    "shrink_case": "repro.analysis.shrink",
+    "shrink_violation": "repro.analysis.shrink",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,89 +27,49 @@ Exposed on the command line as ``python -m repro exp run`` /
 ``python -m repro exp report``.
 """
 
-from repro.exp.bench import (
-    compare_to_baseline,
-    load_bench_file,
-    run_fleet_benchmarks,
-    run_kernel_benchmarks,
-    run_supervision_benchmark,
-    speedup_summary,
-    write_bench_file,
-)
-from repro.exp.fleet import WorkerFleet, fleet_report
-from repro.exp.report import (
-    PointAggregate,
-    aggregate,
-    failure_summary,
-    format_report,
-    report_dict,
-    scaling,
-    summary_csv,
-    trials_csv,
-)
-from repro.exp.runner import (
-    ExperimentResult,
-    SweepPoint,
-    plan_size,
-    run_experiment,
-    run_trial,
-    sweep_points,
-    trial_id,
-    trial_ids,
-    trial_keys,
-    trial_seeds,
-)
-from repro.exp.spec import (
-    ExecutionPolicy,
-    ExperimentSpec,
-    FaultAxis,
-    InputGrid,
-    StopRule,
-)
-from repro.exp.store import ResultStore, StoreMismatch, encode_record
-from repro.exp.supervise import (
-    SupervisionStats,
-    TrialExecutionError,
-    TrialTimeout,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ExperimentSpec",
-    "InputGrid",
-    "FaultAxis",
-    "StopRule",
-    "ExecutionPolicy",
-    "SweepPoint",
-    "sweep_points",
-    "trial_id",
-    "trial_ids",
-    "trial_keys",
-    "trial_seeds",
-    "run_trial",
-    "run_experiment",
-    "ExperimentResult",
-    "plan_size",
-    "ResultStore",
-    "StoreMismatch",
-    "encode_record",
-    "SupervisionStats",
-    "TrialExecutionError",
-    "TrialTimeout",
-    "PointAggregate",
-    "aggregate",
-    "scaling",
-    "format_report",
-    "report_dict",
-    "failure_summary",
-    "trials_csv",
-    "summary_csv",
-    "WorkerFleet",
-    "fleet_report",
-    "run_kernel_benchmarks",
-    "run_supervision_benchmark",
-    "run_fleet_benchmarks",
-    "speedup_summary",
-    "write_bench_file",
-    "load_bench_file",
-    "compare_to_baseline",
-]
+#: Public name -> defining module, imported on first access, so importing
+#: this package loads neither the benchmarks nor the fleet.
+_EXPORTS = {
+    "ExperimentSpec": "repro.exp.spec",
+    "InputGrid": "repro.exp.spec",
+    "FaultAxis": "repro.exp.spec",
+    "StopRule": "repro.exp.spec",
+    "ExecutionPolicy": "repro.exp.spec",
+    "SweepPoint": "repro.exp.runner",
+    "sweep_points": "repro.exp.runner",
+    "trial_id": "repro.exp.runner",
+    "trial_ids": "repro.exp.runner",
+    "trial_keys": "repro.exp.runner",
+    "trial_seeds": "repro.exp.runner",
+    "run_trial": "repro.exp.runner",
+    "run_experiment": "repro.exp.runner",
+    "ExperimentResult": "repro.exp.runner",
+    "plan_size": "repro.exp.runner",
+    "ResultStore": "repro.exp.store",
+    "StoreMismatch": "repro.exp.store",
+    "encode_record": "repro.exp.store",
+    "SupervisionStats": "repro.exp.supervise",
+    "TrialExecutionError": "repro.exp.supervise",
+    "TrialTimeout": "repro.exp.supervise",
+    "PointAggregate": "repro.exp.report",
+    "aggregate": "repro.exp.report",
+    "scaling": "repro.exp.report",
+    "format_report": "repro.exp.report",
+    "report_dict": "repro.exp.report",
+    "failure_summary": "repro.exp.report",
+    "trials_csv": "repro.exp.report",
+    "summary_csv": "repro.exp.report",
+    "WorkerFleet": "repro.exp.fleet",
+    "fleet_report": "repro.exp.fleet",
+    "run_kernel_benchmarks": "repro.exp.bench",
+    "run_supervision_benchmark": "repro.exp.bench",
+    "run_fleet_benchmarks": "repro.exp.bench",
+    "speedup_summary": "repro.exp.bench",
+    "write_bench_file": "repro.exp.bench",
+    "load_bench_file": "repro.exp.bench",
+    "compare_to_baseline": "repro.exp.bench",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

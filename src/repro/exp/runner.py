@@ -22,11 +22,19 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
+# Every module a trial's path needs is imported here, once, so a fleet
+# forked after this import inherits it instead of importing it on its
+# first task; the engine modules that load numpy are imported by
+# ExperimentSpec.validate() for the specs that name them.  Collaborators
+# that can be wrapped (layer timing, test doubles) are called through
+# their module attribute, read at point setup or later, so a wrapper
+# installed after this import is what runs.
+from repro.exp import fleet as exp_fleet
+from repro.exp import supervise
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ResultStore
-# Collaborators that can be wrapped (layer timing, test doubles) are
-# called through their module attribute, so a wrapper installed after
-# this import is what runs.
+from repro.protocols import registry
+from repro.sim import convergence, engine, schedulers
 from repro.sim import monitors as sim_monitors
 
 #: Upper bound on the fleet's trial chunk size (default policy).  The
@@ -279,8 +287,6 @@ def _setup(spec: ExperimentSpec, point: SweepPoint, trials: Sequence[int],
            spec_hash: "str | None") -> _PointSetup:
     """Build the protocol, input counts, ground truth and trial keys, and
     for the per-trial engines the point's constructor and stop drivers."""
-    from repro.protocols import registry
-
     spec_hash = spec_hash or spec.content_hash()
     entry = registry.get(spec.protocol)
     params = dict(spec.params)
@@ -297,8 +303,6 @@ def _setup(spec: ExperimentSpec, point: SweepPoint, trials: Sequence[int],
     if spec.engine not in POINT_ENGINES:
         # Resolved once per point, here rather than at import, so a
         # wrapper installed on a module attribute sees every trial.
-        from repro.sim import convergence
-
         setup.construct = _trial_constructor(spec, point, protocol, counts)
         setup.runners = (convergence.run_until_quiescent,
                          convergence.run_until_silent,
@@ -325,11 +329,9 @@ def _trial_constructor(spec: ExperimentSpec, point: SweepPoint, protocol,
                 monitors=monitors, backend=spec.backend)
         return construct
 
-    from repro.sim.engine import simulate_counts
-    from repro.sim.schedulers import scheduler_builder
-
-    make_scheduler = scheduler_builder(point.scheduler or spec.scheduler,
-                                       n=point.n, protocol=protocol)
+    simulate_counts = engine.simulate_counts
+    make_scheduler = schedulers.scheduler_builder(
+        point.scheduler or spec.scheduler, n=point.n, protocol=protocol)
 
     def construct(engine_seed, plan, monitors):
         return simulate_counts(
@@ -452,11 +454,12 @@ def run_fluid_point(spec: ExperimentSpec, point: SweepPoint,
     counters stay zero (the fluid limit has flows, not events).
     """
     from repro.sim import fluid
-    from repro.sim.ensemble import EnsembleFaults
 
     setup = _setup(spec, point, trials, spec_hash)
     faults = None
     if spec.faults is not None:
+        from repro.sim.faults import EnsembleFaults
+
         faults = EnsembleFaults.from_axis(spec.faults, point.intensity)
     fl = fluid.FluidSimulation(setup.protocol, setup.counts,
                                compiled=compile_for(spec, setup.protocol),
@@ -657,12 +660,10 @@ def run_experiment(
             for record in run_task(spec, point, trials, spec_hash):
                 collect(record)
     else:
-        from repro.exp.fleet import WorkerFleet
-        from repro.exp.supervise import SupervisionStats
-
-        stats = SupervisionStats()
+        stats = supervise.SupervisionStats()
         if pending:
-            with WorkerFleet(min(workers, len(tasks))) as temporary:
+            size = min(workers, len(tasks))
+            with exp_fleet.WorkerFleet(size) as temporary:
                 stats, _ = temporary.run_tasks(
                     spec, tasks, spec_hash, on_records=collect_task,
                     on_failure=collect_failure)

@@ -17,6 +17,7 @@ so stores never silently mix results from different experiments.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -52,6 +53,18 @@ ENGINE_FEATURES = {
 }
 #: Trial engines understood by the runner (see repro.exp.runner.run_trial).
 ENGINES = tuple(ENGINE_FEATURES)
+#: Modules a trial of each engine imports beyond those
+#: :mod:`repro.exp.runner` imports itself (which load no numpy).
+#: :meth:`ExperimentSpec.validate` imports them, so a sweep loads them
+#: during set-up, before it forks any worker, and an agent sweep never
+#: loads numpy.  A faulted spec also loads :mod:`repro.sim.faults`.
+ENGINE_MODULES = {
+    "agent": (),
+    "batched": ("repro.sim.batched", "repro.sim.backends.numpy_backend",
+                "numpy.random"),
+    "ensemble": ("repro.sim.ensemble", "numpy.random"),
+    "fluid": ("repro.sim.fluid",),
+}
 #: Engines that drive a swappable step-kernel backend
 #: (see repro.sim.backends); only these accept a non-default
 #: ``ExperimentSpec.backend``.
@@ -477,6 +490,11 @@ class ExperimentSpec:
         if self.faults is not None:
             self.faults.validate()
         self.stop.validate()
+        modules = ENGINE_MODULES[self.engine]
+        if self.faults is not None:
+            modules += ("repro.sim.faults",)
+        for module in modules:
+            importlib.import_module(module)
 
     def to_dict(self) -> dict:
         data = {

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import warnings
 
-from repro.sim.backends import numpy_backend
-
 __all__ = [
     "DEFAULT_BACKEND",
     "KernelBackend",
@@ -212,6 +210,12 @@ def select_kernels(requested: "str | None", *, decodable: bool = True):
 # -- Shipped backends ----------------------------------------------------------
 
 
+def _numpy_factory():
+    from repro.sim.backends import numpy_backend
+
+    return numpy_backend.make_kernels()
+
+
 def _numba_probe() -> "str | None":
     try:
         import numba  # noqa: F401
@@ -232,6 +236,6 @@ def _python_factory():
     return kernels.make_kernels(kernels.agent_span, name="python")
 
 
-register_backend(KernelBackend("numpy", numpy_backend.make_kernels))
+register_backend(KernelBackend("numpy", _numpy_factory))
 register_backend(KernelBackend("numba", _numba_factory, probe=_numba_probe))
 register_backend(KernelBackend("python", _python_factory))

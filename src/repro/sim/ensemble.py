@@ -95,6 +95,7 @@ import numpy as np
 from repro.core.protocol import PopulationProtocol, State, Symbol
 from repro.sim.compiled import CompiledProtocol, compile_protocol
 from repro.sim.convergence import ConvergenceResult
+from repro.sim.faults import EnsembleFaults
 from repro.util.multiset import FrozenMultiset
 from repro.util.rng import spawn_seeds
 
@@ -112,96 +113,10 @@ _ADVANCE_BUDGET = 1 << 22
 #: Rounds per faulted chunk between fault-schedule and monitor checks.
 _FAULTED_CHUNK = 256
 
-#: Fault kinds the ensemble can sample vectorized (the FaultAxis kinds).
-ENSEMBLE_FAULT_KINDS = ("crash-rate", "corruption-rate", "omission-rate",
-                        "crash-at")
 #: Salt XORed into per-trial engine seeds to derive default fault seeds
 #: (callers that care about seed provenance — the exp runner — pass
 #: explicit fault_seeds=).
 _FAULT_SEED_SALT = 0x9E3779B97F4A7C15
-
-
-class EnsembleFaults:
-    """Declarative per-trial stochastic fault descriptor for the ensemble.
-
-    The scalar engines take an imperative
-    :class:`~repro.sim.faults.FaultPlan` whose models invoke fault
-    primitives through per-step Python hooks; the ensemble cannot replay
-    arbitrary hook code across a ``(T, k)`` count matrix, so it accepts
-    this declarative descriptor instead — one fault kind plus an
-    intensity, covering exactly the kinds the experiment layer's
-    :class:`repro.exp.spec.FaultAxis` can express:
-
-    * ``"crash-rate"`` — per-step-boundary crash probability
-      (:class:`~repro.sim.faults.CrashRate`);
-    * ``"corruption-rate"`` — per-step-boundary reset-corruption
-      probability (:class:`~repro.sim.faults.CorruptionRate` with the
-      default :func:`~repro.sim.faults.reset_corruptor`);
-    * ``"omission-rate"`` — per-live-encounter drop probability
-      (:class:`~repro.sim.faults.OmissionRate`);
-    * ``"crash-at"`` — ``int(intensity)`` uniformly random live agents
-      crashed once ``at_step`` interactions have completed
-      (:class:`~repro.sim.faults.CrashAt`).
-
-    :meth:`build_plan` rebuilds the equivalent scalar ``FaultPlan`` for
-    one trial, which is how
-    :meth:`EnsembleMultisetSimulation.scalar_twin` honours the replay
-    contract: a faulted ensemble trial's twin is a deterministic
-    function of ``(seeds[t], fault_seeds[t])``.
-    """
-
-    def __init__(self, kind: str, intensity: float, *,
-                 at_step: "int | None" = None):
-        if kind not in ENSEMBLE_FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {kind!r}; known: {ENSEMBLE_FAULT_KINDS}")
-        if kind == "crash-at":
-            if at_step is None or at_step < 0:
-                raise ValueError("crash-at needs at_step >= 0")
-            if intensity < 0 or intensity != int(intensity):
-                raise ValueError("crash-at intensity is an agent count >= 0")
-        else:
-            if at_step is not None:
-                raise ValueError(
-                    f"at_step only applies to crash-at, not {kind!r}")
-            if not 0.0 <= intensity <= 1.0:
-                raise ValueError(f"{kind} intensity must lie in [0, 1]")
-        self.kind = kind
-        self.intensity = float(intensity)
-        self.at_step = None if at_step is None else int(at_step)
-
-    @classmethod
-    def from_axis(cls, axis, intensity) -> "EnsembleFaults | None":
-        """Descriptor for one :class:`repro.exp.spec.FaultAxis` sweep
-        intensity (None = fault-free, mirroring ``FaultAxis.build_plan``)."""
-        if not intensity:
-            return None
-        at = axis.at_step if axis.kind == "crash-at" else None
-        return cls(axis.kind, intensity, at_step=at)
-
-    @property
-    def count(self) -> int:
-        """crash-at's victim count (``int(intensity)``)."""
-        return int(self.intensity)
-
-    @property
-    def active(self) -> bool:
-        """False iff the descriptor is a no-op (zero intensity)."""
-        return self.intensity > 0.0
-
-    def build_plan(self, seed):
-        """The equivalent single-model scalar :class:`FaultPlan` for one
-        trial (None when the descriptor is a no-op)."""
-        from repro.sim.faults import FaultPlan, fault_model
-
-        if not self.active:
-            return None
-        return FaultPlan(fault_model(self.kind, self.intensity, self.at_step),
-                         seed=seed)
-
-    def __repr__(self) -> str:
-        extra = f", at_step={self.at_step}" if self.at_step is not None else ""
-        return f"EnsembleFaults({self.kind!r}, {self.intensity}{extra})"
 
 
 class EnsembleMultisetSimulation:

@@ -385,6 +385,100 @@ def fault_model(kind: str, intensity: float, at_step: int = 0) -> FaultModel:
     raise ValueError(f"unknown fault kind {kind!r}")
 
 
+# -- Declarative descriptor (ensemble and fluid engines) ---------------------------
+
+
+#: Fault kinds an :class:`EnsembleFaults` descriptor takes (the FaultAxis
+#: kinds).
+ENSEMBLE_FAULT_KINDS = ("crash-rate", "corruption-rate", "omission-rate",
+                        "crash-at")
+
+
+class EnsembleFaults:
+    """Declarative per-trial stochastic fault descriptor for the ensemble
+    (:mod:`repro.sim.ensemble`) and, for the rate kinds, the fluid limit
+    (:mod:`repro.sim.fluid`).
+
+    It lives here, not with either engine, so the fluid engine can take
+    one without importing the ensemble.
+
+    The scalar engines take an imperative :class:`FaultPlan` whose
+    models invoke fault primitives through per-step Python hooks; the
+    ensemble cannot replay arbitrary hook code across a ``(T, k)``
+    count matrix, so it accepts this declarative descriptor instead —
+    one fault kind plus an intensity, covering exactly the kinds the
+    experiment layer's :class:`repro.exp.spec.FaultAxis` can express:
+
+    * ``"crash-rate"`` — per-step-boundary crash probability
+      (:class:`CrashRate`);
+    * ``"corruption-rate"`` — per-step-boundary reset-corruption
+      probability (:class:`CorruptionRate` with the default
+      :func:`reset_corruptor`);
+    * ``"omission-rate"`` — per-live-encounter drop probability
+      (:class:`OmissionRate`);
+    * ``"crash-at"`` — ``int(intensity)`` uniformly random live agents
+      crashed once ``at_step`` interactions have completed
+      (:class:`CrashAt`).
+
+    :meth:`build_plan` rebuilds the equivalent scalar ``FaultPlan`` for
+    one trial, which is how
+    :meth:`~repro.sim.ensemble.EnsembleMultisetSimulation.scalar_twin`
+    honours the replay contract: a faulted ensemble trial's twin is a
+    deterministic function of ``(seeds[t], fault_seeds[t])``.
+    """
+
+    def __init__(self, kind: str, intensity: float, *,
+                 at_step: "int | None" = None):
+        if kind not in ENSEMBLE_FAULT_KINDS:
+            raise ValueError(
+                f"unknown fault kind {kind!r}; known: {ENSEMBLE_FAULT_KINDS}")
+        if kind == "crash-at":
+            if at_step is None or at_step < 0:
+                raise ValueError("crash-at needs at_step >= 0")
+            if intensity < 0 or intensity != int(intensity):
+                raise ValueError("crash-at intensity is an agent count >= 0")
+        else:
+            if at_step is not None:
+                raise ValueError(
+                    f"at_step only applies to crash-at, not {kind!r}")
+            if not 0.0 <= intensity <= 1.0:
+                raise ValueError(f"{kind} intensity must lie in [0, 1]")
+        self.kind = kind
+        self.intensity = float(intensity)
+        self.at_step = None if at_step is None else int(at_step)
+
+    @classmethod
+    def from_axis(cls, axis, intensity) -> "EnsembleFaults | None":
+        """Descriptor for one :class:`repro.exp.spec.FaultAxis` sweep
+        intensity (None = fault-free, mirroring ``FaultAxis.build_plan``)."""
+        if not intensity:
+            return None
+        at = axis.at_step if axis.kind == "crash-at" else None
+        return cls(axis.kind, intensity, at_step=at)
+
+    @property
+    def count(self) -> int:
+        """crash-at's victim count (``int(intensity)``)."""
+        return int(self.intensity)
+
+    @property
+    def active(self) -> bool:
+        """False iff the descriptor is a no-op (zero intensity)."""
+        return self.intensity > 0.0
+
+    def build_plan(self, seed):
+        """The equivalent single-model scalar :class:`FaultPlan` for one
+        trial (None when the descriptor is a no-op)."""
+        if not self.active:
+            return None
+        return FaultPlan(fault_model(self.kind, self.intensity, self.at_step),
+                         seed=seed)
+
+    def __repr__(self) -> str:
+        extra = f", at_step={self.at_step}" if self.at_step is not None else ""
+        return f"EnsembleFaults({self.kind!r}, {self.intensity}{extra})"
+
+
 # -- Legacy crash-only wrapper -----------------------------------------------------
 
 

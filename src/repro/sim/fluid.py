@@ -123,7 +123,7 @@ class MeanFieldODE:
     Fault perturbations
     -------------------
 
-    With a rate-fault descriptor (:class:`repro.sim.ensemble.EnsembleFaults`
+    With a rate-fault descriptor (:class:`repro.sim.faults.EnsembleFaults`
     restricted to the ``*-rate`` kinds) the drift acquires the mean-field
     limit of the discrete fault sampling:
 
@@ -415,7 +415,7 @@ class FluidSimulation:
     accepted step in :attr:`trace`.
 
     ``faults=`` attaches a rate-fault descriptor
-    (:class:`repro.sim.ensemble.EnsembleFaults`; crash-rate /
+    (:class:`repro.sim.faults.EnsembleFaults`; crash-rate /
     corruption-rate / omission-rate — deterministic schedules have no
     mean-field limit) whose perturbed drift terms are documented on
     :class:`MeanFieldODE`.  With crash faults the state vector carries an

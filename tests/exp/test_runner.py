@@ -613,3 +613,39 @@ class TestFluidEngine:
         assert second.executed == 0
         assert second.skipped == 3
         assert second.records == first.records
+
+
+class TestWrappedCollaborators:
+    """The runner imports its trial path once, at module level, but reads
+    each wrappable collaborator through its module attribute at point
+    setup, so a wrapper installed after ``import repro.exp.runner`` (the
+    layer tracer's, a test double) is what a sweep calls."""
+
+    @pytest.mark.parametrize("engine, target", [
+        ("agent", "repro.sim.engine.simulate_counts"),
+        ("batched", "repro.sim.batched.batched_simulate_counts"),
+        ("agent", "repro.sim.convergence.run_until_silent"),
+        ("batched", "repro.sim.convergence.run_until_silent"),
+    ])
+    def test_sweep_calls_the_patched_function(self, engine, target,
+                                               monkeypatch):
+        import importlib
+
+        import repro.exp.runner  # noqa: F401  (imported before patching)
+
+        module_name, attr = target.rsplit(".", 1)
+        module = importlib.import_module(module_name)
+        original = getattr(module, attr)
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapped)
+        spec = make_spec(protocol="leader-election", ns=(5, 6), trials=2,
+                         inputs=InputGrid(), engine=engine,
+                         stop=StopRule(rule="silent", max_steps=20_000))
+        result = run_experiment(spec)
+        assert result.executed == 4
+        assert calls == [attr] * 4

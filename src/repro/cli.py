@@ -779,6 +779,12 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
                              "back to numpy with a one-time warning")
 
 
+#: ``repro.analysis.robustness.ROBUSTNESS_ENGINES``, spelled out so that
+#: building the parser does not import the harness (tests keep the two
+#: equal).
+_ROBUSTNESS_ENGINES = ("reference", "multiset", "batched", "ensemble")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -839,10 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     robustness.add_argument("--seed", type=int, default=0)
     robustness.add_argument("--patience", type=int, default=10_000)
     robustness.add_argument("--max-steps", type=int, default=300_000)
-    from repro.analysis.robustness import ROBUSTNESS_ENGINES
-
     robustness.add_argument("--engine", default="reference",
-                            choices=ROBUSTNESS_ENGINES,
+                            choices=_ROBUSTNESS_ENGINES,
                             help="trial engine (default reference). "
                                  "batched is bit-exact per trial; ensemble "
                                  "advances all trials together "

@@ -20,11 +20,12 @@ three ways: interpreted as the ``python`` debugging backend,
 ``@njit``-compiled by :mod:`repro.sim.backends.numba_backend`, and —
 because it is plain Python — under coverage and pdb.
 
-The adapter class fits the span to the engine's state layout: the
-engine keeps Python lists as its canonical hot-path state for the
-numpy backend, so each chunk copies list state into typed arrays, runs
-the span, and writes back.  The copies are O(n + k) per span of up to
-``_SPAN_CHUNK`` interactions — amortized noise.
+The adapter class fits the span to the engine's state layout: the span
+writes the engine's canonical state-id array in place and reads each
+agent's old output from it.  Only the output histogram is copied into
+a typed array and back, O(k) per span of up to ``_SPAN_CHUNK``
+interactions; the engine's list copy of the state ids is dropped, and
+its scalar paths rebuild it when they next run.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ _SPAN_CHUNK = 1 << 16
 # -- Span kernels (nopython subset) --------------------------------------------
 
 
-def agent_span(pv, qv, sarr, agent_out, out_hist,
-               tinit, tresp, reactive, out_ids, k):
+def agent_span(pv, qv, sarr, out_hist, tinit, tresp, reactive, out_ids, k):
     """Apply ``len(pv)`` interactions to the agent-array state in place.
 
     Mirrors ``BatchedSimulation._step_plain`` draw for draw: responder
@@ -63,19 +63,19 @@ def agent_span(pv, qv, sarr, agent_out, out_hist,
         p2 = tinit[flat]
         q2 = tresp[flat]
         lc = i + 1
+        op_old = out_ids[sarr[initiator]]
+        oq_old = out_ids[sarr[responder]]
         sarr[initiator] = p2
         sarr[responder] = q2
         op = out_ids[p2]
-        if op != agent_out[initiator]:
-            out_hist[agent_out[initiator]] -= 1
+        if op != op_old:
+            out_hist[op_old] -= 1
             out_hist[op] += 1
-            agent_out[initiator] = op
             lo = i + 1
         oq = out_ids[q2]
-        if oq != agent_out[responder]:
-            out_hist[agent_out[responder]] -= 1
+        if oq != oq_old:
+            out_hist[oq_old] -= 1
             out_hist[oq] += 1
-            agent_out[responder] = oq
             lo = i + 1
     return lc, lo
 
@@ -90,9 +90,8 @@ def exercise(span) -> None:
     site exactly, so no second compilation happens later.
     """
     z1 = np.zeros(1, dtype=np.int64)
-    span(z1, z1, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
-         np.array([3], dtype=np.int64), z1, z1,
-         np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64), 1)
+    span(z1, z1, np.zeros(3, dtype=np.int64), np.array([3], dtype=np.int64),
+         z1, z1, np.zeros(1, dtype=bool), np.zeros(1, dtype=np.int64), 1)
 
 
 # -- Engine adapters -----------------------------------------------------------
@@ -113,17 +112,15 @@ class AgentSpanKernels:
         pv = stream.pv[i0:i0 + count]
         qv = stream.qv[i0:i0 + count]
         stream.ptr = i0 + count
-        agent_out = np.asarray(sim._agent_out, dtype=np.int64)
         out_hist = np.asarray(sim._out_hist, dtype=np.int64)
         base = sim.interactions
-        lc, lo = self._span(pv, qv, sim._sarr, agent_out, out_hist,
+        lc, lo = self._span(pv, qv, sim._sarr, out_hist,
                             sim._ktinit, sim._ktresp, sim._react_flat,
                             sim._kout_ids, sim._k)
         sim.interactions = base + count
         if lc >= 0:
             sim.last_change = base + lc
-            sim._ids = sim._sarr.tolist()
-            sim._agent_out = agent_out.tolist()
+            sim._ids = None
             sim._out_hist = out_hist.tolist()
         if lo >= 0:
             sim.last_output_change = base + lo

@@ -59,7 +59,7 @@ def agent_scalar_chunk(sim, count: int) -> None:
     p_vals = stream.pv[i0:i0 + count].tolist()
     q_vals = stream.qv[i0:i0 + count].tolist()
     stream.ptr = i0 + count
-    ids = sim._ids
+    ids = sim._id_list()
     pairs = sim._pairs
     k = sim._k
     base = sim.interactions
@@ -69,12 +69,12 @@ def agent_scalar_chunk(sim, count: int) -> None:
         idx += 1
         if responder >= initiator:
             responder += 1
-        result = pairs[ids[initiator] * k + ids[responder]]
-        if result is None:
+        flat = ids[initiator] * k + ids[responder]
+        if pairs[flat] is None:
             continue
         reactive += 1
         sim.interactions = base + idx
-        sim._apply_transition(initiator, responder, result)
+        sim._apply_transition(initiator, responder, flat)
     sim.interactions = base + idx
     if reactive:
         sim._gap = 0.6 * sim._gap + 0.4 * (idx / reactive)
@@ -120,8 +120,8 @@ def agent_vector_round(sim, remaining: int) -> None:
     j0 = int(candidates[m])
     stream.ptr = i0 + j0 + 1
     sim.interactions += j0 + 1
-    result = sim._pairs[int(sp_c[m]) * sim._k + int(sq_c[m])]
-    sim._apply_transition(int(pv_c[m]), int(resp_c[m]), result)
+    sim._apply_transition(int(pv_c[m]), int(resp_c[m]),
+                          int(sp_c[m]) * sim._k + int(sq_c[m]))
     sim._gap = 0.75 * gap + 0.25 * (j0 + 1)
 
 
@@ -140,7 +140,7 @@ def agent_prefix_round(sim, remaining: int) -> None:
     window = int(gap * 6.0) + 8
     # A prefix runs about sqrt(n * gap / 2) draws before two reactive
     # encounters share an agent; the window covers that with room.
-    spread = int(2.0 * (len(sim._ids) * gap) ** 0.5)
+    spread = int(2.0 * (len(sim._sarr) * gap) ** 0.5)
     if spread > window:
         window = spread
     if window > remaining:
@@ -168,8 +168,7 @@ def agent_prefix_round(sim, remaining: int) -> None:
     if applied == 1:
         j0 = int(hits[0])
         sim.interactions = base + j0 + 1
-        sim._apply_transition(int(pv[j0]), int(resp[j0]),
-                              sim._pairs[int(flat[j0])])
+        sim._apply_transition(int(pv[j0]), int(resp[j0]), int(flat[j0]))
     else:
         hits = hits[:applied]
         _scatter_hits(sim, base, hits,
@@ -187,7 +186,7 @@ def _conflict_free_end(sim, pv, resp, hits, window: int) -> int:
     """
     touch = sim._touch
     if touch is None:
-        touch = sim._touch = np.full(len(sim._ids), _WINDOW_MAX,
+        touch = sim._touch = np.full(len(sim._sarr), _WINDOW_MAX,
                                      dtype=np.int32)
     hit_p = pv[hits]
     hit_q = resp[hits]
@@ -209,7 +208,9 @@ def _scatter_hits(sim, base: int, hits, agents, flat) -> None:
     """Apply reactive encounters on pairwise-disjoint agents at once.
 
     ``agents`` lists the initiators, then the responders, of the
-    encounters at window positions ``hits``.
+    encounters at window positions ``hits``.  Writes ``_sarr`` alone
+    and drops the engine's list copy of it, which the scalar paths
+    rebuild when they next need it.
     """
     new = np.concatenate((sim._ktinit[flat], sim._ktresp[flat]))
     sarr = sim._sarr
@@ -217,18 +218,11 @@ def _scatter_hits(sim, base: int, hits, agents, flat) -> None:
     old_out = out_ids[sarr[agents]]
     new_out = out_ids[new]
     sarr[agents] = new
-    agent_list = agents.tolist()
-    ids = sim._ids
-    for agent, sid in zip(agent_list, new.tolist()):
-        ids[agent] = sid
+    sim._ids = None
     moved = np.flatnonzero(old_out != new_out)
     if moved.size:
-        agent_out = sim._agent_out
-        new_out = new_out[moved]
-        for i, out in zip(moved.tolist(), new_out.tolist()):
-            agent_out[agent_list[i]] = out
         size = len(sim._out_hist)
-        delta = (np.bincount(new_out, minlength=size)
+        delta = (np.bincount(new_out[moved], minlength=size)
                  - np.bincount(old_out[moved], minlength=size))
         hist = sim._out_hist
         for out, d in enumerate(delta.tolist()):
@@ -253,7 +247,7 @@ class NumpyAgentKernels:
     @staticmethod
     def chunk(sim, remaining: int) -> None:
         gap = sim._gap
-        n = len(sim._ids)
+        n = len(sim._sarr)
         if gap < _GAP_VECTOR_THRESHOLD:
             if n * gap < _PREFIX_SPAN2:
                 agent_scalar_chunk(sim, remaining if remaining < _SCALAR_CHUNK

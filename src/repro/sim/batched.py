@@ -35,6 +35,20 @@ strictly alternate roles, the role at any ambiguous word is determined by
 the parity of accepted draws before it, which a short sequential fix-up
 over only the ambiguous positions resolves.
 
+State and stepping
+------------------
+
+The engine's one per-agent state is ``_sarr``, an ``int64`` array of
+compiled state ids; crashed agents hold a dead sentinel id there and
+their frozen state in a dict.  An agent's output is never stored: it is
+``output_ids[state]``, and a list-based histogram of outputs is kept in
+step with every change.  The scalar paths index a Python list several
+times faster than an array, so the engine keeps ``_ids``, a list copy of
+``_sarr``, as a cache only: the paths that write an agent at a time
+write both, a prefix round's scatter or a fused span writes ``_sarr``
+alone and drops the copy, and the next scalar path rebuilds it with one
+``tolist()``.
+
 On top of the decoded stream the engine drives a swappable step kernel
 (see :mod:`repro.sim.backends`; select with ``backend=``).  The default
 ``numpy`` backend is an adaptive hybrid stepper: while reactive
@@ -65,6 +79,21 @@ Populations where ``n`` and ``n - 1`` differ in bit length (``n`` or
 non-stdlib RNG fall back to a compiled scalar path that calls
 ``rng.randrange`` like the reference engine — still bit-identical, still
 faster than the reference, just not block-decoded.
+
+A silent configuration — no two agents can react — never changes
+again (Sect. 3.2), yet a stopping rule may keep running it, as
+correct-stable's settle phase does.  So on the fault-free, unmonitored,
+block-decoded path, once no state changed for ``n`` interactions (and
+at least ``_QUIET_MIN``), :meth:`BatchedSimulation.run` probes for
+silence: one ``np.bincount`` weighed against the reactive mask, cached
+per ``last_change``.  A silent configuration takes the rest of the run
+in O(1): the interactions are counted in ``interactions`` and
+``skipped_interactions``, and their pairs are owed to the stream, which
+decodes and discards them when it is next read.  A later step, run or
+``rng`` read therefore sees the stream where stepping would have left
+it, and a trial that simply ends never decodes them.  Faulted and
+monitored runs, and the randrange fallback above, step every
+interaction.
 
 Faults and monitors
 -------------------
@@ -117,6 +146,13 @@ __all__ = [
 #: bit-identity contract: changing it moves every later draw.
 _BLOCK_WORDS = 1 << 14
 
+#: Fewest interactions without a state change before :meth:`run
+#: <BatchedSimulation.run>` probes for silence; it waits ``n`` when that
+#: is more.  A probe costs about as much as stepping 10**4 quiet
+#: interactions, so in small populations, whose quiet stretches are
+#: short and many, it must not follow every one of them.
+_QUIET_MIN = 1 << 16
+
 
 class _PairDrawStream:
     """Block-decodes the ``randrange(n), randrange(n - 1), ...`` stream.
@@ -125,7 +161,8 @@ class _PairDrawStream:
     ``rng``'s state, and replays CPython's ``_randbelow`` rejection
     sampling vectorized (see the module docstring for the argument).
     ``pv[i], qv[i]`` with ``i >= ptr`` are the not-yet-consumed draw
-    pairs; callers advance ``ptr`` as they use them.
+    pairs; callers advance ``ptr`` as they use them, or :meth:`skip`
+    them unread.
 
     The word source runs ahead of the logical stream by whatever is
     buffered, and ``rng`` itself only learns the source's position when
@@ -136,7 +173,8 @@ class _PairDrawStream:
     """
 
     __slots__ = ("rng", "n", "shift", "block_words", "pv", "qv", "ptr",
-                 "_words", "_limit", "_dirty", "_pending", "_emitted")
+                 "_words", "_limit", "_dirty", "_pending", "_emitted",
+                 "_owed")
 
     def __init__(self, rng, n: int, block_words: int = _BLOCK_WORDS):
         # numpy.random is imported here, not at module level: sweeps
@@ -170,6 +208,9 @@ class _PairDrawStream:
         self._pending: "int | None" = None
         #: Total accepted draws ever decoded (role parity anchor).
         self._emitted = 0
+        #: Pairs consumed by :meth:`skip` beyond the buffer, not yet
+        #: decoded.
+        self._owed = 0
 
     @staticmethod
     def supported(n: int) -> bool:
@@ -181,16 +222,16 @@ class _PairDrawStream:
         """
         return 3 <= n <= (1 << 31) and n.bit_length() == (n - 1).bit_length()
 
-    def available(self) -> int:
-        return len(self.pv) - self.ptr
-
     def sync(self) -> None:
         """Copy the word source's position back into ``rng``.
 
         Afterwards ``rng`` stands exactly where ``getrandbits`` would
         have left it had it drawn every decoded word itself; its
-        ``gauss_next`` is kept.
+        ``gauss_next`` is kept.  Owed pairs are decoded first, so the
+        position is the one stepping through them would have left.
         """
+        if self._owed:
+            self._pay()
         if not self._dirty:
             return
         state = self._words.state["state"]
@@ -200,10 +241,46 @@ class _PairDrawStream:
                       rng.gauss_next))
         self._dirty = False
 
+    def skip(self, pairs: int) -> None:
+        """Consume ``pairs`` pairs unread.
+
+        Buffered pairs go first; the rest are owed, and :meth:`ensure`
+        or :meth:`sync` decodes and discards them when the stream is
+        next read.  A run that is never read again never decodes them.
+        """
+        buffered = len(self.pv) - self.ptr
+        if pairs <= buffered:
+            self.ptr += pairs
+        else:
+            self.ptr = len(self.pv)
+            self._owed += pairs - buffered
+
+    def _pay(self) -> None:
+        """Decode and discard the owed pairs, buffering the block's rest.
+
+        Stops at the first block that covers them, exactly where
+        stepping through them would have stopped decoding.
+        """
+        owed = self._owed
+        self._owed = 0
+        while True:
+            new_p, new_q = self._decode_block()
+            if len(new_p) >= owed:
+                self.pv, self.qv, self.ptr = new_p, new_q, owed
+                return
+            owed -= len(new_p)
+
     def ensure(self, pairs: int) -> None:
         """Decode blocks until at least ``pairs`` pairs are buffered."""
         if len(self.pv) - self.ptr >= pairs:
             return
+        if self._owed:
+            self._pay()
+            if len(self.pv) - self.ptr >= pairs:
+                return
+        # Concatenated even when one block would do: the copy leaves the
+        # pairs contiguous, and skipping it measured no faster end to end
+        # (docs/PERFORMANCE.md, "One state array and the silent tail").
         parts_p = [self.pv[self.ptr:]]
         parts_q = [self.qv[self.ptr:]]
         have = len(parts_p[0])
@@ -323,6 +400,10 @@ class BatchedSimulation:
     The engine owns its RNG: nothing else may draw from it mid-run (fault
     plans bring their own).  A ``random.Random`` passed as ``seed=`` shows
     the advanced state once :attr:`rng` is read.
+
+    ``skipped_interactions`` counts the interactions :meth:`run` took in
+    O(1) because the configuration was silent (see the module
+    docstring); they are included in ``interactions``.
     """
 
     def __init__(
@@ -342,9 +423,9 @@ class BatchedSimulation:
             raise ValueError("pass exactly one of inputs= or states=")
         if compiled is None:
             compiled = compile_protocol(protocol)
+        ids = None
         if isinstance(inputs, _SymbolRuns):
             sarr = inputs.id_array(protocol, compiled)
-            ids = sarr.tolist()
         elif inputs is not None:
             _check_alphabet(protocol, inputs)
             ids = [compiled.initial_ids[symbol] for symbol in inputs]
@@ -356,20 +437,23 @@ class BatchedSimulation:
             ids = [compiled.index[state] for state in states]
             sarr = np.asarray(ids, dtype=np.int64)
         self._compiled = compiled
+        #: The scalar paths' list copy of ``_sarr``, or None while stale
+        #: (see :meth:`_id_list`).
         self._ids = ids
-        n = len(ids)
+        n = len(sarr)
         if n < 2:
             raise ValueError("a population needs at least two agents")
         self._rng = resolve_rng(seed)
         self.interactions = 0
         self.last_output_change = 0
         self.last_change = 0
+        #: Interactions :meth:`run` skipped as provably silent.
+        self.skipped_interactions = 0
+        #: The per-agent state ids, the one canonical per-agent state.
         self._sarr = sarr
-        agent_out = np.asarray(compiled.output_ids,
-                               dtype=np.int64)[self._sarr]
-        self._agent_out = agent_out.tolist()
         self._out_hist = np.bincount(
-            agent_out, minlength=len(compiled.output_symbols)).tolist()
+            np.asarray(compiled.output_ids, dtype=np.int64)[sarr],
+            minlength=len(compiled.output_symbols)).tolist()
         # Transition tables used by the stepping paths.  Fault-free these
         # are exactly the compiled tables; with a plan attached they are
         # augmented with one extra non-reactive "dead" state id so that
@@ -424,6 +508,8 @@ class BatchedSimulation:
             tresp_aug.reshape(ka, ka)[:k, :k] = tresp.reshape(k, k)
             self._ktinit, self._ktresp = tinit_aug, tresp_aug
         self._gap = 2.0
+        #: ``(last_change, verdict)`` of the latest silence probe.
+        self._silence = (-1, False)
         #: Per-agent stamp array of the numpy prefix rounds (allocated
         #: on first use there).
         self._touch: "np.ndarray | None" = None
@@ -489,12 +575,12 @@ class BatchedSimulation:
 
     @property
     def n(self) -> int:
-        return len(self._ids)
+        return len(self._sarr)
 
     @property
     def n_alive(self) -> int:
         """Number of agents that have not crashed."""
-        return len(self._ids) - len(self.crashed)
+        return len(self._sarr) - len(self.crashed)
 
     @property
     def faults(self):
@@ -509,21 +595,39 @@ class BatchedSimulation:
         reference engine.
         """
         state_of = self._compiled.states
-        if not self.crashed:
-            return [state_of[sid] for sid in self._ids]
-        frozen = self._frozen
-        dead = self._dead
-        return [state_of[frozen[a] if sid == dead else sid]
-                for a, sid in enumerate(self._ids)]
+        return [state_of[sid] for sid in self._real_ids()]
 
     @property
     def compiled(self) -> CompiledProtocol:
         """The compiled tables driving this simulation."""
         return self._compiled
 
+    def _id_list(self) -> list:
+        """``_sarr`` as a list, rebuilt with one ``tolist()`` when stale.
+
+        The scalar paths index a list several times faster than an
+        array; a prefix round's scatter writes ``_sarr`` alone and drops
+        the list.
+        """
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = self._sarr.tolist()
+        return ids
+
+    def _real_ids(self) -> list:
+        """Per-agent state ids, crashed agents under their frozen state."""
+        ids = self._id_list()
+        if not self._frozen:
+            return ids
+        ids = list(ids)
+        for agent, sid in self._frozen.items():
+            ids[agent] = sid
+        return ids
+
     def outputs(self) -> tuple:
         symbols = self._compiled.output_symbols
-        return tuple(symbols[oid] for oid in self._agent_out)
+        out_ids = self._compiled.output_ids
+        return tuple(symbols[out_ids[sid]] for sid in self._real_ids())
 
     def configuration(self) -> AgentConfiguration:
         return AgentConfiguration(self.states)
@@ -548,7 +652,7 @@ class BatchedSimulation:
                 for oid, count in enumerate(self._out_hist) if count}
 
     def unanimous_output(self) -> "Symbol | None":
-        n = len(self._ids)
+        n = len(self._sarr)
         for oid, count in enumerate(self._out_hist):
             if count == n:
                 return self._compiled.output_symbols[oid]
@@ -558,8 +662,9 @@ class BatchedSimulation:
         if not self.crashed:
             return list(self.outputs())
         symbols = self._compiled.output_symbols
+        out_ids = self._compiled.output_ids
         crashed = self.crashed
-        return [symbols[oid] for a, oid in enumerate(self._agent_out)
+        return [symbols[out_ids[sid]] for a, sid in enumerate(self._id_list())
                 if a not in crashed]
 
     def unanimous_surviving_output(self) -> "Symbol | None":
@@ -574,8 +679,8 @@ class BatchedSimulation:
     def alive_agents(self) -> list[int]:
         """Ids of the live agents, in ascending order."""
         if not self.crashed:
-            return list(range(len(self._ids)))
-        return [a for a in range(len(self._ids)) if a not in self.crashed]
+            return list(range(len(self._sarr)))
+        return [a for a in range(len(self._sarr)) if a not in self.crashed]
 
     # -- Fault primitives ------------------------------------------------------
 
@@ -607,7 +712,7 @@ class BatchedSimulation:
             raise RuntimeError(
                 "crash support needs the augmented tables; construct the "
                 "batched simulation with faults= to enable it")
-        if not 0 <= agent < len(self._ids):
+        if not 0 <= agent < len(self._sarr):
             raise ValueError(f"no such agent: {agent}")
         if agent in self.crashed:
             return
@@ -615,9 +720,10 @@ class BatchedSimulation:
             raise RuntimeError(
                 "cannot crash: a crash must leave at least two live agents")
         self.crashed.add(agent)
-        self._frozen[agent] = self._ids[agent]
-        self._ids[agent] = self._dead
+        self._frozen[agent] = int(self._sarr[agent])
         self._sarr[agent] = self._dead
+        if self._ids is not None:
+            self._ids[agent] = self._dead
 
     def crash_random(self, count: int = 1, *, rng=None) -> list[int]:
         """Crash ``count`` uniformly chosen live agents; all-or-nothing.
@@ -646,7 +752,7 @@ class BatchedSimulation:
         ``match``; best-effort, reference-identical RNG consumption."""
         rng = self._fault_rng(rng)
         state_of = self._compiled.states
-        ids = self._ids
+        ids = self._id_list()
         candidates = [a for a in self.alive_agents()
                       if match(state_of[ids[a]])]
         applied = 0
@@ -671,20 +777,23 @@ class BatchedSimulation:
                 "the batched engine cannot extend it mid-run (use the "
                 "reference engine for out-of-table corruptors)")
         if agent in self.crashed:
-            if self._frozen[agent] == sid:
+            old = self._frozen[agent]
+            if old == sid:
                 return False
             self._frozen[agent] = sid
         else:
-            if self._ids[agent] == sid:
+            old = int(self._sarr[agent])
+            if old == sid:
                 return False
-            self._ids[agent] = sid
             self._sarr[agent] = sid
+            if self._ids is not None:
+                self._ids[agent] = sid
         self.last_change = self.interactions
+        out_old = compiled.output_ids[old]
         out = compiled.output_ids[sid]
-        if out != self._agent_out[agent]:
-            self._out_hist[self._agent_out[agent]] -= 1
+        if out != out_old:
+            self._out_hist[out_old] -= 1
             self._out_hist[out] += 1
-            self._agent_out[agent] = out
             self.last_output_change = self.interactions
         return True
 
@@ -696,7 +805,8 @@ class BatchedSimulation:
         agent = alive[rng.randrange(len(alive))]
         state_of = self._compiled.states
         return self.set_state(
-            agent, corruptor(state_of[self._ids[agent]], self.protocol, rng))
+            agent, corruptor(state_of[int(self._sarr[agent])], self.protocol,
+                             rng))
 
     # -- Stepping --------------------------------------------------------------
 
@@ -711,7 +821,7 @@ class BatchedSimulation:
         return changed
 
     def _step_plain(self) -> bool:
-        n = len(self._ids)
+        n = len(self._sarr)
         stream = self._stream
         if stream is None:
             initiator = self._rng.randrange(n)
@@ -726,10 +836,12 @@ class BatchedSimulation:
             responder += 1
         self.interactions += 1
         ids = self._ids
-        result = self._pairs[ids[initiator] * self._k + ids[responder]]
-        if result is None:
+        if ids is None:
+            ids = self._id_list()
+        flat = ids[initiator] * self._k + ids[responder]
+        if self._pairs[flat] is None:
             return False
-        self._apply_transition(initiator, responder, result)
+        self._apply_transition(initiator, responder, flat)
         return True
 
     def _step_faulted(self) -> bool:
@@ -739,7 +851,7 @@ class BatchedSimulation:
         :meth:`repro.sim.engine.Simulation.step` under the same plan."""
         plan = self._faults
         plan.pre_step(self)
-        n = len(self._ids)
+        n = len(self._sarr)
         stream = self._stream
         if stream is None:
             initiator = self._rng.randrange(n)
@@ -760,42 +872,44 @@ class BatchedSimulation:
         elif plan.drop_encounter(self):
             pass
         else:
-            ids = self._ids
-            result = self._pairs[ids[initiator] * self._k + ids[responder]]
-            if result is not None:
-                self._apply_transition(initiator, responder, result)
+            ids = self._id_list()
+            flat = ids[initiator] * self._k + ids[responder]
+            if self._pairs[flat] is not None:
+                self._apply_transition(initiator, responder, flat)
                 changed = True
         if self.monitors:
             for monitor in self.monitors:
                 monitor.after_step(self, changed)
         return changed
 
-    def _apply_transition(self, initiator: int, responder: int, result) -> None:
-        p2, q2 = result
+    def _apply_transition(self, initiator: int, responder: int,
+                          flat: int) -> None:
+        """Apply the reactive pair ``flat`` (``p * k + q`` of the two
+        agents' states, as the caller looked it up)."""
+        p, q = divmod(flat, self._k)
+        p2, q2 = self._pairs[flat]
         # Callers position self.interactions at the transition's moment
         # before applying, exactly like the reference step().
         self.last_change = self.interactions
-        ids = self._ids
-        ids[initiator] = p2
-        ids[responder] = q2
         sarr = self._sarr
         sarr[initiator] = p2
         sarr[responder] = q2
+        ids = self._ids
+        if ids is not None:
+            ids[initiator] = p2
+            ids[responder] = q2
         out_ids = self._compiled.output_ids
-        agent_out = self._agent_out
         hist = self._out_hist
         changed_output = False
-        out_p = out_ids[p2]
-        if out_p != agent_out[initiator]:
-            hist[agent_out[initiator]] -= 1
-            hist[out_p] += 1
-            agent_out[initiator] = out_p
+        out_old, out_new = out_ids[p], out_ids[p2]
+        if out_new != out_old:
+            hist[out_old] -= 1
+            hist[out_new] += 1
             changed_output = True
-        out_q = out_ids[q2]
-        if out_q != agent_out[responder]:
-            hist[agent_out[responder]] -= 1
-            hist[out_q] += 1
-            agent_out[responder] = out_q
+        out_old, out_new = out_ids[q], out_ids[q2]
+        if out_new != out_old:
+            hist[out_old] -= 1
+            hist[out_new] += 1
             changed_output = True
         if changed_output:
             self.last_output_change = self.interactions
@@ -812,8 +926,37 @@ class BatchedSimulation:
             return
         target = self.interactions + steps
         kernels = self._kernels
+        quiet = max(len(self._sarr), _QUIET_MIN)
         while self.interactions < target:
+            if (self.interactions - self.last_change >= quiet
+                    and self._silent()):
+                # No draw can change a silent configuration: account for
+                # the rest of the run and owe its pairs to the stream.
+                skipped = target - self.interactions
+                self._stream.skip(skipped)
+                self.skipped_interactions += skipped
+                self.interactions = target
+                return
             kernels.chunk(self, target - self.interactions)
+
+    def _silent(self) -> bool:
+        """Whether no two agents can react, probed once per configuration
+        (``last_change`` names it on the fault-free path).
+
+        Counts the ordered pairs of distinct agents whose states react,
+        ``c_p * (c_q - [p == q])`` summed over the reactive ``(p, q)``,
+        from one ``np.bincount``.  The terms are non-negative, so the
+        float sum is zero exactly when every term is.
+        """
+        last_change, verdict = self._silence
+        if last_change != self.last_change:
+            k = self._k
+            counts = np.bincount(self._sarr, minlength=k).astype(np.float64)
+            react = self._react_flat.reshape(k, k)
+            verdict = not (counts @ react @ counts
+                           - react.diagonal() @ counts)
+            self._silence = (self.last_change, verdict)
+        return verdict
 
     def _run_chaos(self, steps: int) -> None:
         """The fault/monitor-aware run loop.
@@ -871,9 +1014,9 @@ class BatchedSimulation:
             if name == "conservation":
                 n0 = self._n0
                 live = self.n_alive
-                if len(self._ids) != n0 or live + len(self.crashed) != n0:
+                if len(self._sarr) != n0 or live + len(self.crashed) != n0:
                     monitor.violate(self, expected=n0,
-                                    agents=len(self._ids), live=live,
+                                    agents=len(self._sarr), live=live,
                                     crashed=len(self.crashed))
             elif name == "containment":
                 cache = self._containment_masks[monitor]

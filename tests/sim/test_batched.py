@@ -16,7 +16,11 @@ import pytest
 from repro.protocols import registry
 from repro.protocols.counting import CountToK
 from repro.sim.backends import numpy_backend
-from repro.sim.batched import BatchedSimulation, batched_simulate_counts
+from repro.sim.batched import (
+    _QUIET_MIN,
+    BatchedSimulation,
+    batched_simulate_counts,
+)
 from repro.sim.convergence import run_until_correct_stable
 from repro.sim.engine import Simulation, simulate_counts
 from repro.sim.faults import (
@@ -380,6 +384,9 @@ def _reference_pairs(rng, n, block_words, blocks_read):
 #: everywhere.
 ENSURE_SIZES = (1, 7, 4_093, 2, 10_007, 1, 333, 30_011)
 
+#: skip() sizes, cycled: inside the buffer, past it, and past a block.
+SKIP_SIZES = (3, 40_000, 1, 8_191, 0, 20_011)
+
 
 class TestPairDrawStreamOracle:
     """The numpy-word stream against a getrandbits reference decoder."""
@@ -410,6 +417,50 @@ class TestPairDrawStreamOracle:
         stream.sync()
         assert rng.getstate() == ref_rng.getstate()
         assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("n", [5, 100_001])
+    def test_skipped_pairs_are_owed_not_lost(self, n, seed):
+        # Skipped pairs are decoded when the stream is next read, and
+        # only as many blocks as reading them would have decoded.
+        from repro.sim.batched import _BLOCK_WORDS, _PairDrawStream
+
+        rng = random.Random(seed)
+        ref_rng = random.Random(seed)
+        stream = _PairDrawStream(rng, n)
+        ref = _reference_pairs(ref_rng, n, _BLOCK_WORDS, [0])
+        for step, size in enumerate(ENSURE_SIZES * 2):
+            if step % 3 == 2:  # sync mid-run; reading on stays exact
+                stream.sync()
+                assert rng.getstate() == ref_rng.getstate()
+            skip = SKIP_SIZES[step % len(SKIP_SIZES)]
+            stream.skip(skip)
+            for _ in range(skip):
+                next(ref)
+            stream.ensure(size)
+            i = stream.ptr
+            got = list(zip(stream.pv[i:i + size].tolist(),
+                           stream.qv[i:i + size].tolist()))
+            stream.ptr = i + size
+            assert got == [next(ref) for _ in range(size)]
+        stream.skip(3 * _BLOCK_WORDS)
+        for _ in range(3 * _BLOCK_WORDS):
+            next(ref)
+        stream.sync()
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_skip_to_a_block_end_decodes_no_further(self, seed):
+        from repro.sim.batched import _BLOCK_WORDS, _PairDrawStream
+
+        probe = _PairDrawStream(random.Random(seed), 601)
+        probe.ensure(1)
+        first_block = len(probe.pv)
+        rng = random.Random(seed)
+        stream = _PairDrawStream(rng, 601)
+        stream.skip(first_block)
+        stream.sync()
+        expected = random.Random(seed)
+        expected.getrandbits(32 * _BLOCK_WORDS)
+        assert rng.getstate() == expected.getstate()
 
 
 def _count_blocks(monkeypatch):
@@ -490,7 +541,7 @@ class TestRngHandBack:
 
 
 class TestAgentConstruction:
-    """The vectorized output bookkeeping built at construction."""
+    """The state-id array and output histogram built at construction."""
 
     @pytest.mark.parametrize("faults", [False, True],
                              ids=["fault-free", "crash-at"])
@@ -507,9 +558,12 @@ class TestAgentConstruction:
             ref.run(steps)
             fast.run(steps)
             outputs = list(ref.outputs())
-            assert [symbols[oid] for oid in fast._agent_out] == outputs
-            assert fast._out_hist == [outputs.count(sym) for sym in symbols]
-            assert all(type(oid) is int for oid in fast._agent_out)
+            assert list(fast.outputs()) == outputs
+            assert fast.output_counts() == {
+                sym: outputs.count(sym) for sym in symbols
+                if outputs.count(sym)}
+            assert all(type(count) is int
+                       for count in fast.output_counts().values())
 
     def test_unknown_input_symbol_rejected(self):
         protocol = _build("majority", {})
@@ -533,12 +587,13 @@ class TestAgentConstruction:
                   for _ in range(count)]
         fast = batched_simulate_counts(protocol, counts, seed=1)
         listed = BatchedSimulation(protocol, inputs, seed=1)
-        assert fast._ids == listed._ids
-        assert all(type(sid) is int for sid in fast._ids)
+        assert fast.states == listed.states
+        # The scalar paths' list copy holds Python ints, not numpy ones.
+        assert all(type(sid) is int for sid in fast._id_list())
         assert fast._sarr.dtype == np.int64
-        assert fast._sarr.tolist() == listed._ids
-        assert fast._agent_out == listed._agent_out
-        assert fast._out_hist == listed._out_hist
+        assert fast._sarr.tolist() == listed._sarr.tolist()
+        assert fast.outputs() == listed.outputs()
+        assert fast.output_counts() == listed.output_counts()
 
     def test_counts_errors_are_kept(self):
         protocol = _build("majority", {})
@@ -551,3 +606,131 @@ class TestAgentConstruction:
         assert sim.n == 5
         with pytest.raises(ValueError, match="at least two agents"):
             batched_simulate_counts(protocol, {1: 1, 0: 0})
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts the 32-bit words it draws.
+
+    A subclass, so the reference engine draws through ``randrange``, and
+    ``randrange`` through this ``getrandbits``: one word per call for
+    the at most 32-bit draws of a uniform pair.
+    """
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+def _block_aligned(seed, words):
+    """The generator of ``seed`` after the fewest whole decode blocks
+    holding ``words`` words: where the batched engine's ``rng`` stands
+    once the reference engine has drawn ``words`` words."""
+    from repro.sim.batched import _BLOCK_WORDS
+
+    rng = random.Random(seed)
+    for _ in range(-(-words // _BLOCK_WORDS)):
+        rng.getrandbits(32 * _BLOCK_WORDS)
+    return rng.getstate()
+
+
+#: Epidemic populations on each side of the stream gate: 1001 agents
+#: block-decode their pairs, 1024 take the randrange fallback.
+SILENT_TAIL_CASES = {"decoded": 1_001, "fallback": 1_024}
+
+
+class TestSilentTail:
+    """``run()`` skips the draws of a silent configuration, unseen.
+
+    On the fault-free, unmonitored, block-decoded path a configuration
+    that no state change touched for ``n`` interactions (and at least
+    ``_QUIET_MIN``) is probed for silence; a silent one takes the rest
+    of the run in O(1) and owes its pairs to the stream.  Everything observable afterwards — states,
+    clocks, the ``rng`` position, later trajectories — must be the
+    reference engine's.
+    """
+
+    @pytest.mark.parametrize("stream", sorted(SILENT_TAIL_CASES))
+    def test_matches_reference_through_silence(self, stream, seed):
+        n = SILENT_TAIL_CASES[stream]
+        protocol = _build("epidemic", {})
+        counts = {1: 1, 0: n - 1}
+        ref_rng = _CountingRandom(seed)
+        ref = simulate_counts(protocol, counts, seed=ref_rng)
+        fast = batched_simulate_counts(protocol, counts, seed=seed)
+        assert (fast._stream is None) == (stream == "fallback")
+
+        def assert_equal():
+            assert fast.states == ref.states
+            assert fast.interactions == ref.interactions
+            assert fast.last_change == ref.last_change
+            assert fast.last_output_change == ref.last_output_change
+            expected = (ref_rng.getstate() if fast._stream is None
+                        else _block_aligned(seed, ref_rng.words))
+            assert fast.rng.getstate() == expected
+
+        result = run_until_correct_stable(fast, 1, max_steps=10 ** 6)
+        assert result == run_until_correct_stable(ref, 1, max_steps=10 ** 6)
+        for sim in (fast, ref):
+            sim.run(100_000)
+        assert_equal()  # reading rng pays the owed pairs
+        for sim in (fast, ref):
+            sim.run(100_000)
+        for _ in range(3):  # so does a step
+            assert fast.step() == ref.step()
+        for sim in (fast, ref):
+            sim.run(1_000)
+        # When the perturbed agent is re-infected depends on the exact
+        # pair positions, so a drifted stream shows in the clocks.
+        for sim in (fast, ref):
+            assert sim.set_state(0, protocol.initial_state(0))
+            sim.run(20_000)
+        assert_equal()
+        assert (fast.skipped_interactions > 0) == (stream == "decoded")
+
+    @pytest.mark.parametrize("variant", sorted(PREFIX_VARIANTS))
+    def test_faulted_and_monitored_runs_never_skip(self, variant, seed):
+        protocol = _build("epidemic", {})
+        fast = batched_simulate_counts(protocol, {1: 1, 0: 1_000}, seed=seed,
+                                       **PREFIX_VARIANTS[variant]())
+        fast.run(300_000)
+        # Silent long before the end: only crashed agents miss the news.
+        assert fast.state_counts().get(0, 0) <= 10
+        assert (fast.skipped_interactions > 0) == (variant == "plain")
+
+    def test_self_reaction_needs_two_agents(self, seed):
+        # Leader election reacts only leader with leader: two leaders
+        # are not silent, a lone one is.  Two among 4001 agents meet
+        # about every 8 * 10**6 interactions, long after the probe.
+        protocol = _build("leader-election", {})
+        states = ["L", "L"] + ["F"] * 3_999
+        ref = Simulation(protocol, states=states, seed=seed)
+        fast = BatchedSimulation(protocol, states=states, seed=seed)
+        for _ in range(4):
+            ref.run(250_000)
+            fast.run(250_000)
+            _assert_agent_state_equal(fast, ref)
+        assert fast.state_counts()["L"] == 2
+        assert fast.skipped_interactions == 0
+        lone = BatchedSimulation(protocol, states=["L"] + ["F"] * 1_000,
+                                 seed=seed)
+        lone.run(100_000)
+        assert lone.skipped_interactions > 0
+
+    def test_epidemic_settle_phase_skips(self, seed):
+        n = 10_000
+        protocol = _build("epidemic", {})
+        counts = {1: 1, 0: n - 1}
+        fast = batched_simulate_counts(protocol, counts, seed=seed)
+        result = run_until_correct_stable(fast, 1, max_steps=10 ** 8)
+        assert result.stopped
+        assert result == run_until_correct_stable(
+            simulate_counts(protocol, counts, seed=seed), 1,
+            max_steps=10 ** 8)
+        # The settle phase runs from the last change to the stop; all but
+        # its first quiet stretch and one check interval are skipped.
+        settle = fast.interactions - fast.last_change
+        quiet = max(n, _QUIET_MIN)
+        assert settle > quiet + n
+        assert fast.skipped_interactions >= settle - quiet - n

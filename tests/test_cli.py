@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import _parse_counts, build_parser, main
@@ -154,6 +156,17 @@ class TestRobustnessCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "does not compute a predicate" in captured.err
+
+    def test_engine_choices_are_the_harness_engines(self):
+        from repro.analysis.robustness import ROBUSTNESS_ENGINES
+
+        parser = build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        engine = next(action for action
+                      in sub.choices["robustness"]._actions
+                      if action.dest == "engine")
+        assert tuple(engine.choices) == ROBUSTNESS_ENGINES
 
 
 class TestJsonOutput:

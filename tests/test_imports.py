@@ -96,6 +96,15 @@ def test_agent_sweep_never_imports_numpy(faulted):
     assert "numpy" not in log
 
 
+def test_building_the_cli_parser_skips_the_robustness_harness():
+    # Every command builds every subcommand's parser, so an import there
+    # is paid by `exp run` too.
+    completed = _python("-c", "import sys; from repro.cli import build_parser;"
+                        " build_parser();"
+                        " print('repro.analysis.robustness' in sys.modules)")
+    assert completed.stdout.strip() == "False"
+
+
 PACKAGES = ["repro", "repro.sim", "repro.exp", "repro.analysis"]
 
 

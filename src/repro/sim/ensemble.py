@@ -118,6 +118,29 @@ _FAULTED_CHUNK = 256
 #: explicit fault_seeds=).
 _FAULT_SEED_SALT = 0x9E3779B97F4A7C15
 
+def _seeded_rng(seeds: "list[int]") -> np.random.Generator:
+    """``default_rng(SeedSequence(seeds))``, without its per-seed loop.
+
+    ``SeedSequence`` turns a list of ints into uint32 entropy words one
+    int at a time: each int's little-endian 32-bit words, at least one
+    per int.  For Python ints in ``[0, 2**64)`` those words are built
+    here in a few vector ops and handed over as a uint32 array, which
+    the sequence takes as its entropy unchanged, so the generator state
+    is identical.  Any other seed list goes to ``SeedSequence`` as is (a
+    negative or non-integer seed raises there, a wider one takes more
+    words).
+    """
+    if (set(map(type, seeds)) == {int}
+            and 0 <= min(seeds) and max(seeds) < 1 << 64):
+        a = np.asarray(seeds, dtype=np.uint64)
+        words = np.stack((a & np.uint64(0xFFFFFFFF), a >> np.uint64(32)),
+                         axis=1)
+        keep = words != 0
+        keep[:, 0] = True
+        return np.random.default_rng(
+            np.random.SeedSequence(words[keep].astype(np.uint32)))
+    return np.random.default_rng(np.random.SeedSequence(list(seeds)))
+
 
 class EnsembleMultisetSimulation:
     """``T`` independent multiset trials advanced together.
@@ -216,7 +239,7 @@ class EnsembleMultisetSimulation:
         # One shared bit generator for the whole fleet, keyed by the full
         # seed list: the same (inputs, seeds) ensemble replays exactly,
         # while each trial keeps its scalar identity for scalar_twin().
-        self.rng = np.random.default_rng(np.random.SeedSequence(self.seeds))
+        self.rng = _seeded_rng(self.seeds)
 
         #: ``(T, k)`` live state counts, one row per trial.
         self.counts = np.tile(np.asarray(row, dtype=np.int64), (trials, 1))
@@ -291,8 +314,7 @@ class EnsembleMultisetSimulation:
             # fault seeds, mirroring the scalar engines' FaultPlan.rng
             # split: attaching faults never perturbs the engine's
             # pair-draw stream for the same engine seeds.
-            self._fault_rng = np.random.default_rng(
-                np.random.SeedSequence(self.fault_seeds))
+            self._fault_rng = _seeded_rng(self.fault_seeds)
             if faults.kind == "crash-at":
                 if faults.count > self.n - 2:
                     raise RuntimeError(
@@ -507,13 +529,16 @@ class EnsembleMultisetSimulation:
                 origin: "np.ndarray | None" = None) -> None:
         """:meth:`run_to`'s loop, lowering ``targets`` in place.
 
-        With ``check_every`` set (the silent driver's check grid: the
-        points ``origin + j * check_every``), a trial is held at the
-        first grid point after any change of its counts, so the driver
-        checks it there.  A jump that lands a transition at ``t`` lowers
-        the trial's target to the first grid point at or after ``t``;
-        faulted chunks apply several transitions per chunk, so they
-        lower every stepped trial's target to its next grid point.
+        ``check_every`` and ``origin`` are the silence check's grid,
+        the points ``origin + j * check_every``.  With them set, a trial
+        is held at a grid point only where the silence check may stop
+        it.  A jump whose transition at ``t`` leaves the trial's counts
+        silent lowers its target to the first grid point at or after
+        ``t``; a jump that leaves them reactive keeps the target, so the
+        trial jumps straight on to its next reactive encounter (the
+        geometric is memoryless, so the law does not change).  Faulted
+        chunks apply several transitions per chunk, so they lower every
+        stepped trial's target to its next grid point.
         """
         while True:
             idx = np.flatnonzero(self.active
@@ -532,14 +557,16 @@ class EnsembleMultisetSimulation:
                                   - self.interactions[idx]).min()),
                              _FAULTED_CHUNK)
                 self._faulted_chunk(idx, rounds)
+            elif check_every:
+                rows = self._jump(idx, targets[idx] - self.interactions[idx],
+                                  silent_only=True)
+                o = origin[rows]
+                targets[rows] = np.minimum(
+                    targets[rows],
+                    o - ((o - self.interactions[rows]) // check_every)
+                    * check_every)
             else:
-                rows = self._jump(idx, targets[idx] - self.interactions[idx])
-                if check_every and rows.size:
-                    o = origin[rows]
-                    targets[rows] = np.minimum(
-                        targets[rows],
-                        o - ((o - self.interactions[rows]) // check_every)
-                        * check_every)
+                self._jump(idx, targets[idx] - self.interactions[idx])
             if self.monitors:
                 self._check_monitors()
 
@@ -712,10 +739,20 @@ class EnsembleMultisetSimulation:
             so = lo_off >= 0
             self.last_output_change[idx[so]] = base[so] + lo_off[so]
 
-    def _jump(self, idx: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    def _weights(self, c: np.ndarray) -> np.ndarray:
+        """Reactive weights ``w_pq = c_p (c_q - [p = q])`` of count rows
+        ``c``, one column per compiled reactive pair.  A row's weights
+        are all zero exactly when its counts are silent
+        (:meth:`silent_mask`'s verdict, in O(r) instead of O(k^2))."""
+        return c[:, self._rp] * (c[:, self._rq] - self._rself)
+
+    def _jump(self, idx: np.ndarray, caps: np.ndarray,
+              silent_only: bool = False) -> np.ndarray:
         """One jump: each trial in ``idx`` advances to its next reactive
         encounter, or by its cap if that comes first, and applies that
-        one transition.  Returns the trial ids that applied one.
+        one transition.  Returns the trial ids that applied one; with
+        ``silent_only``, only those whose counts the transition left
+        silent (zero reactive weight).
 
         Under the counts a trial starts from, every round is an i.i.d.
         ordered pair draw, reactive with probability ``pi = sum(w) /
@@ -739,11 +776,11 @@ class EnsembleMultisetSimulation:
         per = max(1, _ADVANCE_BUDGET // max(1, self._rflat.size))
         if idx.size > per:
             return np.concatenate([
-                self._jump(idx[s:s + per], caps[s:s + per])
+                self._jump(idx[s:s + per], caps[s:s + per],
+                           silent_only=silent_only)
                 for s in range(0, idx.size, per)])
         n = self.n
-        c = self.counts[idx]
-        w = c[:, self._rp] * (c[:, self._rq] - self._rself)
+        w = self._weights(self.counts[idx])
         # A true division, so a fully reactive row gets exactly 1.0.
         kappa = w.sum(axis=1) / (n * (n - 1))
         if self._omission:
@@ -792,6 +829,8 @@ class EnsembleMultisetSimulation:
                     | ((op == oq2) & (oq == op2)))
             changed = rows[~same]
             self.last_output_change[changed] = self.interactions[changed]
+        if silent_only:
+            return rows[~self._weights(counts[rows]).any(axis=1)]
         return rows
 
     def __repr__(self) -> str:
@@ -814,9 +853,9 @@ class _Driver:
     #: Per-trial clock reported as ``converged_at`` (``last_change`` or
     #: ``last_output_change``; read once the run ends).
     marker: np.ndarray
-    #: Let a trial whose counts have not changed since its last check run
-    #: past grid points (sound only for a rule whose verdict is a
-    #: function of the counts alone: the silent rule).
+    #: Run every trial towards the budget, held at a grid point only
+    #: where the check can stop it (sound only for the silent rule:
+    #: silence is a function of the counts alone, and absorbing).
     skip_quiet: bool = False
 
     def run(self, check) -> "list[ConvergenceResult]":
@@ -826,12 +865,13 @@ class _Driver:
         is evaluated on the same per-trial interaction grid as the scalar
         drivers (every ``check_every`` interactions from the trial's
         starting clock, once before the first step, and at the budget),
-        so stopping-time distributions are comparable.  With
-        ``skip_quiet`` a trial is checked only at the grid points where
-        its counts may have changed since its previous check — the first
-        grid point after each jump that changed them, or every grid point
-        while it steps through faulted chunks; the skipped checks would
-        all have repeated its previous verdict.  The results are built
+        so stopping-time distributions are comparable.  Without
+        ``skip_quiet`` every trial runs to its next grid point between
+        checks.  With it, every trial runs towards the budget and is held
+        only where the check can stop it: a jumping trial at the first
+        grid point after the transition that made its counts silent, a
+        trial in faulted chunks at every grid point; the skipped checks
+        would all have answered "not silent".  The results are built
         once at the end, every trial's unanimous output read in one pass
         over the output histograms.
         """
@@ -854,11 +894,13 @@ class _Driver:
             if idx.size == 0:
                 break
             targets = ens.interactions.copy()
-            targets[idx] = (self.max_steps if self.skip_quiet
-                            else np.minimum(ens.interactions[idx]
-                                            + self.check_every,
-                                            self.max_steps))
-            ens._run_to(targets, self.check_every, origin)
+            if self.skip_quiet:
+                targets[idx] = self.max_steps
+                ens._run_to(targets, self.check_every, origin)
+            else:
+                targets[idx] = np.minimum(
+                    ens.interactions[idx] + self.check_every, self.max_steps)
+                ens._run_to(targets)
         hist = (ens.output_hist if ens.output_hist is not None
                 else ens.counts @ ens._onehot)
         live = hist > 0
@@ -887,15 +929,16 @@ def run_ensemble_until_silent(
     A trial stops at the first point of the scalar check grid (every
     ``check_every`` interactions, default ``n``, the scalar default, and
     the budget) at which its counts are silent.  Silence is absorbing
-    and the verdict can change only when the counts do, so a trial whose
-    counts have not changed since its previous check is not stopped at
-    the grid points in between: a jumping trial runs on to its next
-    reactive encounter and is checked at the first grid point after it
-    (see :class:`_Driver`), and a check whose ``last_change`` has not
-    advanced reuses the previous verdict instead of the O(k^2) scan (the
-    same optimization the scalar driver applies).  ``converged_at`` is
-    the trial's last state change, the multiset engines' convergence
-    marker.
+    and the verdict can change only when the counts do, so a jumping
+    trial is not stopped at grid points while its counts are reactive:
+    it jumps from transition to transition, and only the transition
+    that leaves it silent holds it at the next grid point, where the
+    check stops it.  That is one jump per
+    transition plus one to reach the grid point.  A check whose
+    ``last_change`` has not advanced reuses the previous verdict
+    instead of the O(k^2) scan (the same optimization the scalar engine
+    applies).  ``converged_at`` is the trial's last state change, the
+    multiset engines' convergence marker.
     """
     check_every = check_every or max(ens.n, 1)
     checked_at = np.full(ens.trials, -1, dtype=np.int64)

@@ -105,17 +105,17 @@ GOLDEN = {
         "52c7a4395b37a096472f8d55ad665011c8ebd6dae068c0e7e8c9ad71290216e1",
         "5585ea1ef5733268c7e10ecac549b52ea8e9088af359ab793701bf42a6b0b468"),
     "ensemble-crash-at": (
-        "74367d37023673a6b4b69b9b0600ac0770ea37f16be926c91804a3261adcca94",
-        "8d831c34460fdf7660dbaa19f895f65dd063f9619d044ee2f2421f8b54c2d4af"),
+        "40962541c6814372611235898159d885e245338957f012ab3cb2ca60a35d844e",
+        "fcccc14a7e7307fce08e3ffb1aa99cb562647f05d36603d1b9653b3d09d98fce"),
     "ensemble-crash-rate": (
-        "8f487fc409970c7319f853420589967ee5c22e82fbc35ebc4ae0461ce9592228",
-        "8d93ac3498725a961e0484f8fc1304205cb7c7eff09c8ef6d877a8f1ce6e1084"),
+        "00f457a5909cc65010c70f5c891cfe45daad5a37f23830990b463c6e04dd911e",
+        "0098f55b24c3e96f4e0fb76f77aed1dc0c2d4da71e70125170f461a72e62a82a"),
     "ensemble-monitor": (
         "8f34dd07eea259d3f3b85537a48ce01962bf62e17af238a08aa4d80c447d6524",
         "7eb0affc289ec6e7610e68845606997d5a915b1eb33817fa0cb53ac820a352c8"),
     "ensemble-omission-rate": (
-        "990a9303f7ff49c0181e2a063e80be4727e8b082b9c00b994090e6168c6fc0cd",
-        "c4173a459bd354c95832bfcc8acc3535448a2d5afca51f60a0f294bcbbb1297d"),
+        "86e3bcbf3ba2c8bf03d34012123b4fdd27f5374fafbe505a99523f87b27dd883",
+        "ea6ee46223c1f0ee3b66f1e423b08514fa91fbb71e8b50e0a7de3e263fc851d4"),
     "fluid-rate-fault": (
         "62630d1167b3b90ee465bea0972eebe177f7a805b1c75a9a49427d28dd19f9ed",
         "b6e49921712a7f16352ed9f1d317ffef3fa8d7bf531d59ab6f8f521c06f24918"),

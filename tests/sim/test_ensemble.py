@@ -9,9 +9,13 @@ two-sample Kolmogorov-Smirnov tests on convergence-time samples; see the
 class docstring for the tolerance and what it can and cannot detect.
 """
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.core.protocol import DictProtocol
+from repro.protocols import registry
 from repro.protocols.counting import CountToK, Epidemic, count_to_five
 from repro.protocols.leader import FOLLOWER, LEADER, LeaderElection
 from repro.protocols.majority import majority_protocol
@@ -21,11 +25,14 @@ from repro.sim.engine import simulate_counts
 from repro.sim.ensemble import (
     EnsembleFaults,
     EnsembleMultisetSimulation,
+    _seeded_rng,
     run_ensemble_until_correct_stable,
     run_ensemble_until_quiescent,
     run_ensemble_until_silent,
 )
 from repro.sim.multiset_engine import MultisetSimulation
+from repro.util.rng import spawn_seeds
+from tests.analysis.test_markov_random_protocols import random_protocol
 
 
 class TestConstruction:
@@ -76,6 +83,51 @@ class TestConstruction:
         ens = EnsembleMultisetSimulation(count_to_five(), {0: 3, 1: 2},
                                          trials=3, seeds=[7, 8, 9])
         assert ens.seeds == [7, 8, 9]
+
+
+class TestSeededRng:
+    """``_seeded_rng`` builds the generators ``SeedSequence(seeds)`` would."""
+
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+    @pytest.mark.parametrize("seeds", [
+        *([s] for s in EDGES),
+        EDGES,
+        [2**32, 0, 5, 2**63 - 1, 2**32 - 1, 1, 2**40 + 3],
+        list(range(128)),
+    ])
+    def test_state_equals_seed_sequence(self, seeds):
+        expected = np.random.SeedSequence(list(seeds))
+        rng = _seeded_rng(seeds)
+        assert (rng.bit_generator.seed_seq.generate_state(8)
+                == expected.generate_state(8)).all()
+        assert (rng.bit_generator.state
+                == np.random.default_rng(expected).bit_generator.state)
+
+    def test_spawned_seeds(self):
+        seeds = spawn_seeds(12345, 128)
+        assert (_seeded_rng(seeds).integers(0, 2**62, 16)
+                == np.random.default_rng(
+                    np.random.SeedSequence(seeds)).integers(0, 2**62, 16)
+                ).all()
+
+    def test_wide_seeds_fall_back_to_seed_sequence(self):
+        seeds = [2**64, 3, 2**100 + 7]
+        assert (_seeded_rng(seeds).bit_generator.state
+                == np.random.default_rng(
+                    np.random.SeedSequence(seeds)).bit_generator.state)
+
+    @pytest.mark.parametrize("seeds, error", [
+        ([3, -1], ValueError), ([2**64, -1], ValueError),
+        ([1.5, 2], TypeError), ([2.0, 2], TypeError)])
+    def test_bad_seeds_rejected_as_before(self, seeds, error):
+        with pytest.raises(error):
+            np.random.SeedSequence(seeds)
+        with pytest.raises(error):
+            _seeded_rng(seeds)
+        with pytest.raises(error):
+            EnsembleMultisetSimulation(count_to_five(), {0: 3, 1: 2},
+                                       trials=2, seeds=seeds)
 
 
 class TestAdvancement:
@@ -181,6 +233,56 @@ class TestSilentMask:
         two = EnsembleMultisetSimulation(
             LeaderElection(), state_counts={LEADER: 2}, trials=1, seed=1)
         assert not two.silent_mask([0]).any()
+
+
+def _weight_silence_agrees(protocol, rng, rows=256):
+    """Random count rows, mostly sparse, judged by zero reactive weight
+    and by ``silent_mask``; returns how many rows were silent."""
+    some = next(iter(protocol.input_alphabet))
+    ens = EnsembleMultisetSimulation(protocol, {some: 2}, trials=rows,
+                                     seed=1)
+    k = ens.compiled.size
+    counts = np.zeros((rows, k), dtype=np.int64)
+    for row in counts:
+        support = rng.choice(k, size=rng.integers(1, min(k, 3) + 1),
+                             replace=False)
+        row[support] = rng.integers(1, 4, size=support.size)
+    ens.counts = counts
+    silent = ~ens._weights(counts).any(axis=1)
+    assert (silent == ens.silent_mask(np.arange(rows))).all()
+    return int(silent.sum())
+
+
+class TestWeightSilence:
+    """Zero reactive weight, the jump's silence test, is ``silent_mask``."""
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_registry_protocols(self, name):
+        _weight_silence_agrees(registry.get(name).build(),
+                               np.random.default_rng(0))
+
+    @pytest.mark.parametrize("master", range(12))
+    def test_random_protocols(self, master):
+        protocol = random_protocol(random.Random(master),
+                                   n_states=2 + master % 4,
+                                   density=0.2 + 0.05 * master)
+        _weight_silence_agrees(protocol, np.random.default_rng(master))
+
+    def test_diagonal_only_reactive_pairs(self):
+        # Only (0, 0) and (2, 2) react: one agent of a state is silent,
+        # two are not.
+        protocol = DictProtocol(
+            input_map={0: 0, 1: 1}, output_map={0: 0, 1: 1, 2: 0},
+            transitions={(0, 0): (0, 1), (2, 2): (1, 1)})
+        ens = EnsembleMultisetSimulation(
+            protocol, state_counts={0: 1, 1: 1, 2: 1}, trials=6, seed=1)
+        ens.counts = np.asarray([[1, 5, 1], [2, 0, 0], [0, 3, 2],
+                                 [1, 0, 0], [0, 0, 1], [2, 1, 2]])
+        silent = ~ens._weights(ens.counts).any(axis=1)
+        assert silent.tolist() == [True, False, False, True, True, False]
+        assert (silent == ens.silent_mask(np.arange(6))).all()
+        assert _weight_silence_agrees(protocol,
+                                      np.random.default_rng(3)) > 0
 
 
 class TestSilentDriver:
@@ -646,15 +748,18 @@ class TestSilentGrid:
     def test_rounds_scale_with_transitions_not_grid_points(self, omission):
         # Leader election at n = 32 applies n - 1 = 31 transitions per
         # trial but spends ~(n-1)^2 = 961 interactions, about 30 check
-        # grid points, on them.  A jump per transition plus one to reach
-        # each check keeps the engine rounds near 2 (n - 1); rounds
-        # capped by the check grid take 140 to 210 on this case.
+        # grid points, on them.  Only the transition that leaves a trial
+        # silent holds it at a grid point, so every trial takes one jump
+        # per transition plus one to reach its check: n rounds.  Holding
+        # every trial at the grid point after each transition took
+        # about 2 (n - 1); rounds capped by the check grid took 140 to
+        # 210 on this case.
         n = 32
-        rounds = []
+        calls = {"_jump": 0, "silent_mask": 0}
 
-        def counting(method):
+        def counting(name, method):
             def wrapped(*args, **kwargs):
-                rounds.append(1)
+                calls[name] += 1
                 return method(*args, **kwargs)
             return wrapped
 
@@ -663,10 +768,13 @@ class TestSilentGrid:
             track_outputs=False,
             faults=(EnsembleFaults("omission-rate", omission) if omission
                     else None))
-        ens._jump = counting(ens._jump)
+        for name in calls:
+            setattr(ens, name, counting(name, getattr(ens, name)))
         results = run_ensemble_until_silent(ens, max_steps=10_000_000)
         assert all(r.stopped for r in results)
-        assert len(rounds) <= 3 * (n - 1)
+        assert calls["_jump"] <= n
+        # One check before the first step, one once every trial is held.
+        assert calls["silent_mask"] <= 2
 
     def test_jump_slices_the_trial_axis_within_its_budget(
             self, seed, monkeypatch):

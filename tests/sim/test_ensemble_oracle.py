@@ -14,12 +14,13 @@ the ``converged_at`` that :func:`run_ensemble_until_silent` reports.
 Each case asserts that precondition through the chain itself before it
 compares the distributions.
 
-Fault-free runs step their reactive-dense start in lockstep; an
-omission rate sends every round through the jump to the next reactive
-encounter, so the omission cases hold the jump alone to the chain.  An
-omission drops each encounter independently with probability ``omega``,
-so after ``t`` interactions the chain has taken ``J_t ~ Binomial(t, 1 -
-omega)`` steps and ``P[T_omega <= t] = E[P[T <= J_t]]``.
+Fault-free and omission-rate runs both advance by the jump to the next
+reactive encounter, so every case holds the jump, and the silence
+check's hold at the grid point after the last transition, to the
+chain.  An omission drops each encounter independently with probability
+``omega``, so after ``t`` interactions the chain has taken ``J_t ~
+Binomial(t, 1 - omega)`` steps and ``P[T_omega <= t] = E[P[T <=
+J_t]]``.
 
 The comparison is a one-sample Kolmogorov-Smirnov test.  The statistic
 is taken over the integer support, ``D = max_t |F_n(t) - F(t)|`` with

@@ -31,6 +31,39 @@ id.  A ``trial`` record always supersedes a ``trial-failure`` for the
 same id (a retried quarantined trial that later succeeds), so
 :meth:`ResultStore.failures` only reports ids with no successful
 record.
+
+Loading.  Opening reads the file in blocks of about a MiB
+(``_BLOCK_BYTES``).  A block's complete lines are parsed and its
+partial last line is read again with the next block; a partial line
+left at the end of the file is the torn tail.  A line is *flat* when it
+starts with ``{``, ends with ``}``, and holds no other ``{`` or ``}``
+and no ``[`` or ``]`` (raw character counts, strings included).
+Canonical trial lines are flat; the spec header, failure records and
+records with a ``violation`` are not.  A maximal run of flat lines is
+parsed with one :func:`json.loads` of ``"[" + "\n,".join(run) +
+"\n]"``, and the result is accepted only if it holds one value per
+line; otherwise the run is parsed line by line.  Every other line is
+parsed alone and skipped if it does not parse.  The one-call parse is
+exact:
+
+* the newlines stay in the joined text, and strict JSON rejects a raw
+  newline inside a string, so no string spans two lines;
+* a flat line's only ``}`` is its last character, so it cannot lie
+  inside a string (the string's closing quote would have to follow it
+  on the same line), and it closes the object the line's ``{`` opened;
+* so each array element is exactly one line, and equal to
+  ``json.loads(line)``.  A line the array parse cannot take fails the
+  whole parse, and the run falls back to one parse per line.
+
+One :func:`json.loads` call shares its key strings among all the
+objects it returns, so the records of a loaded store share theirs.
+
+Which dicts are shared: the store keeps the very dicts it loads and the
+very dicts passed to :meth:`ResultStore.append`,
+:meth:`ResultStore.extend` and :meth:`ResultStore.append_failure`, once
+each.  :meth:`ResultStore.records` and :meth:`ResultStore.failures`
+return new lists of those dicts, which callers must not mutate;
+:meth:`ResultStore.record` returns a copy.
 """
 
 from __future__ import annotations
@@ -43,6 +76,9 @@ from repro.exp.spec import ExperimentSpec
 
 #: The one line encoding of every store record: sorted keys, no spaces.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Bytes read per block when a store is loaded.
+_BLOCK_BYTES = 1 << 20
 
 
 def encode_record(record: Mapping) -> str:
@@ -71,7 +107,7 @@ class ResultStore:
         self.path = os.fspath(path)
         self._spec_header: "dict | None" = None
         self._records: list[dict] = []
-        self._ids: set[str] = set()
+        #: Trial id -> its record (the last one, if a line repeats an id).
         self._by_id: dict[str, dict] = {}
         self._failures: list[dict] = []
         self._failure_ids: set[str] = set()
@@ -83,24 +119,32 @@ class ResultStore:
         if not os.path.exists(self.path):
             return
         good_bytes = 0
+        size = _BLOCK_BYTES
         with open(self.path, "rb") as handle:
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    break  # torn tail: drop the partial record
-                good_bytes += len(line)
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    continue  # complete but unreadable: skip, keep on disk
-                if record.get("kind") == "spec":
-                    self._spec_header = record
-                elif record.get("kind") == "trial":
-                    self._records.append(record)
-                    self._ids.add(record["id"])
-                    self._by_id[record["id"]] = record
-                elif record.get("kind") == "trial-failure":
-                    self._failures.append(record)
-                    self._failure_ids.add(record["id"])
+            while block := handle.read(size):
+                cut = block.rfind(b"\n") + 1
+                if cut < len(block) == size:
+                    # The block ends inside a line: the next block
+                    # starts with that line, and is larger if the line
+                    # is longer than a block.
+                    handle.seek(cut - len(block), os.SEEK_CUR)
+                    if not cut:
+                        size *= 2
+                        continue
+                # A partial line at the end of the file is the torn
+                # tail: it is not parsed, and cut below.
+                good_bytes += cut
+                text = _decode_lines(memoryview(block)[:cut])
+                del block  # freed before the parse, not after it
+                for record in _parse_lines(text):
+                    kind = record.get("kind")
+                    if kind == "spec":
+                        self._spec_header = record
+                    elif kind == "trial":
+                        self._index(record)
+                    elif kind == "trial-failure":
+                        self._failures.append(record)
+                        self._failure_ids.add(record["id"])
         if good_bytes < os.path.getsize(self.path):
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_bytes)
@@ -111,14 +155,19 @@ class ResultStore:
         return len(self._records)
 
     def __contains__(self, trial_id: str) -> bool:
-        return trial_id in self._ids
+        return trial_id in self._by_id
 
     def completed_ids(self) -> set:
         """Ids of every trial already recorded."""
-        return set(self._ids)
+        return set(self._by_id)
 
     def records(self) -> list[dict]:
-        """All trial records, in append order."""
+        """All trial records, in append order.
+
+        The list is new, but its dicts are the store's own: the ones it
+        loaded, or the ones passed to :meth:`append` and :meth:`extend`.
+        Do not mutate them; :meth:`record` returns a copy.
+        """
         return list(self._records)
 
     def record(self, trial_id: str) -> "dict | None":
@@ -139,11 +188,11 @@ class ResultStore:
         retried quarantine) is superseded and not reported.
         """
         return [record for record in self._failures
-                if record["id"] not in self._ids]
+                if record["id"] not in self._by_id]
 
     def quarantined_ids(self) -> set:
         """Ids quarantined with no successful record to supersede them."""
-        return self._failure_ids - self._ids
+        return self._failure_ids.difference(self._by_id)
 
     def spec_hash(self) -> "str | None":
         """Content hash of the spec this store belongs to, if any."""
@@ -169,11 +218,9 @@ class ResultStore:
         if fsync:
             os.fsync(handle.fileno())
 
-    def _index(self, record: Mapping) -> None:
-        copy = dict(record)
-        self._records.append(copy)
-        self._ids.add(record["id"])
-        self._by_id[record["id"]] = copy
+    def _index(self, record: dict) -> None:
+        self._records.append(record)
+        self._by_id[record["id"]] = record
 
     def close(self) -> None:
         """Close the append handle (reopened by the next append)."""
@@ -199,15 +246,18 @@ class ResultStore:
         self._write(encode_record(header) + "\n")
         self._spec_header = header
 
-    def append(self, record: Mapping) -> None:
-        """Persist one completed trial record (idempotent by id)."""
+    def append(self, record: dict) -> None:
+        """Persist one completed trial record (idempotent by id).
+
+        The store keeps ``record`` itself, not a copy.
+        """
         _check_trial(record)
-        if record["id"] in self._ids:
+        if record["id"] in self._by_id:
             return
         self._write(encode_record(record) + "\n")
         self._index(record)
 
-    def append_failure(self, record: Mapping) -> None:
+    def append_failure(self, record: dict) -> None:
         """Persist one quarantine record (idempotent by id, fsynced).
 
         Failure records are the sweep's forensic trail: they are flushed
@@ -220,10 +270,10 @@ class ResultStore:
         if record["id"] in self._failure_ids:
             return
         self._write(encode_record(record) + "\n", fsync=True)
-        self._failures.append(dict(record))
+        self._failures.append(record)
         self._failure_ids.add(record["id"])
 
-    def extend(self, records: Sequence[Mapping],
+    def extend(self, records: Sequence[dict],
                lines: Sequence[str]) -> None:
         """Persist a batch of completed trial records with one write.
 
@@ -231,12 +281,12 @@ class ResultStore:
         worker encodes its task's records).  Records whose id the store,
         or an earlier record of the batch, already holds are skipped.
         All new lines reach the OS in one write and one flush, then the
-        batch is indexed.
+        batch's records themselves are indexed.
         """
         batch: dict = {}
         for record, line in zip(records, lines, strict=True):
             _check_trial(record)
-            if record["id"] not in self._ids and record["id"] not in batch:
+            if record["id"] not in self._by_id and record["id"] not in batch:
                 batch[record["id"]] = (record, line)
         if not batch:
             return
@@ -248,3 +298,84 @@ class ResultStore:
 def _check_trial(record: Mapping) -> None:
     if record.get("kind") != "trial" or "id" not in record:
         raise ValueError("records must have kind='trial' and an id")
+
+
+def _decode_lines(data) -> str:
+    """The whole lines ``data`` holds, as text.
+
+    A line that is not UTF-8 cannot be read and is left out; the others
+    keep their order and their newlines.
+    """
+    try:
+        return str(data, "utf-8")
+    except UnicodeDecodeError:
+        readable = []
+        for line in bytes(data).split(b"\n")[:-1]:
+            try:
+                readable.append(line.decode("utf-8") + "\n")
+            except UnicodeDecodeError:
+                pass
+        return "".join(readable)
+
+
+def _parse_lines(text: str) -> list:
+    """The JSON values of the lines of ``text``, in order.
+
+    ``text`` is whole lines, each ending in a newline.  A line that does
+    not parse is left out.  Runs of flat lines are parsed with one call
+    (see the module docstring); a text that is one such run is
+    recognised by a few counts over the whole of it.
+    """
+    count = text.count("\n")
+    if (text.startswith("{") and text.endswith("}\n")
+            and text.count("}\n{") == count - 1
+            and text.count("{") == count == text.count("}")
+            and "[" not in text and "]" not in text):
+        # Every inner newline sits between a line's "}" and the next
+        # line's "{", and those are the only braces: all lines are flat.
+        values = _parse_array("[" + text.replace("}\n{", "}\n,{") + "]",
+                              count)
+        if values is not None:
+            return values
+        return _parse_each(text.split("\n")[:-1])
+    values: list = []
+    run: list[str] = []
+    for line in text.split("\n")[:-1]:
+        if (line.startswith("{") and line.endswith("}")
+                and line.count("{") == 1 and line.count("}") == 1
+                and "[" not in line and "]" not in line):
+            run.append(line)
+            continue
+        if run:
+            values += _parse_run(run)
+            run = []
+        values += _parse_each((line,))
+    if run:
+        values += _parse_run(run)
+    return values
+
+
+def _parse_run(run: list) -> list:
+    """The values of a run of flat lines: one parse, else one per line."""
+    values = _parse_array("[" + "\n,".join(run) + "\n]", len(run))
+    return _parse_each(run) if values is None else values
+
+
+def _parse_array(text: str, count: int) -> "list | None":
+    """The elements of the JSON array ``text`` if there are ``count``."""
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return values if len(values) == count else None
+
+
+def _parse_each(lines) -> list:
+    """The values of ``lines`` parsed one by one, skipping failures."""
+    values = []
+    for line in lines:
+        try:
+            values.append(json.loads(line))
+        except json.JSONDecodeError:
+            pass  # complete but unreadable: skip, keep on disk
+    return values

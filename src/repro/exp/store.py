@@ -20,11 +20,13 @@ write, before the sweep reports any of them as progress.
 A truncated final line (the usual crash artifact) is detected at open
 and cut back to the last complete record, so resume works even when the
 interrupt landed mid-write.  A complete (newline-terminated) line that
-does not parse is skipped and left on disk; it never costs the records
-after it.  Failure records are additionally fsynced
-on append — a quarantine verdict survives a machine crash, not just a
-process crash.  A header whose hash differs from the spec being run is
-an error — stores never mix experiments.
+does not parse, parses to something other than an object, or is a
+``trial`` or ``trial-failure`` record without a string id is skipped
+and left on disk; it never costs the records after it.  Failure
+records are additionally fsynced on append — a quarantine verdict
+survives a machine crash, not just a process crash.  A header whose
+hash differs from the spec being run is an error — stores never mix
+experiments.
 
 Exactly-once semantics: at most one *effective* record exists per trial
 id.  A ``trial`` record always supersedes a ``trial-failure`` for the
@@ -98,9 +100,9 @@ class ResultStore:
     """One experiment's trial records, persisted as JSONL.
 
     Opening parses the whole file (specs are sweeps, not databases;
-    record counts are thousands, not billions), skips unreadable complete
-    lines, repairs a torn tail, and
-    indexes completed trial ids for O(1) resume checks.
+    record counts are thousands, not billions), skips complete lines it
+    cannot use, repairs a torn tail, and indexes completed trial ids for
+    O(1) resume checks.
     """
 
     def __init__(self, path):
@@ -137,14 +139,20 @@ class ResultStore:
                 text = _decode_lines(memoryview(block)[:cut])
                 del block  # freed before the parse, not after it
                 for record in _parse_lines(text):
-                    kind = record.get("kind")
+                    try:
+                        kind = record.get("kind")
+                    except AttributeError:
+                        continue  # JSON but not an object: skip it
                     if kind == "spec":
                         self._spec_header = record
                     elif kind == "trial":
-                        self._index(record)
+                        if type(record.get("id")) is str:
+                            self._index(record)
                     elif kind == "trial-failure":
-                        self._failures.append(record)
-                        self._failure_ids.add(record["id"])
+                        trial_id = record.get("id")
+                        if type(trial_id) is str:
+                            self._failures.append(record)
+                            self._failure_ids.add(trial_id)
         if good_bytes < os.path.getsize(self.path):
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_bytes)

@@ -40,11 +40,13 @@ _SPAN_CHUNK = 1 << 16
 # -- Span kernels (nopython subset) --------------------------------------------
 
 
-def agent_span(pv, qv, sarr, out_hist, tinit, tresp, reactive, out_ids, k):
+def agent_span(pv, rv, sarr, out_hist, tinit, tresp, reactive, out_ids, k):
     """Apply ``len(pv)`` interactions to the agent-array state in place.
 
-    Mirrors ``BatchedSimulation._step_plain`` draw for draw: responder
-    index shifted past the initiator, transition looked up in the flat
+    Mirrors ``BatchedSimulation._step_plain`` draw for draw: ``pv`` and
+    ``rv`` are the initiator and responder agent indices as the pair
+    stream decoded them (the responder already shifted past the
+    initiator), and the transition is looked up in the flat
     ``[p*k + q]`` tables (augmented with the dead sentinel when faults
     are attached — sentinel pairs are non-reactive, so crashed agents
     stay inert).  Returns ``(last_change, last_output_change)`` as
@@ -54,9 +56,7 @@ def agent_span(pv, qv, sarr, out_hist, tinit, tresp, reactive, out_ids, k):
     lo = -1
     for i in range(pv.shape[0]):
         initiator = pv[i]
-        responder = qv[i]
-        if responder >= initiator:
-            responder += 1
+        responder = rv[i]
         flat = sarr[initiator] * k + sarr[responder]
         if not reactive[flat]:
             continue
@@ -110,11 +110,11 @@ class AgentSpanKernels:
         stream.ensure(count)
         i0 = stream.ptr
         pv = stream.pv[i0:i0 + count]
-        qv = stream.qv[i0:i0 + count]
+        rv = stream.rv[i0:i0 + count]
         stream.ptr = i0 + count
         out_hist = np.asarray(sim._out_hist, dtype=np.int64)
         base = sim.interactions
-        lc, lo = self._span(pv, qv, sim._sarr, out_hist,
+        lc, lo = self._span(pv, rv, sim._sarr, out_hist,
                             sim._ktinit, sim._ktresp, sim._react_flat,
                             sim._kout_ids, sim._k)
         sim.interactions = base + count

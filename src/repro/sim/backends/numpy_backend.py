@@ -18,7 +18,12 @@ they are sparse and few would share a prefix; and otherwise a *prefix
 round* (:func:`agent_prefix_round`), which applies every reactive
 encounter before the window's first conflicting read in one scatter.
 The ``repro.sim.batched`` module docstring gives the argument that a
-prefix round is exact.
+prefix round is exact.  A prefix round's window is sized to the prefix
+it expects (see ``_PREFIX_SPREAD``), since the draws past the first
+conflict are gathered and masked for nothing.
+
+Every path reads the pair stream's ``pv`` and ``rv`` as agent indices:
+the stream has already shifted each responder draw past its initiator.
 
 The functions take the engine instance and mutate its state exactly as
 the sequential step would; the engine owns all bookkeeping that is not
@@ -47,6 +52,14 @@ _GAP_CAP = 1e9
 #: which keeps it ahead in sparse tails like leader election's.
 _PREFIX_SPAN2 = 131072.0
 _PREFIX_HITS2 = 16.0
+#: A prefix round's window is ``max(_PREFIX_FLOOR_GAPS * gap + 8,
+#: _PREFIX_SPREAD * sqrt(n * gap))`` draws, against an expected prefix
+#: of about ``0.71 * sqrt(n * gap)``: a window past the prefix gathers
+#: draws the round never uses, one short of it ends the round early.
+#: Both factors are measured (docs/PERFORMANCE.md, "Choosing the agent
+#: engine's round").
+_PREFIX_SPREAD = 0.9
+_PREFIX_FLOOR_GAPS = 3.0
 
 
 # -- Step functions ------------------------------------------------------------
@@ -57,7 +70,7 @@ def agent_scalar_chunk(sim, count: int) -> None:
     stream.ensure(count)
     i0 = stream.ptr
     p_vals = stream.pv[i0:i0 + count].tolist()
-    q_vals = stream.qv[i0:i0 + count].tolist()
+    r_vals = stream.rv[i0:i0 + count].tolist()
     stream.ptr = i0 + count
     ids = sim._id_list()
     pairs = sim._pairs
@@ -65,10 +78,8 @@ def agent_scalar_chunk(sim, count: int) -> None:
     base = sim.interactions
     idx = 0
     reactive = 0
-    for initiator, responder in zip(p_vals, q_vals):
+    for initiator, responder in zip(p_vals, r_vals):
         idx += 1
-        if responder >= initiator:
-            responder += 1
         flat = ids[initiator] * k + ids[responder]
         if pairs[flat] is None:
             continue
@@ -99,15 +110,14 @@ def agent_vector_round(sim, remaining: int) -> None:
     # Initiator states with no reactive partner at all can never be
     # the reactive event; windows of only those skip the responder
     # side entirely.
-    candidates = np.flatnonzero(sim._row_any[sp])
+    candidates = sim._row_any[sp].nonzero()[0]
     if candidates.size == 0:
         stream.ptr = i0 + window
         sim.interactions += window
         sim._gap = min(gap * 2.0 + 1.0, _GAP_CAP)
         return
     pv_c = pv[candidates]
-    qv_c = stream.qv[i0:i0 + window][candidates]
-    resp_c = qv_c + (qv_c >= pv_c)
+    resp_c = stream.rv[i0:i0 + window][candidates]
     sp_c = sp[candidates]
     sq_c = sarr[resp_c]
     hit = sim._react_flat[sp_c * sim._k + sq_c]
@@ -137,10 +147,8 @@ def agent_prefix_round(sim, remaining: int) -> None:
     takes the scalar apply instead.
     """
     gap = sim._gap
-    window = int(gap * 6.0) + 8
-    # A prefix runs about sqrt(n * gap / 2) draws before two reactive
-    # encounters share an agent; the window covers that with room.
-    spread = int(2.0 * (len(sim._sarr) * gap) ** 0.5)
+    window = int(gap * _PREFIX_FLOOR_GAPS) + 8
+    spread = int(_PREFIX_SPREAD * (len(sim._sarr) * gap) ** 0.5)
     if spread > window:
         window = spread
     if window > remaining:
@@ -151,18 +159,19 @@ def agent_prefix_round(sim, remaining: int) -> None:
     stream.ensure(window)
     i0 = stream.ptr
     pv = stream.pv[i0:i0 + window]
-    qv = stream.qv[i0:i0 + window]
-    resp = qv + (qv >= pv)
+    resp = stream.rv[i0:i0 + window]
     sarr = sim._sarr
     flat = sarr[pv] * sim._k + sarr[resp]
-    hits = np.flatnonzero(sim._react_flat[flat])
+    # The method, not np.flatnonzero: same indices for a 1-D mask, and
+    # about a microsecond less per call, which a round pays several times.
+    hits = sim._react_flat[flat].nonzero()[0]
     if hits.size == 0:
         stream.ptr = i0 + window
         sim.interactions += window
         sim._gap = min(gap * 2.0 + 1.0, _GAP_CAP)
         return
     end = _conflict_free_end(sim, pv, resp, hits, window)
-    applied = int(np.searchsorted(hits, end))
+    applied = int(hits.searchsorted(end))
     base = sim.interactions
     stream.ptr = i0 + end
     if applied == 1:
@@ -200,7 +209,7 @@ def _conflict_free_end(sim, pv, resp, hits, window: int) -> int:
             < np.arange(start, window, dtype=np.int32))
     touch[hit_p] = _WINDOW_MAX
     touch[hit_q] = _WINDOW_MAX
-    conflicts = np.flatnonzero(late)
+    conflicts = late.nonzero()[0]
     return start + int(conflicts[0]) if conflicts.size else window
 
 
@@ -219,7 +228,7 @@ def _scatter_hits(sim, base: int, hits, agents, flat) -> None:
     new_out = out_ids[new]
     sarr[agents] = new
     sim._ids = None
-    moved = np.flatnonzero(old_out != new_out)
+    moved = (old_out != new_out).nonzero()[0]
     if moved.size:
         size = len(sim._out_hist)
         delta = (np.bincount(new_out[moved], minlength=size)

@@ -25,7 +25,10 @@ same generator, so :class:`_PairDrawStream` loads the engine's
 the words ``getrandbits(32 * B)`` would have produced, in the same order,
 without building a ``32 * B``-bit Python integer — and replays the
 rejection logic vectorized, producing the identical accepted draw
-sequence far faster than ``randrange`` call-by-call.  The position is
+sequence far faster than ``randrange`` call-by-call.  It hands the
+pairs out as agent indices: the reference step shifts each responder
+draw past its initiator (``q + (q >= p)``), and the stream does that
+once per block, so no stepping path repeats it.  The position is
 copied back into the ``random.Random`` only when someone reads the
 engine's ``rng`` property, since the copy costs about as much as
 decoding a block.  The single subtlety is a word decoding to exactly
@@ -69,7 +72,9 @@ With ``n`` agents and a mean no-op gap ``g``, a prefix runs about
 ``sqrt(n * g / 2)`` draws and applies about ``sqrt(n / (2 * g))``
 encounters, so large populations apply hundreds per numpy round; where
 few are expected the engine keeps scalar stepping or the first-hit
-window instead.
+window instead.  A round gathers a window of about ``0.9 * sqrt(n * g)``
+draws, a little more than the prefix it expects to use: every draw past
+the prefix is gathered and masked for nothing.
 
 The ``numba`` backend JIT-compiles one fused per-interaction loop over
 the same tables and stream, bit-identical by construction; requesting it
@@ -83,8 +88,8 @@ faster than the reference, just not block-decoded.
 A silent configuration — no two agents can react — never changes
 again (Sect. 3.2), yet a stopping rule may keep running it, as
 correct-stable's settle phase does.  So on the fault-free, unmonitored,
-block-decoded path, once no state changed for ``n`` interactions (and
-at least ``_QUIET_MIN``), :meth:`BatchedSimulation.run` probes for
+block-decoded path, once no state changed for ``n / 8`` interactions
+(and at least ``_QUIET_MIN``), :meth:`BatchedSimulation.run` probes for
 silence: one ``np.bincount`` weighed against the reactive mask, cached
 per ``last_change``.  A silent configuration takes the rest of the run
 in O(1): the interactions are counted in ``interactions`` and
@@ -146,12 +151,17 @@ __all__ = [
 #: bit-identity contract: changing it moves every later draw.
 _BLOCK_WORDS = 1 << 14
 
-#: Fewest interactions without a state change before :meth:`run
-#: <BatchedSimulation.run>` probes for silence; it waits ``n`` when that
-#: is more.  A probe costs about as much as stepping 10**4 quiet
-#: interactions, so in small populations, whose quiet stretches are
-#: short and many, it must not follow every one of them.
-_QUIET_MIN = 1 << 16
+#: :meth:`run <BatchedSimulation.run>` probes for silence once no state
+#: changed for ``max(n >> _QUIET_SHIFT, _QUIET_MIN)`` interactions.  A
+#: probe is one O(n) ``np.bincount``, costing about as much as stepping
+#: ``n / 8`` quiet interactions at large n, so waiting that long before
+#: probing at most doubles what a quiet stretch costs.  In small
+#: populations the probe's fixed cost dominates and quiet stretches are
+#: short and many (leader election's tail has one per remaining leader),
+#: so the wait never drops below the floor.  Both are measured
+#: (docs/PERFORMANCE.md, "Choosing the agent engine's round").
+_QUIET_SHIFT = 3
+_QUIET_MIN = 1 << 13
 
 
 class _PairDrawStream:
@@ -160,9 +170,11 @@ class _PairDrawStream:
     Takes raw Mersenne Twister words from a numpy ``MT19937`` loaded with
     ``rng``'s state, and replays CPython's ``_randbelow`` rejection
     sampling vectorized (see the module docstring for the argument).
-    ``pv[i], qv[i]`` with ``i >= ptr`` are the not-yet-consumed draw
-    pairs; callers advance ``ptr`` as they use them, or :meth:`skip`
-    them unread.
+    ``pv[i], rv[i]`` with ``i >= ptr`` are the not-yet-consumed pairs
+    as agent indices: the initiator, and the responder with the
+    reference engine's shift past the initiator already applied, once
+    per block.  Callers advance ``ptr`` as they use them, or
+    :meth:`skip` them unread.
 
     The word source runs ahead of the logical stream by whatever is
     buffered, and ``rng`` itself only learns the source's position when
@@ -172,9 +184,9 @@ class _PairDrawStream:
     owns its RNG exclusively.
     """
 
-    __slots__ = ("rng", "n", "shift", "block_words", "pv", "qv", "ptr",
-                 "_words", "_limit", "_dirty", "_pending", "_emitted",
-                 "_owed")
+    __slots__ = ("rng", "n", "shift", "block_words", "pv", "rv", "ptr",
+                 "_words", "_limit", "_dense", "_dirty", "_pending",
+                 "_emitted", "_owed")
 
     def __init__(self, rng, n: int, block_words: int = _BLOCK_WORDS):
         # numpy.random is imported here, not at module level: sweeps
@@ -198,11 +210,14 @@ class _PairDrawStream:
                                  "pos": internal[624]}}
         self._words = words
         self._limit = np.uint64(n)
+        #: At most one word in 16 is rejected, so the mask is mostly
+        #: true (see :meth:`_decode_block`).
+        self._dense = 16 * n >= 15 << n.bit_length()
         #: Words were drawn since ``rng`` last received the position.
         self._dirty = False
         empty = np.empty(0, dtype=np.int64)
         self.pv = empty
-        self.qv = empty
+        self.rv = empty
         self.ptr = 0
         #: An accepted initiator draw waiting for its responder mate.
         self._pending: "int | None" = None
@@ -264,9 +279,9 @@ class _PairDrawStream:
         owed = self._owed
         self._owed = 0
         while True:
-            new_p, new_q = self._decode_block()
+            new_p, new_r = self._decode_block()
             if len(new_p) >= owed:
-                self.pv, self.qv, self.ptr = new_p, new_q, owed
+                self.pv, self.rv, self.ptr = new_p, new_r, owed
                 return
             owed -= len(new_p)
 
@@ -282,24 +297,29 @@ class _PairDrawStream:
         # pairs contiguous, and skipping it measured no faster end to end
         # (docs/PERFORMANCE.md, "One state array and the silent tail").
         parts_p = [self.pv[self.ptr:]]
-        parts_q = [self.qv[self.ptr:]]
+        parts_r = [self.rv[self.ptr:]]
         have = len(parts_p[0])
         while have < pairs:
-            new_p, new_q = self._decode_block()
+            new_p, new_r = self._decode_block()
             parts_p.append(new_p)
-            parts_q.append(new_q)
+            parts_r.append(new_r)
             have += len(new_p)
         self.pv = np.concatenate(parts_p)
-        self.qv = np.concatenate(parts_q)
+        self.rv = np.concatenate(parts_r)
         self.ptr = 0
 
     def _decode_block(self):
         raw = self._words.random_raw(self.block_words)
         self._dirty = True
         raw >>= self.shift
-        # Rejected by both bounds.  An index take compacts a random
-        # mask about twice as fast as boolean indexing does.
-        vals = raw.take(np.flatnonzero(raw < self._limit)).view(np.int64)
+        # Rejected by both bounds.  An index take compacts a random mask
+        # about twice as fast as boolean indexing does, but boolean
+        # indexing is faster when few words are rejected.
+        keep = raw < self._limit
+        if self._dense:
+            vals = raw[keep].view(np.int64)
+        else:
+            vals = raw.take(np.flatnonzero(keep)).view(np.int64)
         n = self.n
         base = self._emitted
         ambiguous = np.flatnonzero(vals == n - 1)
@@ -324,7 +344,12 @@ class _PairDrawStream:
         if len(vals) & 1:
             self._pending = int(vals[-1])
             vals = vals[:-1]
-        return vals[0::2], vals[1::2]
+        # The responder draw q names the q-th agent other than the
+        # initiator p; shift it to an agent index here, once per block,
+        # rather than in every stepping path.
+        p = vals[0::2]
+        r = vals[1::2]
+        return p, r + (r >= p)
 
 
 @functools.cache
@@ -826,14 +851,14 @@ class BatchedSimulation:
         if stream is None:
             initiator = self._rng.randrange(n)
             responder = self._rng.randrange(n - 1)
+            if responder >= initiator:
+                responder += 1
         else:
             stream.ensure(1)
             i = stream.ptr
             initiator = int(stream.pv[i])
-            responder = int(stream.qv[i])
+            responder = int(stream.rv[i])
             stream.ptr = i + 1
-        if responder >= initiator:
-            responder += 1
         self.interactions += 1
         ids = self._ids
         if ids is None:
@@ -856,14 +881,14 @@ class BatchedSimulation:
         if stream is None:
             initiator = self._rng.randrange(n)
             responder = self._rng.randrange(n - 1)
+            if responder >= initiator:
+                responder += 1
         else:
             stream.ensure(1)
             i = stream.ptr
             initiator = int(stream.pv[i])
-            responder = int(stream.qv[i])
+            responder = int(stream.rv[i])
             stream.ptr = i + 1
-        if responder >= initiator:
-            responder += 1
         self.interactions += 1
         changed = False
         if self.crashed and (initiator in self.crashed
@@ -926,7 +951,7 @@ class BatchedSimulation:
             return
         target = self.interactions + steps
         kernels = self._kernels
-        quiet = max(len(self._sarr), _QUIET_MIN)
+        quiet = max(len(self._sarr) >> _QUIET_SHIFT, _QUIET_MIN)
         while self.interactions < target:
             if (self.interactions - self.last_change >= quiet
                     and self._silent()):

@@ -13,11 +13,13 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.protocol import PopulationProtocol
 from repro.protocols import registry
 from repro.protocols.counting import CountToK
 from repro.sim.backends import numpy_backend
 from repro.sim.batched import (
     _QUIET_MIN,
+    _QUIET_SHIFT,
     BatchedSimulation,
     batched_simulate_counts,
 )
@@ -356,12 +358,16 @@ class TestPrefixRounds:
             assert max(scatter_sizes, default=0) > 1
 
 
-def _reference_pairs(rng, n, block_words, blocks_read):
-    """``(randrange(n), randrange(n - 1))`` pairs replayed from raw words.
+def _reference_pairs(rng, n, block_words, blocks_read, ambiguous=None):
+    """``(initiator, responder)`` agent pairs replayed from raw words.
 
     Reads ``getrandbits(32 * block_words)`` from ``rng`` one block at a
     time, as the stream does, and replays CPython's ``_randbelow``
-    rejection word by word; ``blocks_read[0]`` counts the blocks.
+    rejection word by word for ``randrange(n)``, ``randrange(n - 1)``;
+    the responder draw is shifted past the initiator as the reference
+    engine's step does.  ``blocks_read[0]`` counts the blocks, and
+    ``ambiguous[0]``, if given, the words decoding to ``n - 1`` that a
+    responder draw rejected.
     """
     shift = 32 - n.bit_length()
     bounds = (n, n - 1)
@@ -372,9 +378,11 @@ def _reference_pairs(rng, n, block_words, blocks_read):
         blocks_read[0] += 1
         for word in np.frombuffer(block, dtype="<u4").tolist():
             value = word >> shift
+            if ambiguous is not None and role and value == n - 1:
+                ambiguous[0] += 1
             if value < bounds[role]:
                 if role:
-                    yield first, value
+                    yield first, value + (value >= first)
                 else:
                     first = value
                 role ^= 1
@@ -410,7 +418,7 @@ class TestPairDrawStreamOracle:
             stream.ensure(size)
             i = stream.ptr
             got = list(zip(stream.pv[i:i + size].tolist(),
-                           stream.qv[i:i + size].tolist()))
+                           stream.rv[i:i + size].tolist()))
             stream.ptr = i + size
             assert got == [next(ref) for _ in range(size)]
         assert rng.getstate() != ref_rng.getstate()  # not copied back yet
@@ -439,7 +447,7 @@ class TestPairDrawStreamOracle:
             stream.ensure(size)
             i = stream.ptr
             got = list(zip(stream.pv[i:i + size].tolist(),
-                           stream.qv[i:i + size].tolist()))
+                           stream.rv[i:i + size].tolist()))
             stream.ptr = i + size
             assert got == [next(ref) for _ in range(size)]
         stream.skip(3 * _BLOCK_WORDS)
@@ -461,6 +469,82 @@ class TestPairDrawStreamOracle:
         expected = random.Random(seed)
         expected.getrandbits(32 * _BLOCK_WORDS)
         assert rng.getstate() == expected.getstate()
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 12])
+    @pytest.mark.parametrize("block_words", range(1, 8))
+    def test_tiny_blocks_through_ambiguous_words(self, n, block_words,
+                                                  seed):
+        # Blocks of a few words end mid-pair and often hold no pair at
+        # all, and at these n a word decoding to n - 1 (accepted as an
+        # initiator, rejected as a responder) is frequent.
+        from repro.sim.batched import _PairDrawStream
+
+        rng = random.Random(seed)
+        ref_rng = random.Random(seed)
+        stream = _PairDrawStream(rng, n, block_words)
+        ambiguous = [0]
+        ref = _reference_pairs(ref_rng, n, block_words, [0], ambiguous)
+        for step in range(60):
+            skip = step % 4
+            stream.skip(skip)
+            for _ in range(skip):
+                next(ref)
+            size = 1 + step % 7
+            stream.ensure(size)
+            i = stream.ptr
+            got = list(zip(stream.pv[i:i + size].tolist(),
+                           stream.rv[i:i + size].tolist()))
+            stream.ptr = i + size
+            assert got == [next(ref) for _ in range(size)]
+            if step % 9 == 8:
+                stream.sync()
+                assert rng.getstate() == ref_rng.getstate()
+        assert ambiguous[0] > 0
+        assert all(p != r for p, r in got)
+        stream.sync()
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 12])
+    @pytest.mark.parametrize("block_words", range(1, 8))
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_kernels_over_tiny_blocks(self, n, block_words, backend, seed):
+        # The stepping paths read responder agent indices straight from
+        # the stream; swaps between distinct agents expose any index that
+        # is off by one.
+        from repro.sim.batched import _PairDrawStream
+
+        counts = {0: n // 3, 1: n // 3, 2: n - 2 * (n // 3)}
+        ref = simulate_counts(_Swap(), counts, seed=seed)
+        fast = batched_simulate_counts(_Swap(), counts, seed=seed,
+                                       backend=backend)
+        fast._stream = _PairDrawStream(fast._rng, n, block_words)
+        for chunk in (1, 2, 5, 40, 333, 1, 2_000):
+            ref.run(chunk)
+            fast.run(chunk)
+            _assert_agent_state_equal(fast, ref)
+            assert fast.last_change == ref.last_change
+
+
+class _Swap(PopulationProtocol):
+    """Agents swap states when the initiator's is the smaller.
+
+    Never silent while two states remain, and every swap moves states
+    between two specific agents, so a wrong agent index shows at once.
+    """
+
+    input_alphabet = frozenset({0, 1, 2})
+    output_alphabet = frozenset({0, 1, 2})
+
+    def initial_state(self, symbol):
+        return symbol
+
+    def output(self, state):
+        return state
+
+    def delta(self, initiator, responder):
+        if initiator < responder:
+            return responder, initiator
+        return initiator, responder
 
 
 def _count_blocks(monkeypatch):
@@ -644,11 +728,11 @@ class TestSilentTail:
     """``run()`` skips the draws of a silent configuration, unseen.
 
     On the fault-free, unmonitored, block-decoded path a configuration
-    that no state change touched for ``n`` interactions (and at least
-    ``_QUIET_MIN``) is probed for silence; a silent one takes the rest
-    of the run in O(1) and owes its pairs to the stream.  Everything observable afterwards — states,
-    clocks, the ``rng`` position, later trajectories — must be the
-    reference engine's.
+    that no state change touched for ``n >> _QUIET_SHIFT`` interactions
+    (and at least ``_QUIET_MIN``) is probed for silence; a silent one
+    takes the rest of the run in O(1) and owes its pairs to the stream.
+    Everything observable afterwards — states, clocks, the ``rng``
+    position, later trajectories — must be the reference engine's.
     """
 
     @pytest.mark.parametrize("stream", sorted(SILENT_TAIL_CASES))
@@ -731,6 +815,6 @@ class TestSilentTail:
         # The settle phase runs from the last change to the stop; all but
         # its first quiet stretch and one check interval are skipped.
         settle = fast.interactions - fast.last_change
-        quiet = max(n, _QUIET_MIN)
+        quiet = max(n >> _QUIET_SHIFT, _QUIET_MIN)
         assert settle > quiet + n
         assert fast.skipped_interactions >= settle - quiet - n

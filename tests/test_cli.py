@@ -222,6 +222,34 @@ class TestExpRunCommand:
         second = capsys.readouterr().out
         assert "(0 executed, 4 resumed)" in second
 
+    def test_resume_skips_lines_that_are_no_records(self, tmp_path, capsys):
+        # Complete lines that parse but are no usable record: JSON that
+        # is not an object, and trial or failure records without a
+        # string id.  The store skips them like unparseable lines and
+        # leaves them on disk.
+        import json
+
+        path = tmp_path / "sweep.jsonl"
+        assert main(["exp", "run", "--store", str(path), "--json"]
+                    + EXP_FLAGS) == 0
+        first = json.loads(capsys.readouterr().out)
+        header, *records = path.read_text(encoding="utf-8").splitlines()
+        foreign = ["5", "[1, 2]", "null", '{"kind":"trial"}',
+                   '{"kind":"trial","id":7}',
+                   '{"kind":"trial-failure","n":1}']
+        # One record is dropped, so exactly one trial runs again.
+        lines = [header, *foreign[:3], *records[:2], *foreign[3:],
+                 *records[3:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["exp", "run", "--store", str(path), "--json"]
+                    + EXP_FLAGS) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert (second["executed"], second["skipped"]) == (1, 3)
+        assert second["points"] == first["points"]
+        kept = path.read_text(encoding="utf-8").splitlines()
+        assert kept[:len(lines)] == lines
+        assert kept[len(lines):] == [records[2]]
+
     def test_spec_file(self, tmp_path, capsys):
         from repro.exp.spec import ExperimentSpec, InputGrid, StopRule
 
